@@ -6,7 +6,6 @@ from .errors import (
     IncompatibleGridError,
     NotPositiveError,
     PhaselabError,
-    ResolutionError,
     SupportEscapeError,
     TruncationError,
     WrapAmbiguityError,
@@ -23,7 +22,6 @@ __all__ = [
     "PhaseField",
     "PhaseGrid",
     "PhaselabError",
-    "ResolutionError",
     "SupportEscapeError",
     "TruncationError",
     "WrapAmbiguityError",

@@ -21,6 +21,14 @@ from .spectral import derivative
 from .trajectory import Trajectory
 
 
+def cumulative_trapezoid(values, times) -> np.ndarray:
+    """Running trapezoid integral of a series from 0, accumulated step by step."""
+    out = np.zeros(len(times))
+    for n in range(1, len(times)):
+        out[n] = out[n - 1] + 0.5 * (values[n] + values[n - 1]) * (times[n] - times[n - 1])
+    return out
+
+
 @dataclass
 class GronwallBudget:
     """lambda(t) series, its integral Lambda, and auxiliary budget pieces."""
@@ -32,11 +40,7 @@ class GronwallBudget:
 
     def Lambda(self) -> np.ndarray:
         """Cumulative trapezoid integral of lambda; nondecreasing from 0."""
-        t = self.times
-        out = np.zeros_like(self.lam)
-        for n in range(1, len(t)):
-            out[n] = out[n - 1] + 0.5 * (self.lam[n] + self.lam[n - 1]) * (t[n] - t[n - 1])
-        return out
+        return cumulative_trapezoid(self.lam, self.times)
 
     def envelope(self, left0: float, c_star: float) -> np.ndarray:
         """Gronwall right side left0 * exp(c_star * Lambda(t))."""

@@ -14,7 +14,7 @@ from .errors import ConfigurationError, WrapAmbiguityError
 from .grids import PhaseGrid
 from .operators import DensityOperator, require_positive
 from .spectral import derivative, fourier_multiplier
-from .transforms import chord_matrix, scatter_chords
+from .transforms import _chord_indices, chord_matrix, scatter_chords
 
 WRAP_GUARD_TOL = 1e-8
 
@@ -34,20 +34,10 @@ def quantum_gradient_x(op: DensityOperator) -> DensityOperator:
     return DensityOperator(g, scatter_chords(g, D), hermitian=False)
 
 
-def _minimal_chord(grid: PhaseGrid) -> np.ndarray:
-    N = grid.N
-    i = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
-    c = ((i - j + N // 2) % N) - N // 2
-    return c * grid.dx
-
-
 def wrap_mass(op: DensityOperator) -> float:
     """Relative kernel mass on the antipodal chords |x - y| near L_x / 2."""
     N = op.grid.N
-    i = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
-    c = ((i - j + N // 2) % N) - N // 2
+    c = _chord_indices(N)["c"]
     band = np.abs(np.abs(c) - N // 2) <= 1
     total = np.sum(np.abs(op.kernel))
     if total == 0:
@@ -68,16 +58,14 @@ def quantum_gradient_xi(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL) -
         raise WrapAmbiguityError(
             f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
         )
-    chord = _minimal_chord(g)
+    chord = _chord_indices(g.N)["c"] * g.dx
     out = chord / (1j * g.hbar) * op.kernel
     return DensityOperator(g, out, hermitian=False)
 
 
 def momentum_weight_multiplier(grid: PhaseGrid, n: int) -> np.ndarray:
     """<p>^n = (1 + |p|^2)^(n/2) eigenvalues on the Fourier modes, fft order."""
-    a = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    xi_a = grid.hbar * 2.0 * np.pi * a / grid.L_x
-    return (1.0 + xi_a**2) ** (n / 2.0)
+    return (1.0 + grid.fourier_momenta**2) ** (n / 2.0)
 
 
 def momentum_weight_apply(op: DensityOperator, n: int, side: str = "both") -> DensityOperator:
@@ -126,9 +114,7 @@ def spatial_density(op: DensityOperator) -> np.ndarray:
 def kinetic_energy(op: DensityOperator) -> float:
     """h^d Tr((-hbar^2 Delta / 2) op) via the Fourier multiplier |xi|^2 / 2."""
     g = op.grid
-    a = np.fft.fftfreq(g.N, d=1.0 / g.N)
-    xi_a = g.hbar * 2.0 * np.pi * a / g.L_x
-    K = fourier_multiplier(op.kernel, xi_a**2 / 2.0, axis=0)
+    K = fourier_multiplier(op.kernel, g.fourier_momenta**2 / 2.0, axis=0)
     return float((np.trace(K) * g.dx**g.d * g.h**g.d).real)
 
 

@@ -14,10 +14,10 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
-from .budgets import sqrt_field
-from .coherent import wick_quantize
+from .coherent import wick_square_datum
 from .config import PROBES, SimConfig, apply_overrides, load_config
 from .errors import ConfigurationError, PhaselabError
 from .grids import make_grid, sample_field
@@ -28,13 +28,11 @@ from .reports import ProbeReport
 from .spectral import shift
 from .stability import classical_stability_experiment, quantum_stability_experiment
 from .sweeps import (
+    DYNAMICS_PROBES,
     b_bound_sweep,
     commutator_sweep,
-    convergence_sweep,
-    defect_sweep,
+    dynamics_reports,
     init_diff_sweep,
-    regularity_sweep,
-    sqrt_comparison_sweep,
     weight_remainder_sweep,
     wick_square_sweep,
     wick_structure_sweep,
@@ -110,11 +108,7 @@ def cmd_run(config: SimConfig) -> int:
         if config["dump_snapshots"]:
             dump_raw_array(out_dir / "vlasov_final", traj.final().values, grid, "f(T)")
     elif experiment == "hartree":
-        f0 = sample_field(grid, config["profile"])
-        vt = wick_quantize(sqrt_field(f0))
-        op0 = vt @ vt
-        op0.hermitian = True
-        op0.positive = True
+        _, op0 = wick_square_datum(sample_field(grid, config["profile"]))
         traj = evolve_hartree(op0, T, dt, sign, snapshot_stride=stride, log_spectrum=True)
         trajectory_csv(out_dir / "hartree_trajectory.csv", traj)
         if config["dump_snapshots"]:
@@ -122,12 +116,7 @@ def cmd_run(config: SimConfig) -> int:
     elif experiment == "linear-hartree":
         f0 = sample_field(grid, config["profile"])
         ftraj = evolve_vlasov(f0, T, dt, sign)
-        if not ftraj.fields:
-            raise ConfigurationError("linear-hartree needs a field history source")
-        vt = wick_quantize(sqrt_field(f0))
-        op0 = vt @ vt
-        op0.hermitian = True
-        op0.positive = True
+        _, op0 = wick_square_datum(f0)
         traj = evolve_linear_hartree(op0, ftraj.fields, T, dt,
                                      snapshot_stride=stride, log_spectrum=True)
         trajectory_csv(out_dir / "linear_hartree_trajectory.csv", traj)
@@ -140,14 +129,8 @@ def cmd_run(config: SimConfig) -> int:
             return EXIT_PROBE_FAIL
     elif experiment == "twin-quantum":
         f1, f2 = _twin_fields(config, grid)
-        ops = []
-        for f in (f1, f2):
-            vt = wick_quantize(sqrt_field(f))
-            op = vt @ vt
-            op.hermitian = True
-            op.positive = True
-            ops.append(op)
-        rep = quantum_stability_experiment(ops[0], ops[1], T, dt, sign)
+        (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
+        rep = quantum_stability_experiment(op1, op2, T, dt, sign)
         (out_dir / "quantum_stability.json").parent.mkdir(parents=True, exist_ok=True)
         (out_dir / "quantum_stability.json").write_text(rep.to_json() + "\n")
         if not rep.passed:
@@ -155,38 +138,44 @@ def cmd_run(config: SimConfig) -> int:
     return EXIT_OK
 
 
+class _Sweep:
+    """One sweep's settings; its dynamics probes share one member pass over N."""
+
+    def __init__(self, config: SimConfig, jobs: int):
+        self.config, self.jobs = config, jobs
+        self.N_list = tuple(config["sweep_N"])
+
+    @cached_property
+    def dynamics(self) -> dict[str, list[ProbeReport]]:
+        c = self.config
+        wanted = [p for p in c["probes"] if p in DYNAMICS_PROBES]
+        return dynamics_reports(wanted, c["profile"], c["T"], self.N_list, c["sign"],
+                                dt=c["dt"], jobs=self.jobs)
+
+
+def _shared(name: str):
+    return lambda sweep: sweep.dynamics[name]
+
+
+# probe name -> reports of that probe for one sweep
+PROBE_SWEEPS = {
+    "convergence": _shared("convergence"),
+    "wick_structure": lambda s: [wick_structure_sweep(s.N_list, jobs=s.jobs)],
+    "wick_square": lambda s: [wick_square_sweep(s.N_list, jobs=s.jobs)],
+    "weight_remainder": lambda s: [weight_remainder_sweep(s.N_list, jobs=s.jobs)],
+    "commutator": lambda s: [commutator_sweep(s.N_list, seed=s.config["seed"], jobs=s.jobs)],
+    "b_remainder": lambda s: [b_bound_sweep(s.config["profile"], s.N_list, s.config["sign"],
+                                            jobs=s.jobs)],
+    "init_diff": lambda s: [init_diff_sweep(s.N_list, jobs=s.jobs)],
+    "positivity_defect": _shared("positivity_defect"),
+    "sqrt_comparison": _shared("sqrt_comparison"),
+    "regularity": _shared("regularity"),
+}
+
+
 def _run_probe_reports(config: SimConfig, jobs: int) -> list[ProbeReport]:
-    N_list = tuple(config["sweep_N"])
-    profile = config["profile"]
-    T, sign, seed = config["T"], config["sign"], config["seed"]
-    reports: list[ProbeReport] = []
-    for name in config["probes"]:
-        if name == "convergence":
-            reports.append(convergence_sweep(profile, T, N_list, sign,
-                                             dt=config["dt"], jobs=jobs))
-        elif name == "wick_structure":
-            reports.append(wick_structure_sweep(N_list, jobs=jobs))
-        elif name == "wick_square":
-            reports.append(wick_square_sweep(N_list, jobs=jobs))
-        elif name == "weight_remainder":
-            reports.append(weight_remainder_sweep(N_list, jobs=jobs))
-        elif name == "commutator":
-            reports.append(commutator_sweep(N_list, seed=seed, jobs=jobs))
-        elif name == "b_remainder":
-            reports.append(b_bound_sweep(profile, N_list, sign, jobs=jobs))
-        elif name == "init_diff":
-            reports.append(init_diff_sweep(N_list, jobs=jobs))
-        elif name == "positivity_defect":
-            pos, diag = defect_sweep(profile, T, N_list, sign,
-                                     dt=config["dt"], jobs=jobs)
-            reports.extend([pos, diag])
-        elif name == "sqrt_comparison":
-            reports.append(sqrt_comparison_sweep(profile, T, N_list, sign,
-                                                 dt=config["dt"], jobs=jobs))
-        elif name == "regularity":
-            reports.append(regularity_sweep(profile, T, N_list, sign,
-                                            dt=config["dt"], jobs=jobs))
-    return reports
+    sweep = _Sweep(config, jobs)
+    return [rep for name in config["probes"] for rep in PROBE_SWEEPS[name](sweep)]
 
 
 def cmd_sweep(config: SimConfig, jobs: int) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budgets import sqrt_field
 from .errors import ConfigurationError
 from .grids import PhaseField, PhaseGrid, gaussian_phase_kernel
 from .operators import DensityOperator, outer_projector
@@ -118,6 +119,16 @@ def wick_quantize(f: PhaseField, kernel: PhaseField | None = None) -> DensityOpe
     if f.real and np.all(f.values >= 0):
         op.positive = True
     return op
+
+
+def wick_square_datum(f0: PhaseField) -> tuple[DensityOperator, DensityOperator]:
+    """(vt, op0) with vt = wick(sqrt f0) and op0 = vt^2: the positive,
+    Hermitian Hartree initial datum, L2-close to op_{f0}, of runs and sweeps."""
+    vt = wick_quantize(sqrt_field(f0))
+    op0 = vt @ vt
+    op0.hermitian = True
+    op0.positive = True
+    return vt, op0
 
 
 def wick_sum_oracle(f: PhaseField, points_per_sqrt_hbar: int = 4) -> DensityOperator:

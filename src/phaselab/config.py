@@ -44,7 +44,6 @@ _SCHEMA = {
     "snapshot_stride": (int, type(None)),
     "twin_shift_cells": int,
     "dump_snapshots": bool,
-    "field_source": str,
 }
 
 _DEFAULTS = {
@@ -64,7 +63,6 @@ _DEFAULTS = {
     "snapshot_stride": None,
     "twin_shift_cells": 3,
     "dump_snapshots": False,
-    "field_source": "vlasov",
 }
 
 
@@ -126,10 +124,6 @@ def validate(data: dict) -> SimConfig:
             raise ConfigurationError(f"unknown probe {p!r}; known: {PROBES}")
     if "name" not in merged["profile"]:
         raise ConfigurationError("profile needs a 'name' field")
-    if merged["experiment"] == "linear-hartree" and merged["field_source"] != "vlasov":
-        raise ConfigurationError(
-            "linear-hartree needs a field_history source (field_source must be 'vlasov')"
-        )
     return SimConfig(merged)
 
 

@@ -13,10 +13,6 @@ class TruncationError(PhaselabError):
     """Profile support leaks through the momentum box boundary."""
 
 
-class ResolutionError(PhaselabError):
-    """Grid too coarse to resolve a semiclassical kernel."""
-
-
 class WrapAmbiguityError(PhaselabError):
     """Operator kernel carries mass near the antipodal cut |x-y| = L_x/2."""
 

@@ -69,9 +69,10 @@ class PhaseGrid:
         return (np.arange(self.N) - self.N // 2) * self.dxi
 
     @property
-    def k_index(self) -> np.ndarray:
-        """Integer momentum indices k in [-N/2, N/2) in storage order."""
-        return np.arange(self.N) - self.N // 2
+    def fourier_momenta(self) -> np.ndarray:
+        """Momenta hbar 2 pi a / L_x of the kernel Fourier modes a, in fft order."""
+        a = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return self.hbar * 2.0 * np.pi * a / self.L_x
 
     @property
     def cell(self) -> float:

@@ -24,9 +24,7 @@ from .trajectory import FieldSnapshot, Trajectory, resolve_steps
 
 
 def _kinetic_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
-    a = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    xi_a = grid.hbar * 2.0 * np.pi * a / grid.L_x
-    return np.exp(-1j * dt * xi_a**2 / (2.0 * grid.hbar))
+    return np.exp(-1j * dt * grid.fourier_momenta**2 / (2.0 * grid.hbar))
 
 
 def _conjugate_kinetic(K: np.ndarray, phase: np.ndarray) -> np.ndarray:

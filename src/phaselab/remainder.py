@@ -76,9 +76,7 @@ def potential_commutator(op: DensityOperator, V: np.ndarray) -> DensityOperator:
 def kinetic_commutator(op: DensityOperator) -> DensityOperator:
     """[-hbar^2 Delta / 2, op] as an exact Fourier-multiplier commutator."""
     g = op.grid
-    a = np.fft.fftfreq(g.N, d=1.0 / g.N)
-    xi_a = g.hbar * 2.0 * np.pi * a / g.L_x
-    mult = xi_a**2 / 2.0
+    mult = g.fourier_momenta**2 / 2.0
     K = fourier_multiplier(op.kernel, mult, axis=0) - fourier_multiplier(op.kernel, mult, axis=1)
     return DensityOperator(g, K)
 

@@ -1,22 +1,33 @@
 """Hbar-sweep experiments: the headline semiclassical convergence rate, the
 positivity-defect and diagonal-drift budgets, square-root comparison,
-regularity tracking, and sweep aggregation into probe reports.
+regularity tracking, the single-inequality probes, and sweep aggregation
+into probe reports.
 
 Every sweep member is a pure function of (N, config); members run serially
-or in a process pool and are always aggregated in decreasing-hbar order, so
-reports are deterministic for a fixed configuration.
+or in a process pool over the grid sizes in increasing N, that is in
+decreasing hbar, so reports are deterministic for a fixed configuration.
+The four dynamics probes share one member per grid: it evolves each flow
+at most once, and every requested probe reads its metric from the bundle.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
-from .budgets import fit_c_star, quantum_lambda, rho_sup_series, sqrt_field
-from .calculus import operator_sqrt, spatial_density
-from .coherent import husimi_convolve, wick_quantize
+from .budgets import (
+    SQRT_WRAP_TOL,
+    cumulative_trapezoid,
+    fit_c_star,
+    quantum_lambda,
+    rho_sup_series,
+    sqrt_field,
+)
+from .calculus import operator_sqrt, quantum_gradient_xi, spatial_density
+from .coherent import husimi_convolve, wick_quantize, wick_square_datum
 from .errors import ConfigurationError
 from .grids import PhaseField, make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
@@ -40,13 +51,15 @@ from .probes import (
     wick_square_probe,
 )
 from .reports import ProbeReport, fit_loglog
-from .spectral import field_from_modes, random_mode_block
+from .spectral import derivative, field_from_modes, random_mode_block
 from .trajectory import resolve_steps
 from .transforms import weyl_quantize, wigner_transform
 from .vlasov import evolve_vlasov
 
 DEFAULT_N_LIST = (64, 96, 128, 192, 256)
-DEFAULT_DT_FACTOR = 0.1
+DT_FACTOR = 0.1          # default step: dt = hbar / 10
+SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
+BOX = 2 * math.pi        # sweeps run on the square box of side 2 pi
 
 
 def run_members(fn, arg_list, jobs: int = 1):
@@ -61,24 +74,70 @@ def run_members(fn, arg_list, jobs: int = 1):
         return list(pool.map(fn, arg_list))
 
 
-def _resolved_dt(grid, T: float, dt: float | None, dt_factor: float):
-    if dt is None:
-        dt = grid.hbar * dt_factor
-    steps, dt = resolve_steps(T, dt)
-    return steps, dt
+def _grid(N: int):
+    return make_grid(1, N, BOX, BOX)
 
 
-def _wick_square_init(grid, f0: PhaseField):
-    """op_init = wick(sqrt(f0))^2: positive, Hermitian, L2-close to op_{f0}."""
-    vt = wick_quantize(sqrt_field(f0))
-    op0 = vt @ vt
-    op0.hermitian = True
-    op0.positive = True
-    return vt, op0
+def _ladder(fn, N_list, jobs: int, **common) -> list:
+    """fn over the grid ladder in increasing N (decreasing hbar)."""
+    return run_members(fn, [dict(N=N, **common) for N in sorted(N_list)], jobs)
+
+
+def _report(probe: str, members, lhs, budget) -> ProbeReport:
+    report = ProbeReport(probe=probe, hbar=[m["hbar"] for m in members],
+                         lhs=list(lhs), budget=list(budget))
+    report.finalize_ratios()
+    return report
 
 
 # ---------------------------------------------------------------------------
-# headline convergence sweep
+# the per-grid dynamics bundle
+
+
+class DynamicsBundle:
+    """One grid's initial datum and its four flows.
+
+    The grid, f0, dt and the Wick-square datum (vt, op0) are built once.
+    Each flow is evolved on first access, so a flow that no requested probe
+    reads never runs. All flows share one snapshot stride: SNAPSHOT_POINTS
+    intervals when a time-series probe is requested, else only the initial
+    and final states.
+    """
+
+    def __init__(self, args: dict):
+        self.args = args
+        self.grid = _grid(args["N"])
+        self.f0 = sample_field(self.grid, args["profile"])
+        self.T, self.sign = args["T"], args["sign"]
+        dt = args.get("dt")
+        steps, self.dt = resolve_steps(self.T, self.grid.hbar * DT_FACTOR if dt is None else dt)
+        series = set(args["probes"]) - {"convergence"}
+        self.stride = max(1, steps // SNAPSHOT_POINTS) if series else None
+        self.vt, self.op0 = wick_square_datum(self.f0)
+
+    @cached_property
+    def vlasov(self):
+        return evolve_vlasov(self.f0, self.T, self.dt, self.sign, snapshot_stride=self.stride)
+
+    @cached_property
+    def hartree(self):
+        return evolve_hartree(self.op0, self.T, self.dt, self.sign, snapshot_stride=self.stride)
+
+    @cached_property
+    def linear(self):
+        """Linear Hartree flow of op0 in the Vlasov field history."""
+        return evolve_linear_hartree(self.op0, self.vlasov.fields, self.T, self.dt,
+                                     snapshot_stride=self.stride)
+
+    @cached_property
+    def linear_sqrt(self):
+        """Linear Hartree flow of the square root vt in the Vlasov field history."""
+        return evolve_linear_hartree(self.vt, self.vlasov.fields, self.T, self.dt,
+                                     snapshot_stride=self.stride)
+
+
+# ---------------------------------------------------------------------------
+# headline convergence
 
 
 def regularity_checklist(f0: PhaseField) -> dict:
@@ -95,56 +154,35 @@ def regularity_checklist(f0: PhaseField) -> dict:
     return out
 
 
-def headline_member(args: dict) -> dict:
-    """One convergence-sweep member: errors at time T on the grid of size N."""
-    N = args["N"]
-    grid = make_grid(1, N, args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    f0 = sample_field(grid, args["profile"])
-    checklist = regularity_checklist(f0)
-    T = args.get("T", 0.5)
-    sign = args.get("sign", 1)
-    steps, dt = _resolved_dt(grid, T, args.get("dt"), args.get("dt_factor", DEFAULT_DT_FACTOR))
-    ftraj = evolve_vlasov(f0, T, dt, sign)
-    vt, op0 = _wick_square_init(grid, f0)
-    otraj = evolve_hartree(op0, T, dt, sign)
-    ltraj = evolve_linear_hartree(op0, ftraj.fields, T, dt)
-    fT = ftraj.final()
-    opT = otraj.final()
-    tilT = ltraj.final()
+def headline_metric(b: DynamicsBundle) -> dict:
+    """Errors at time T between the Hartree, linear Hartree and Vlasov flows."""
+    grid = b.grid
+    checklist = regularity_checklist(b.f0)
+    fT = b.vlasov.final()
+    opT = b.hartree.final()
+    tilT = b.linear.final()
     opfT = weyl_quantize(fT)
     wT = wigner_transform(opT)
     diff = wT.values - fT.values
     err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell))
     return {
-        "N": N,
+        "N": grid.N,
         "hbar": grid.hbar,
-        "dt": dt,
+        "dt": b.dt,
         "err_wigner": err_wigner,
         "err_weyl": schatten_norm(opT - opfT, 2),
         "gap_nonlinear": schatten_norm(opT - tilT, 2),
         "gap_positivity": schatten_norm(tilT - opfT, 2),
-        "init_gap": schatten_norm(op0 - weyl_quantize(f0), 2),
+        "init_gap": schatten_norm(b.op0 - weyl_quantize(b.f0), 2),
         "checklist": checklist,
-        "mass_drift": ftraj.relative_drift("mass"),
-        "trace_drift": otraj.relative_drift("trace"),
+        "mass_drift": b.vlasov.relative_drift("mass"),
+        "trace_drift": b.hartree.relative_drift("trace"),
     }
 
 
-def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                      dt: float | None = None, jobs: int = 1,
-                      dt_factor: float = DEFAULT_DT_FACTOR) -> ProbeReport:
-    """Headline rate: slope of ||f_op(T) - f(T)||_L2 and ||op - op_f||_L2 vs hbar."""
-    if len(N_list) < 4:
-        raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
-    args = [dict(N=N, profile=profile, T=T, sign=sign, dt=dt, dt_factor=dt_factor)
-            for N in sorted(N_list)]
-    members = run_members(headline_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="convergence_rate")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["err_wigner"] for m in members]
-    report.budget = [m["hbar"] for m in members]
-    report.finalize_ratios()
+def convergence_report(members: list) -> ProbeReport:
+    report = _report("convergence_rate", members, [m["err_wigner"] for m in members],
+                     [m["hbar"] for m in members])
     slope_w, stderr_w = fit_loglog(report.hbar, report.lhs)
     slope_o, stderr_o = fit_loglog(report.hbar, [m["err_weyl"] for m in members])
     report.slope = slope_w
@@ -165,23 +203,14 @@ def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int 
 # positivity defect and diagonal drift
 
 
-def defect_member(args: dict) -> dict:
+def defect_metric(b: DynamicsBundle) -> dict:
     """Linear Hartree vs Weyl-quantized Vlasov: L2 defect and diagonal drift."""
-    N = args["N"]
-    grid = make_grid(1, N, args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    f0 = sample_field(grid, args["profile"])
-    T = args.get("T", 0.5)
-    sign = args.get("sign", 1)
-    steps, dt = _resolved_dt(grid, T, args.get("dt"), args.get("dt_factor", DEFAULT_DT_FACTOR))
-    stride = max(1, steps // args.get("log_points", 8))
-    ftraj = evolve_vlasov(f0, T, dt, sign, snapshot_stride=stride)
-    vt, op0 = _wick_square_init(grid, f0)
-    ltraj = evolve_linear_hartree(op0, ftraj.fields, T, dt, snapshot_stride=stride)
+    grid, ftraj = b.grid, b.vlasov
     field_by_time = {s.time: s for s in ftraj.fields}
     times = np.asarray(ftraj.snapshot_times)
     left_pos, left_diag, rate = [], [], []
     weyl_ops = []
-    for t, f_snap, op_til in zip(times, ftraj.snapshots, ltraj.snapshots):
+    for t, f_snap, op_til in zip(times, ftraj.snapshots, b.linear.snapshots):
         op_f = weyl_quantize(f_snap)
         weyl_ops.append(op_f)
         left_pos.append(schatten_norm(op_til - op_f, 2))
@@ -190,18 +219,15 @@ def defect_member(args: dict) -> dict:
         snap = field_by_time[t]
         rate.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap))
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
-    integral = np.zeros(len(times))
-    for n in range(1, len(times)):
-        integral[n] = integral[n - 1] + 0.5 * (rate[n] + rate[n - 1]) * (times[n] - times[n - 1])
-    c_init = c_init_value(f0)
+    integral = cumulative_trapezoid(rate, times)
+    c_init = c_init_value(b.f0)
     diag_budget_sup = 0.0
-    for t, f_snap, op_f in zip(times, ftraj.snapshots, weyl_ops):
-        snap = field_by_time[t]
-        rho_w1inf = spatial_sobolev_norm(snap.rho, grid.L_x, 1, np.inf)
+    for t, op_f in zip(times, weyl_ops):
+        rho_w1inf = spatial_sobolev_norm(field_by_time[t].rho, grid.L_x, 1, np.inf)
         w22 = quantum_sobolev_norm(op_f, 2, 2, 2)
         diag_budget_sup = max(diag_budget_sup, rho_w1inf * w22)
     return {
-        "N": N,
+        "N": grid.N,
         "hbar": grid.hbar,
         "times": times,
         "left_positivity": np.asarray(left_pos),
@@ -213,19 +239,11 @@ def defect_member(args: dict) -> dict:
     }
 
 
-def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                 dt: float | None = None, jobs: int = 1) -> tuple[ProbeReport, ProbeReport]:
-    """Sweep the positivity defect (final time) and the diagonal drift."""
-    args = [dict(N=N, profile=profile, T=T, sign=sign, dt=dt) for N in sorted(N_list)]
-    members = run_members(defect_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    hbars = [m["hbar"] for m in members]
-
-    pos = ProbeReport(probe="positivity_defect")
-    pos.hbar = hbars
-    pos.lhs = [float(m["left_positivity"][-1]) for m in members]
-    pos.budget = [float(m["pos_budget_final"]) for m in members]
-    pos.finalize_ratios()
+def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
+    """The positivity defect (final time) and the diagonal drift."""
+    pos = _report("positivity_defect", members,
+                  [float(m["left_positivity"][-1]) for m in members],
+                  [float(m["pos_budget_final"]) for m in members])
     slope = pos.fit_slope()
     pos.require("lhs_slope", 0.8 <= slope <= 1.2, slope, [0.8, 1.2])
     c_stars = [
@@ -246,11 +264,8 @@ def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
         {k: v for k, v in m.items() if k not in ("times",)} for m in members
     ]
 
-    diag = ProbeReport(probe="diag_drift")
-    diag.hbar = hbars
-    diag.lhs = [float(m["left_diag"][-1]) for m in members]
-    diag.budget = [float(m["diag_budget"]) for m in members]
-    diag.finalize_ratios()
+    diag = _report("diag_drift", members, [float(m["left_diag"][-1]) for m in members],
+                   [float(m["diag_budget"]) for m in members])
     dslope = diag.fit_slope()
     diag.require("lhs_slope", 0.8 <= dslope <= 1.2, dslope, [0.8, 1.2])
     return pos, diag
@@ -260,33 +275,19 @@ def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
 # square-root comparison (nonlinear vs linear Hartree)
 
 
-def sqrt_comparison_member(args: dict) -> dict:
-    N = args["N"]
-    grid = make_grid(1, N, args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    f0 = sample_field(grid, args["profile"])
-    T = args.get("T", 0.5)
-    sign = args.get("sign", 1)
-    steps, dt = _resolved_dt(grid, T, args.get("dt"), args.get("dt_factor", DEFAULT_DT_FACTOR))
-    stride = max(1, steps // args.get("log_points", 8))
-    ftraj = evolve_vlasov(f0, T, dt, sign, snapshot_stride=stride)
-    vt, op0 = _wick_square_init(grid, f0)
-    otraj = evolve_hartree(op0, T, dt, sign, snapshot_stride=stride)
-    ltraj = evolve_linear_hartree(op0, ftraj.fields, T, dt, snapshot_stride=stride)
-    times = np.asarray(otraj.snapshot_times)
-    v1 = [operator_sqrt(op) for op in otraj.snapshots]
-    vtil = [operator_sqrt(op) for op in ltraj.snapshots]
-    left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, vtil)])
-    C_inf = schatten_norm(op0, np.inf)
-    budget = quantum_lambda(vtil, times, rho_sup_series(ftraj), C_inf,
-                            n=args.get("n", 3), eps=args.get("eps", 0.5))
-    Lambda = budget.Lambda()
-    c_init = c_init_value(f0)
-    from .budgets import SQRT_WRAP_TOL
-    from .calculus import quantum_gradient_xi
+def sqrt_metric(b: DynamicsBundle) -> dict:
+    grid, ftraj = b.grid, b.vlasov
+    times = np.asarray(b.hartree.snapshot_times)
+    v1 = [operator_sqrt(op) for op in b.hartree.snapshots]
+    vtil = [operator_sqrt(op) for op in b.linear.snapshots]
+    left = np.array([schatten_norm(a - c, 2) for a, c in zip(v1, vtil)])
+    C_inf = schatten_norm(b.op0, np.inf)
+    Lambda = quantum_lambda(vtil, times, rho_sup_series(ftraj), C_inf).Lambda()
+    c_init = c_init_value(b.f0)
     c_series = []
     for t, f_snap, v in zip(times, ftraj.snapshots, vtil):
         op_f = weyl_quantize(f_snap)
-        rho = ftraj.fields[int(round(t / dt))].rho
+        rho = ftraj.fields[int(round(t / b.dt))].rho
         rho_w1inf = spatial_sobolev_norm(rho, grid.L_x, 1, np.inf)
         w22 = quantum_sobolev_norm(op_f, 2, 2, 2)
         gv = quantum_sobolev_norm(quantum_gradient_xi(v, SQRT_WRAP_TOL), 1, 2, 0,
@@ -299,23 +300,15 @@ def sqrt_comparison_member(args: dict) -> dict:
         seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
         env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     return {
-        "N": N, "hbar": grid.hbar, "times": times, "left": left,
+        "N": grid.N, "hbar": grid.hbar, "times": times, "left": left,
         "env0": env0, "Lambda": Lambda, "c_series": c_series,
-        "sqrt_two_routes_gap": schatten_norm(
-            vtil[-1] - evolve_linear_hartree(vt, ftraj.fields, T, dt).final(), 2),
+        "sqrt_two_routes_gap": schatten_norm(vtil[-1] - b.linear_sqrt.final(), 2),
     }
 
 
-def sqrt_comparison_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                          dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    args = [dict(N=N, profile=profile, T=T, sign=sign, dt=dt) for N in sorted(N_list)]
-    members = run_members(sqrt_comparison_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="sqrt_comparison")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [float(m["left"][-1]) for m in members]
-    report.budget = [float(m["env0"][-1]) for m in members]
-    report.finalize_ratios()
+def sqrt_comparison_report(members: list) -> ProbeReport:
+    report = _report("sqrt_comparison", members, [float(m["left"][-1]) for m in members],
+                     [float(m["env0"][-1]) for m in members])
     ok_all = True
     ratios = []
     for m in members:
@@ -343,54 +336,30 @@ def sqrt_comparison_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: 
 # regularity tracking
 
 
-def regularity_member(args: dict) -> dict:
-    N = args["N"]
-    grid = make_grid(1, N, args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    f0 = sample_field(grid, args["profile"])
-    T = args.get("T", 0.5)
-    sign = args.get("sign", 1)
-    k, q, n = args.get("k", 1), args.get("q", 2), args.get("n", 1)
-    eps = args.get("eps", 0.5)
-    steps, dt = _resolved_dt(grid, T, args.get("dt"), args.get("dt_factor", DEFAULT_DT_FACTOR))
-    stride = max(1, steps // args.get("log_points", 8))
-    ftraj = evolve_vlasov(f0, T, dt, sign, snapshot_stride=stride)
-    vt = wick_quantize(sqrt_field(f0))
-    vtraj = evolve_linear_hartree(vt, ftraj.fields, T, dt, snapshot_stride=stride)
+def regularity_metric(b: DynamicsBundle) -> dict:
+    grid, vtraj = b.grid, b.linear_sqrt
+    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    eps = 0.5
     times = np.asarray(vtraj.snapshot_times)
-    from .budgets import SQRT_WRAP_TOL
     norms = np.array([
         quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
         for v in vtraj.snapshots
     ])
-    field_by_time = {s.time: s for s in ftraj.fields}
+    field_by_time = {s.time: s for s in b.vlasov.fields}
     rho_rate = []
     for t in times:
         rho = field_by_time[t].rho
         lo = spatial_sobolev_norm(rho, grid.L_x, 2 * n, 3.0 - eps)
         hi = spatial_sobolev_norm(rho, grid.L_x, 2 * n, 3.0 + eps)
         rho_rate.append(max(lo, hi))
-    integral = np.zeros(len(times))
-    for m in range(1, len(times)):
-        integral[m] = integral[m - 1] + 0.5 * (rho_rate[m] + rho_rate[m - 1]) * (times[m] - times[m - 1])
-    return {"N": N, "hbar": grid.hbar, "times": times, "norms": norms,
-            "integral": integral, "init_norm": float(norms[0])}
+    return {"N": grid.N, "hbar": grid.hbar, "times": times, "norms": norms,
+            "integral": cumulative_trapezoid(rho_rate, times), "init_norm": float(norms[0])}
 
 
-def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                     k: int = 1, q: float = 2, n: int = 1,
-                     dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    """Propagation of regularity: W^k(m) norms of the evolved square root stay
-    within the fitted exponential envelope (slack factor 2); the initial norm
-    is hbar-uniform (refinement stability)."""
-    args = [dict(N=N, profile=profile, T=T, sign=sign, k=k, q=q, n=n, dt=dt)
-            for N in sorted(N_list)]
-    members = run_members(regularity_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="regularity_tracking")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [float(np.max(m["norms"])) for m in members]
-    report.budget = [2.0 * m["init_norm"] for m in members]
-    report.finalize_ratios()
+def regularity_report(members: list) -> ProbeReport:
+    report = _report("regularity_tracking", members,
+                     [float(np.max(m["norms"])) for m in members],
+                     [2.0 * m["init_norm"] for m in members])
     ok_env = True
     worst = 0.0
     for m in members:
@@ -412,31 +381,104 @@ def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int =
 
 
 # ---------------------------------------------------------------------------
+# the shared dynamics pass
+
+# probe -> (metric of one bundle, reports built from the metrics over N)
+DYNAMICS_PROBES = {
+    "convergence": (headline_metric, lambda ms: [convergence_report(ms)]),
+    "positivity_defect": (defect_metric, lambda ms: list(defect_reports(ms))),
+    "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
+    "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
+}
+
+
+def dynamics_member(args: dict) -> dict:
+    """Metrics of every requested dynamics probe on the grid of size N, all
+    read from one bundle."""
+    bundle = DynamicsBundle(args)
+    return {p: DYNAMICS_PROBES[p][0](bundle) for p in args["probes"]}
+
+
+def dynamics_reports(probes, profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                     dt: float | None = None, jobs: int = 1,
+                     k: int = 1, q: float = 2, n: int = 1) -> dict[str, list[ProbeReport]]:
+    """Reports of the requested dynamics probes from one member pass over N."""
+    probes = tuple(probes)
+    if not probes:
+        return {}
+    if "convergence" in probes and len(N_list) < 4:
+        raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
+    members = _ladder(dynamics_member, N_list, jobs, profile=profile, T=T, sign=sign,
+                      dt=dt, k=k, q=q, n=n, probes=probes)
+    return {p: DYNAMICS_PROBES[p][1]([m[p] for m in members]) for p in probes}
+
+
+def headline_member(args: dict) -> dict:
+    """One convergence-sweep member: errors at time T on the grid of size N."""
+    return dynamics_member({**args, "probes": ("convergence",)})["convergence"]
+
+
+def defect_member(args: dict) -> dict:
+    """One positivity-defect member: the defect and diagonal-drift series."""
+    return dynamics_member({**args, "probes": ("positivity_defect",)})["positivity_defect"]
+
+
+def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                      dt: float | None = None, jobs: int = 1) -> ProbeReport:
+    """Headline rate: slope of ||f_op(T) - f(T)||_L2 and ||op - op_f||_L2 vs hbar."""
+    return dynamics_reports(["convergence"], profile, T, N_list, sign, dt, jobs)["convergence"][0]
+
+
+def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                 dt: float | None = None, jobs: int = 1) -> tuple[ProbeReport, ProbeReport]:
+    """Sweep the positivity defect (final time) and the diagonal drift."""
+    pos, diag = dynamics_reports(["positivity_defect"], profile, T, N_list, sign, dt,
+                                 jobs)["positivity_defect"]
+    return pos, diag
+
+
+def sqrt_comparison_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                          dt: float | None = None, jobs: int = 1) -> ProbeReport:
+    return dynamics_reports(["sqrt_comparison"], profile, T, N_list, sign, dt,
+                            jobs)["sqrt_comparison"][0]
+
+
+def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                     k: int = 1, q: float = 2, n: int = 1,
+                     dt: float | None = None, jobs: int = 1) -> ProbeReport:
+    """Propagation of regularity: W^k(m) norms of the evolved square root stay
+    within the fitted exponential envelope (slack factor 2); the initial norm
+    is hbar-uniform (refinement stability)."""
+    return dynamics_reports(["regularity"], profile, T, N_list, sign, dt, jobs,
+                            k=k, q=q, n=n)["regularity"][0]
+
+
+# ---------------------------------------------------------------------------
 # single-inequality hbar sweeps
 
 
-def _gaussian_probe_field(grid, sigma_x: float = 1.2, sigma_xi: float = 0.8,
-                          amplitude: float = 1.0) -> PhaseField:
+def _gaussian_probe_field(N: int) -> PhaseField:
     """Wide smooth Gaussian for pure-inequality probes (momentum tails ~1e-7
     are irrelevant to these measurements and keep the hbar window unsaturated)."""
-    return sample_field(grid, {"name": "gaussian", "a": amplitude, "x0": grid.L_x / 2,
-                               "xi0": 0.0, "sigma_x": sigma_x, "sigma_xi": sigma_xi},
+    grid = _grid(N)
+    return sample_field(grid, {"name": "gaussian", "a": 1.0, "x0": grid.L_x / 2,
+                               "xi0": 0.0, "sigma_x": 1.2, "sigma_xi": 0.8},
                         tail_tol=1e-4)
 
 
 def wick_gap_member(args: dict) -> dict:
-    grid = make_grid(1, args["N"], args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    f = _gaussian_probe_field(grid)
+    f = _gaussian_probe_field(args["N"])
+    grid = f.grid
     op_f = weyl_quantize(f)
     op_wick = wick_quantize(f)
     smoothed = husimi_convolve(f)
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
-    from .spectral import derivative as _d
     hess = np.sqrt(
-        np.abs(_d(f.values.astype(complex), grid.L_x, axis=0, order=2)) ** 2
-        + 2 * np.abs(_d(_d(f.values.astype(complex), grid.L_x, axis=0), grid.L_xi, axis=1)) ** 2
-        + np.abs(_d(f.values.astype(complex), grid.L_xi, axis=1, order=2)) ** 2
+        np.abs(derivative(f.values.astype(complex), grid.L_x, axis=0, order=2)) ** 2
+        + 2 * np.abs(derivative(derivative(f.values.astype(complex), grid.L_x, axis=0),
+                                grid.L_xi, axis=1)) ** 2
+        + np.abs(derivative(f.values.astype(complex), grid.L_xi, axis=1, order=2)) ** 2
     )
     hess_norm = float(np.sqrt(np.sum(hess**2) * grid.cell))
     identity_gap = schatten_norm(op_wick - weyl_quantize(smoothed), 2)
@@ -460,14 +502,9 @@ def wick_gap_member(args: dict) -> dict:
 def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     """Wick-quantization structure: positivity, convolution identity, Schatten
     contraction, and the O(hbar) Wick-Weyl gap."""
-    args = [dict(N=N) for N in sorted(N_list)]
-    members = run_members(wick_gap_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="wick_structure")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["gap_op"] for m in members]
-    report.budget = [m["hbar_budget"] for m in members]
-    report.finalize_ratios()
+    members = _ladder(wick_gap_member, N_list, jobs)
+    report = _report("wick_structure", members, [m["gap_op"] for m in members],
+                     [m["hbar_budget"] for m in members])
     slope = report.fit_slope()
     report.require("gap_slope", 0.85 <= slope <= 1.15, slope, [0.85, 1.15])
     eq_err = max(m["gap_equality_error"] for m in members)
@@ -486,21 +523,14 @@ def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
 
 
 def wick_square_member(args: dict) -> dict:
-    grid = make_grid(1, args["N"], args.get("L", 2 * math.pi), args.get("L", 2 * math.pi))
-    g_field = _gaussian_probe_field(grid, amplitude=args.get("amplitude", 1.0))
-    return {"N": args["N"], **wick_square_probe(g_field)}
+    return {"N": args["N"], **wick_square_probe(_gaussian_probe_field(args["N"]))}
 
 
 def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     """Wick-square commutator gap: ratio <= 48 at every point, slope ~ hbar."""
-    args = [dict(N=N) for N in sorted(N_list)]
-    members = run_members(wick_square_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="wick_square")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["lhs_p2"] for m in members]
-    report.budget = [m["budget_p2"] for m in members]
-    report.finalize_ratios()
+    members = _ladder(wick_square_member, N_list, jobs)
+    report = _report("wick_square", members, [m["lhs_p2"] for m in members],
+                     [m["budget_p2"] for m in members])
     slope = report.fit_slope()
     report.require("lhs_slope", 0.85 <= slope <= 1.15, slope, [0.85, 1.15])
     for key in ("1", "2", "inf"):
@@ -510,22 +540,18 @@ def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     return report
 
 
+def weight_remainder_member(args: dict) -> dict:
+    f = _gaussian_probe_field(args["N"])
+    out = {"N": args["N"], **weight_remainder_probe(f)}
+    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(f, p=2).items()})
+    return out
+
+
 def weight_remainder_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     """Weight remainders (ratios <= 1) and the Gaussian-commutator boundedness."""
-    def member(args):
-        grid = make_grid(1, args["N"], 2 * math.pi, 2 * math.pi)
-        f = _gaussian_probe_field(grid)
-        out = {"N": args["N"], **weight_remainder_probe(f)}
-        out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(f, p=2).items()})
-        return out
-
-    members = [member(dict(N=N)) for N in sorted(N_list)]
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="weight_remainder")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["lhs1"] for m in members]
-    report.budget = [m["budget1"] for m in members]
-    report.finalize_ratios()
+    members = _ladder(weight_remainder_member, N_list, jobs)
+    report = _report("weight_remainder", members, [m["lhs1"] for m in members],
+                     [m["budget1"] for m in members])
     r1 = max(m["lhs1"] / m["budget1"] for m in members)
     r2 = max(m["lhs2"] / m["budget2"] for m in members)
     report.require("first_order_ratio", r1 <= 1 + 1e-6, r1, 1.0)
@@ -545,13 +571,12 @@ def commutator_member(args: dict) -> dict:
     drawn once from the seed), so every sweep member probes the same data at
     a different hbar.
     """
-    grid = make_grid(1, args["N"], 2 * math.pi, 2 * math.pi)
+    grid = _grid(args["N"])
     rng = np.random.default_rng(args.get("seed", 0))
-    max_mode = args.get("max_mode", 4)
     ratios = []
     for _ in range(args.get("pairs", 10)):
-        fsrc = field_from_modes(grid.N, random_mode_block(rng, max_mode))
-        fmu = field_from_modes(grid.N, random_mode_block(rng, max_mode))
+        fsrc = field_from_modes(grid.N, random_mode_block(rng, 4))
+        fmu = field_from_modes(grid.N, random_mode_block(rng, 4))
         src = wick_quantize(PhaseField(grid, fsrc**2 + 0.3))
         mu = wick_quantize(PhaseField(grid, fmu))
         r = commutator_probe(src, mu)
@@ -563,14 +588,9 @@ def commutator_member(args: dict) -> dict:
 def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
                      jobs: int = 1) -> ProbeReport:
     """Semiclassical commutator estimate: the measured ratio is hbar-uniform."""
-    args = [dict(N=N, pairs=pairs, seed=seed) for N in sorted(N_list)]
-    members = run_members(commutator_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="commutator_estimate")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["ratio_mean"] for m in members]
-    report.budget = [1.0] * len(members)
-    report.finalize_ratios()
+    members = _ladder(commutator_member, N_list, jobs, pairs=pairs, seed=seed)
+    report = _report("commutator_estimate", members, [m["ratio_mean"] for m in members],
+                     [1.0] * len(members))
     slope, _ = fit_loglog(report.hbar, report.lhs)
     report.slope = slope
     report.require("ratio_slope_flat", abs(slope) <= 0.15, slope, [-0.15, 0.15])
@@ -579,7 +599,7 @@ def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
 
 
 def b_bound_member(args: dict) -> dict:
-    grid = make_grid(1, args["N"], 2 * math.pi, 2 * math.pi)
+    grid = _grid(args["N"])
     f = sample_field(grid, args["profile"])
     return {"N": args["N"], **b_bound_probe(f, args.get("sign", 1))}
 
@@ -587,32 +607,23 @@ def b_bound_member(args: dict) -> dict:
 def b_bound_sweep(profile: dict, N_list=DEFAULT_N_LIST, sign: int = 1,
                   jobs: int = 1) -> ProbeReport:
     """B-remainder size: slope of (1/hbar)||B_f(op_f)||_L2 in [1.8, 2.2]."""
-    args = [dict(N=N, profile=profile, sign=sign) for N in sorted(N_list)]
-    members = run_members(b_bound_member, args, jobs)
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="b_remainder")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["lhs"] for m in members]
-    report.budget = [m["budget"] for m in members]
-    report.finalize_ratios()
+    members = _ladder(b_bound_member, N_list, jobs, profile=profile, sign=sign)
+    report = _report("b_remainder", members, [m["lhs"] for m in members],
+                     [m["budget"] for m in members])
     slope = report.fit_slope()
     report.require("lhs_slope", 1.8 <= slope <= 2.2, slope, [1.8, 2.2])
     return report
 
 
+def init_diff_member(args: dict) -> dict:
+    return {"N": args["N"], **init_diff_probe(_gaussian_probe_field(args["N"]))}
+
+
 def init_diff_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     """Weighted Wick-square gap slope in [0.8, 1.2]."""
-    def member(args):
-        grid = make_grid(1, args["N"], 2 * math.pi, 2 * math.pi)
-        return {"N": args["N"], **init_diff_probe(_gaussian_probe_field(grid))}
-
-    members = [member(dict(N=N)) for N in sorted(N_list)]
-    members.sort(key=lambda m: -m["hbar"])
-    report = ProbeReport(probe="init_diff")
-    report.hbar = [m["hbar"] for m in members]
-    report.lhs = [m["lhs"] for m in members]
-    report.budget = [m["budget"] for m in members]
-    report.finalize_ratios()
+    members = _ladder(init_diff_member, N_list, jobs)
+    report = _report("init_diff", members, [m["lhs"] for m in members],
+                     [m["budget"] for m in members])
     slope = report.fit_slope()
     report.require("lhs_slope", 0.8 <= slope <= 1.2, slope, [0.8, 1.2])
     return report

@@ -160,29 +160,47 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "classical_stability.json").exists()
 
-    def test_missing_field_history_source_exits_2(self, config_file):
-        code = main(["run", "--config", str(config_file),
-                     "--set", "experiment=linear-hartree",
-                     "--set", "field_source=none"])
-        assert code == 2
-
     def test_failing_probe_exits_1(self, config_file, monkeypatch, capsys):
         from phaselab import cli
         from phaselab.reports import ProbeReport
 
-        def fake_sweep(N_list, jobs=1):
+        def fake_sweep(sweep):
             rep = ProbeReport(probe="wick_square", hbar=[0.1, 0.05, 0.025, 0.0125],
                               lhs=[1, 1, 1, 1], budget=[1, 1, 1, 1])
             rep.finalize_ratios()
             rep.require("lhs_slope", False, 0.0, [0.85, 1.15])
-            return rep
+            return [rep]
 
-        monkeypatch.setattr(cli, "wick_square_sweep", fake_sweep)
+        monkeypatch.setitem(cli.PROBE_SWEEPS, "wick_square", fake_sweep)
         code = main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["wick_square"]', "--jobs", "1"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_probe_registry_covers_every_probe(self):
+        from phaselab import cli
+        from phaselab.config import PROBES
+
+        assert tuple(cli.PROBE_SWEEPS) == PROBES
+
+    def test_shared_dynamics_pass_matches_single_probes(self, config_file, tmp_path):
+        dynamics = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
+        common = ["--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",
+                  "--set", "T=0.1", "--set", "sign=1", "--jobs", "1"]
+        # the verdicts themselves are not the point: sqrt_comparison fails its
+        # envelope check at this short horizon, in the shared pass and alone
+        code = main(["sweep", *common, "--set", f"probes={json.dumps(dynamics)}",
+                     "--set", f"out_dir={tmp_path / 'shared'}"])
+        codes = [main(["sweep", *common, "--set", f'probes=["{name}"]',
+                       "--set", f"out_dir={tmp_path / name}"]) for name in dynamics]
+        assert code == max(codes)
+        singles = {p.name: p.read_bytes() for name in dynamics
+                   for p in (tmp_path / name).glob("*.json")}
+        shared = {p.name: p.read_bytes() for p in (tmp_path / "shared").glob("*.json")}
+        assert len(shared) == 5
+        assert shared == singles
 
 
 class TestIo:

@@ -7,6 +7,7 @@ from phaselab.sweeps import (
     commutator_sweep,
     convergence_sweep,
     defect_sweep,
+    dynamics_reports,
     headline_member,
     init_diff_sweep,
     regularity_sweep,
@@ -150,3 +151,48 @@ def test_homogeneous_norms_constant():
     vtraj = evolve_linear_hartree(vt, ftraj.fields, 0.2, 0.02, snapshot_stride=5)
     norms = [quantum_sobolev_norm(v, 1, 2, 0) for v in vtraj.snapshots]
     assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8 * norms[0]
+
+
+def _count_evolves(monkeypatch):
+    """Wrap the flows sweeps evolves; return the list of their trajectories."""
+    from phaselab import sweeps
+
+    trajectories = []
+    for name in ("evolve_vlasov", "evolve_hartree", "evolve_linear_hartree"):
+        def counted(*args, _flow=getattr(sweeps, name), **kwargs):
+            traj = _flow(*args, **kwargs)
+            trajectories.append(traj)
+            return traj
+        monkeypatch.setattr(sweeps, name, counted)
+    return trajectories
+
+
+def test_bundle_evolves_each_flow_once(monkeypatch):
+    trajectories = _count_evolves(monkeypatch)
+    probes = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
+    dynamics_reports(probes, PROFILE, 0.1, N_list=SMALL)
+    assert len(trajectories) == 4 * len(SMALL)
+
+
+def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
+    trajectories = _count_evolves(monkeypatch)
+    convergence_sweep(PROFILE, 0.1, N_list=SMALL)
+    assert len(trajectories) == 3 * len(SMALL)
+    assert all(len(t.snapshots) == 2 for t in trajectories)
+
+
+@pytest.mark.parametrize("sweep", [weight_remainder_sweep, init_diff_sweep])
+def test_static_sweeps_honour_jobs(sweep, monkeypatch):
+    from phaselab import sweeps
+
+    pool_sizes = []
+
+    def spy(fn, arg_list, jobs=1):
+        pool_sizes.append(jobs)
+        return run_members(fn, arg_list, jobs)
+
+    ladder = (48, 64, 96, 128)
+    serial = sweep(N_list=ladder, jobs=1).to_json()
+    monkeypatch.setattr(sweeps, "run_members", spy)
+    assert sweep(N_list=ladder, jobs=2).to_json() == serial
+    assert pool_sizes == [2]
