@@ -14,7 +14,7 @@ from .norms import (
     lorentz_norm,
     mixed_norm,
     quantum_sobolev_norm,
-    weighted_schatten_norm,
+    weighted_schatten_norms,
 )
 from .operators import DensityOperator
 from .spectral import derivative
@@ -104,14 +104,11 @@ def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[floa
     for idx, v in enumerate(v_snapshots):
         grad = quantum_gradient_xi(v, wrap_tol)
         w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=wrap_tol)
-        lo = weighted_schatten_norm(grad, 3.0 - eps, n)
-        hi = weighted_schatten_norm(grad, 3.0 + eps, n)
-        pair = max(lo, hi)
+        pair = max(weighted_schatten_norms(grad, (3.0 - eps, 3.0 + eps), n))
         lam[idx] = w12 * np.sqrt(rho_sup[idx]) + np.sqrt(C_inf) * pair
         w12s.append(w12)
         weighted.append(pair)
-        weighted_n1.append(max(weighted_schatten_norm(grad, 3.0 - eps, 1),
-                               weighted_schatten_norm(grad, 3.0 + eps, 1)))
+        weighted_n1.append(max(weighted_schatten_norms(grad, (3.0 - eps, 3.0 + eps), 1)))
     return GronwallBudget(times, lam, C_inf,
                           extras={"w12": w12s, "weighted_n": weighted,
                                   "weighted_n1": weighted_n1, "n": n, "eps": eps})

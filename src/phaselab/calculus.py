@@ -8,6 +8,8 @@ intertwine exactly with the Wigner transform.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigurationError, WrapAmbiguityError
@@ -111,11 +113,25 @@ def spatial_density(op: DensityOperator) -> np.ndarray:
     return rho.copy()
 
 
+@lru_cache(maxsize=8)
+def _kinetic_circulant(grid: PhaseGrid) -> np.ndarray:
+    """C[m, j] = t[(j - m) mod N], t = ifft(|xi|^2 / 2): the kernel of the
+    kinetic multiplier, transposed. t is real and even, so C is real."""
+    t = np.fft.ifft(grid.fourier_momenta**2 / 2.0).real
+    C = t[_chord_indices(grid.N)["col"].T]
+    C.flags.writeable = False
+    return C
+
+
 def kinetic_energy(op: DensityOperator) -> float:
-    """h^d Tr((-hbar^2 Delta / 2) op) via the Fourier multiplier |xi|^2 / 2."""
+    """h^d Re Tr((-hbar^2 Delta / 2) op) for the Fourier multiplier |xi|^2 / 2.
+
+    The trace of a circulant times the kernel is the elementwise sum of the
+    kernel against the transposed circulant: O(N^2), no FFT pass.
+    """
     g = op.grid
-    K = fourier_multiplier(op.kernel, g.fourier_momenta**2 / 2.0, axis=0)
-    return float((np.trace(K) * g.dx**g.d * g.h**g.d).real)
+    tr = np.einsum("ij,ij->", op.kernel.real, _kinetic_circulant(g))
+    return float(tr * g.dx**g.d * g.h**g.d)
 
 
 def operator_sqrt(op: DensityOperator, tol: float = 1e-8) -> DensityOperator:

@@ -1,9 +1,10 @@
 """Command-line entry point: run | sweep | probe | report.
 
 Exit codes: 0 clean, 1 failing probe assertion, 2 configuration or schema
-error, 3 solver guard trip. Every error path prints one line with a
-machine-parsable prefix (config-error:, solver-error:, io-error:,
-probe-failure:). Outputs are UTF-8 CSV with header rows and pretty-printed
+error, 3 solver guard trip, 4 internal error (any other exception). Every
+error path prints one line with a machine-parsable prefix (config-error:,
+solver-error:, io-error:, internal-error:); an internal error follows it
+with the traceback. Outputs are UTF-8 CSV with header rows and pretty-printed
 JSON with sorted keys; byte-identical for identical configs.
 """
 
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from functools import cached_property
 from pathlib import Path
 
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_PROBE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -300,6 +303,10 @@ def main(argv=None) -> int:
     except PhaselabError as exc:
         print(f"solver-error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except Exception as exc:
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ factor exp(-i dt |p|^2 / (2 hbar)) is diagonal in Fourier, the potential
 factor exp(-i dt V / hbar) diagonal in position. Conjugation by the
 position-diagonal factor leaves the kernel diagonal (hence the density)
 untouched, so the mid-step mean-field density equals the density after a
-free half step: the predictor needs a single extra kinetic half-conjugation
-and no implicit solve. Trace, Hilbert-Schmidt norm, Hermiticity, positivity
-and the full spectrum are exact invariants of the conjugation.
+free half step. The predictor needs only that diagonal: one axis-0 FFT pair
+and a row-wise product with a circulant, no implicit solve. Per step the
+kinetic conjugation takes four N x N FFT passes and the predictor two; the
+kinetic-energy log takes none. Trace, Hilbert-Schmidt norm, Hermiticity,
+positivity and the full spectrum are exact invariants of the conjugation.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import ConfigurationError
 from .grids import PhaseGrid
 from .operators import DensityOperator
 from .poisson import solve_poisson
-from .spectral import fourier_multiplier
 from .trajectory import FieldSnapshot, Trajectory, resolve_steps
+from .transforms import _chord_indices
 
 
 def _kinetic_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
@@ -28,13 +30,44 @@ def _kinetic_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
 
 
 def _conjugate_kinetic(K: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    K = fourier_multiplier(K, phase, axis=0)
-    return fourier_multiplier(K, phase.conj(), axis=1)
+    """K -> U K U* in place for U = F^-1 diag(phase) F; the phase is even in
+    the mode, so U* acts on the column index with the multiplier conj(phase)."""
+    np.fft.fft(K, axis=0, out=K)
+    K *= phase[:, None]
+    np.fft.ifft(K, axis=0, out=K)
+    np.fft.fft(K, axis=1, out=K)
+    K *= phase.conj()
+    return np.fft.ifft(K, axis=1, out=K)
 
 
-def _conjugate_potential(K: np.ndarray, grid: PhaseGrid, V: np.ndarray, dt: float) -> np.ndarray:
-    phase = np.exp(-1j * dt * V / grid.hbar)
-    return phase[:, None] * K * phase.conj()[None, :]
+def _split_step(K: np.ndarray, grid: PhaseGrid, V: np.ndarray, dt: float,
+                kin: np.ndarray) -> np.ndarray:
+    """U_V(dt/2) U_K(dt) U_V(dt/2) conjugation of K into a new array.
+
+    ``kin`` is the full-step kinetic phase; U_V(dt/2) is diagonal in position.
+    """
+    pot = np.exp(-1j * (dt / 2.0) * V / grid.hbar)
+    out = K * pot[:, None]
+    out *= pot.conj()
+    _conjugate_kinetic(out, kin)
+    out *= pot[:, None]
+    out *= pot.conj()
+    return out
+
+
+def _diagonal_circulant(phase: np.ndarray) -> np.ndarray:
+    """conj(U) for U = F^-1 diag(phase) F, the circulant u[(j - m) mod N] with
+    u = ifft(phase): diag(U K U*) is the row sum of (U K) * conj(U)."""
+    return np.fft.ifft(phase).conj()[_chord_indices(len(phase))["col"]]
+
+
+def _free_step_density(K: np.ndarray, grid: PhaseGrid, phase: np.ndarray,
+                       circulant: np.ndarray) -> np.ndarray:
+    """h^d diag(U K U*) for the free step U = F^-1 diag(phase) F."""
+    UK = np.fft.fft(K, axis=0)
+    UK *= phase[:, None]
+    np.fft.ifft(UK, axis=0, out=UK)
+    return np.einsum("ij,ij->i", UK, circulant).real * grid.h**grid.d
 
 
 def _operator_logs(traj: Trajectory, t: float, op: DensityOperator, snap: FieldSnapshot,
@@ -63,14 +96,12 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
     traj = Trajectory(kind="operator", dt=dt)
     K = op0.kernel.astype(complex).copy()
     half_kin = _kinetic_phase(g, dt / 2.0)
+    half_circ = _diagonal_circulant(half_kin)
     full_kin = _kinetic_phase(g, dt)
-
-    def density(Kmat):
-        return np.real(np.diag(Kmat)) * g.h**g.d
 
     def record(t, Kmat):
         op = DensityOperator(g, Kmat, hermitian=True, positive=op0.positive)
-        snap = solve_poisson(g, density(Kmat), sign, time=t)
+        snap = solve_poisson(g, spatial_density(op), sign, time=t)
         traj.fields.append(snap)
         _operator_logs(traj, t, op, snap, log_spectrum)
         return op
@@ -81,11 +112,9 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
         t_next = (n + 1) * dt
         # predictor: the density after the free half step is the exact
         # mid-step density for the V half step (V-conjugation preserves it)
-        K_pred = _conjugate_kinetic(K, half_kin)
-        snap_half = solve_poisson(g, density(K_pred), sign, time=n * dt + dt / 2)
-        K = _conjugate_potential(K, g, snap_half.V, dt / 2.0)
-        K = _conjugate_kinetic(K, full_kin)
-        K = _conjugate_potential(K, g, snap_half.V, dt / 2.0)
+        rho_mid = _free_step_density(K, g, half_kin, half_circ)
+        snap_half = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
+        K = _split_step(K, g, snap_half.V, dt, full_kin)
         op = record(t_next, K)
         is_last = n == steps - 1
         if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):
@@ -129,9 +158,7 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
     for n in range(steps):
         t_next = (n + 1) * dt
         V_half = 0.5 * (field_history[n].V + field_history[n + 1].V)
-        K = _conjugate_potential(K, g, V_half, dt / 2.0)
-        K = _conjugate_kinetic(K, full_kin)
-        K = _conjugate_potential(K, g, V_half, dt / 2.0)
+        K = _split_step(K, g, V_half, dt, full_kin)
         op = record(t_next, K, field_history[n + 1])
         is_last = n == steps - 1
         if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):

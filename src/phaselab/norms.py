@@ -123,30 +123,48 @@ def h_half_norm(f: PhaseField) -> float:
 # operator norms
 
 
-def schatten_norm(op: DensityOperator, p: float) -> float:
-    """Rescaled Schatten norm ||op||_{L^p} = h^{d/p} (sum sigma_i^p)^{1/p}.
+def schatten_norms(op: DensityOperator, ps) -> list[float]:
+    """Rescaled Schatten norms ||op||_{L^p} = h^{d/p} (sum sigma_i^p)^{1/p},
+    one per index in ``ps``, from a single SVD.
 
     Operator singular values are dx^d times the kernel-matrix ones; p = inf
-    returns the largest singular value with no h factor.
+    returns the largest singular value with no h factor, p = 2 needs no SVD.
     """
-    if p < 1:
+    if any(p < 1 for p in ps):
         raise ConfigurationError("Schatten index must satisfy p >= 1")
     g = op.grid
-    if p == 2:
-        # Hilbert-Schmidt: no SVD needed
-        hs = math.sqrt(float(np.sum(np.abs(op.kernel) ** 2))) * g.dx**g.d
-        return float(g.h ** (g.d / 2.0) * hs)
-    sv = op.singular_values()
-    if math.isinf(p):
-        return float(sv[0]) if len(sv) else 0.0
-    return float(g.h ** (g.d / p) * np.sum(sv**p) ** (1.0 / p))
+    sv = None
+    out = []
+    for p in ps:
+        if p == 2:
+            # Hilbert-Schmidt: no SVD needed
+            hs = math.sqrt(float(np.sum(np.abs(op.kernel) ** 2))) * g.dx**g.d
+            out.append(float(g.h ** (g.d / 2.0) * hs))
+            continue
+        if sv is None:
+            sv = op.singular_values()
+        if math.isinf(p):
+            out.append(float(sv[0]) if len(sv) else 0.0)
+        else:
+            out.append(float(g.h ** (g.d / p) * np.sum(sv**p) ** (1.0 / p)))
+    return out
+
+
+def schatten_norm(op: DensityOperator, p: float) -> float:
+    """Rescaled Schatten norm ||op||_{L^p}; see schatten_norms."""
+    return schatten_norms(op, (p,))[0]
+
+
+def weighted_schatten_norms(op: DensityOperator, ps, n: int) -> list[float]:
+    """||op||_{L^p(<p>^n)} = schatten_norm(op <p>^n, p) for each p in ``ps``."""
+    if n == 0:
+        return schatten_norms(op, ps)
+    return schatten_norms(momentum_weight_apply(op, n, side="right"), ps)
 
 
 def weighted_schatten_norm(op: DensityOperator, p: float, n: int) -> float:
-    """||op||_{L^p(<p>^n)} = schatten_norm(op <p>^n, p)."""
-    if n == 0:
-        return schatten_norm(op, p)
-    return schatten_norm(momentum_weight_apply(op, n, side="right"), p)
+    """||op||_{L^p(<p>^n)}; see weighted_schatten_norms."""
+    return weighted_schatten_norms(op, (p,), n)[0]
 
 
 def _gradient_multiindices(k: int):

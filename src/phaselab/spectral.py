@@ -33,28 +33,54 @@ def derivative(values: np.ndarray, L: float, axis: int, order: int = 1) -> np.nd
     return out
 
 
-def shift(values: np.ndarray, L: float, s, axis: int) -> np.ndarray:
-    """Translate periodic samples by s along an axis: v(x) -> v(x - s).
+def _unit_phasor(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta: the same values as the complex exp, from
+    one cos and one sin pass."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
-    ``s`` may be a scalar or an array broadcastable against the orthogonal
-    axes (one shift per row/column, used by the kinetic transport steps).
+
+def shift_phase(N: int, L: float, s, axis: int) -> np.ndarray:
+    """Half-spectrum phase exp(-2 pi i a s / L), a = 0..N/2, for apply_shift.
+
+    ``s`` may be a scalar (1-d phase along ``axis``) or a 1-d array with one
+    shift per row/column of a 2-d field (2-d phase, modes along ``axis``).
+    """
+    a = np.arange(N // 2 + 1) * (-2.0 * np.pi / L)
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        return _unit_phasor(a * s)
+    if axis == 0:
+        return _unit_phasor(np.multiply.outer(a, s))
+    return _unit_phasor(np.multiply.outer(s, a))
+
+
+def apply_shift(values: np.ndarray, phase: np.ndarray, axis: int) -> np.ndarray:
+    """Translate real periodic samples by the shift that ``phase`` encodes.
+
+    irfft reads only the real part of the Nyquist coefficient, so that mode
+    moves as cos(pi N s / L), the real part of the full complex-FFT shift.
     """
     N = values.shape[axis]
-    a = modes(N)
-    shape = [1] * values.ndim
-    shape[axis] = N
-    a = a.reshape(shape)
-    s_arr = np.asarray(s)
-    if s_arr.ndim > 0:
-        sh = [1] * values.ndim
-        other = 1 - axis
-        sh[other] = values.shape[other]
-        s_arr = s_arr.reshape(sh)
-    phase = np.exp(-2j * np.pi * a * s_arr / L)
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * phase, axis=axis)
-    if not np.iscomplexobj(values):
-        return out.real
-    return out
+    if phase.ndim == 1:
+        shape = [1] * values.ndim
+        shape[axis] = -1
+        phase = phase.reshape(shape)
+    spec = np.fft.rfft(values, axis=axis)
+    spec *= phase
+    return np.fft.irfft(spec, n=N, axis=axis)
+
+
+def shift(values: np.ndarray, L: float, s, axis: int) -> np.ndarray:
+    """Translate real periodic samples by s along an axis: v(x) -> v(x - s).
+
+    ``s`` may be a scalar or an array with one shift per row/column (the
+    kinetic transport steps). Callers that repeat one shift build its phase
+    once with shift_phase and call apply_shift.
+    """
+    return apply_shift(values, shift_phase(values.shape[axis], L, s, axis), axis)
 
 
 def half_shift(values: np.ndarray, axis: int, direction: int = +1) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Half-step free transport (per-momentum-row shift in x), full-step
 acceleration with the force from the mid-step density (per-position shift in
-xi), half-step transport. Each substep is a unitary spectral translation, so
-mass and every L^p norm built on the shifts are conserved to rounding;
-energy is conserved to O(dt^2).
+xi), half-step transport. Each substep is a unitary spectral translation of
+real data on the rfft half spectrum, so mass and every L^p norm built on the
+shifts are conserved to rounding; energy is conserved to O(dt^2). The
+transport phase is the same for every half step and is built once per run;
+only the acceleration phase follows the field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import SupportEscapeError
 from .grids import PhaseField
 from .poisson import solve_poisson
-from .spectral import shift
+from .spectral import apply_shift, shift, shift_phase
 from .trajectory import Trajectory, resolve_steps
 
 NEGATIVITY_WARN = 1e-6
@@ -74,14 +76,14 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
 
     fld = record(0.0, f)
     traj.add_snapshot(0.0, fld)
-    xi = g.xi
+    transport = shift_phase(g.N, g.L_x, g.xi * (dt / 2.0), axis=0)
     for n in range(steps):
         t_next = (n + 1) * dt
-        f = shift(f, g.L_x, xi * (dt / 2.0), axis=0)          # half transport
+        f = apply_shift(f, transport, axis=0)                 # half transport
         rho_mid = f.sum(axis=1) * g.dxi**g.d
         snap_mid = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
         f = shift(f, g.L_xi, snap_mid.E * dt, axis=1)         # full acceleration
-        f = shift(f, g.L_x, xi * (dt / 2.0), axis=0)          # half transport
+        f = apply_shift(f, transport, axis=0)                 # half transport
         if _boundary_fraction(f, g.cell) > BOUNDARY_TOL:
             raise SupportEscapeError(
                 f"momentum-boundary mass {_boundary_fraction(f, g.cell):.3e} "

@@ -22,7 +22,7 @@ from phaselab.calculus import (
 from phaselab.norms import lebesgue_norm, schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.probes import weight_remainder_probe
-from phaselab.spectral import band_limited_field, derivative
+from phaselab.spectral import band_limited_field, derivative, fourier_multiplier
 
 
 class TestQuantumGradients:
@@ -151,3 +151,13 @@ def test_kinetic_energy_of_fourier_diagonal(grid32):
     # operator trace of the Fourier-diagonal product is the eigenvalue sum
     expected = grid32.h * np.sum(prof * xia**2 / 2.0)
     assert kinetic_energy(op) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_kinetic_energy_matches_fourier_multiplier_trace(grid64, rng, hermitian):
+    X = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    K = X + X.conj().T if hermitian else X
+    op = DensityOperator(grid64, K, hermitian=hermitian)
+    TK = fourier_multiplier(K, grid64.fourier_momenta**2 / 2.0, axis=0)
+    expected = (np.trace(TK) * grid64.dx * grid64.h).real
+    assert kinetic_energy(op) == pytest.approx(expected, rel=1e-12)

@@ -179,6 +179,21 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_internal_error_exits_4(self, config_file, monkeypatch, capsys):
+        from phaselab import cli
+
+        def broken_sweep(sweep):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli.PROBE_SWEEPS, "wick_square", broken_sweep)
+        code = main(["sweep", "--config", str(config_file),
+                     "--set", "sweep_N=[48,64,96,128]",
+                     "--set", 'probes=["wick_square"]', "--jobs", "1"])
+        assert code == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "internal-error: LinAlgError: SVD did not converge"
+        assert err[1].startswith("Traceback")
+
     def test_probe_registry_covers_every_probe(self):
         from phaselab import cli
         from phaselab.config import PROBES

@@ -12,8 +12,10 @@ from phaselab.norms import (
     mixed_norm,
     quantum_sobolev_norm,
     schatten_norm,
+    schatten_norms,
     spatial_sobolev_norm,
     weighted_schatten_norm,
+    weighted_schatten_norms,
     weighted_sobolev_norm,
 )
 from phaselab.operators import DensityOperator
@@ -107,6 +109,23 @@ class TestSchatten:
 
         iop = identity_operator(grid32)
         assert schatten_norm(iop, np.inf) == pytest.approx(1.0, rel=1e-12)
+
+    def test_norms_share_one_svd(self, grid32, rng, monkeypatch):
+        op = DensityOperator(grid32, band_limited_field(32, rng, max_mode=10, real=False))
+        ps = (1, 2.5, 3.5, np.inf)
+        separate = [schatten_norm(op, p) for p in ps]
+        weighted = [weighted_schatten_norm(op, p, 3) for p in ps]
+        calls = []
+        svd = DensityOperator.singular_values
+
+        def counted(self):
+            calls.append(1)
+            return svd(self)
+
+        monkeypatch.setattr(DensityOperator, "singular_values", counted)
+        assert schatten_norms(op, ps) == separate
+        assert weighted_schatten_norms(op, ps, 3) == weighted
+        assert len(calls) == 2
 
 
 class TestQuantumSobolev:
