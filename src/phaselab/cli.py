@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import traceback
-from functools import cached_property
 from pathlib import Path
 
 from .coherent import wick_square_datum
@@ -29,16 +28,7 @@ from .norms import lebesgue_norm, mixed_norm, weighted_sobolev_norm
 from .reports import ProbeReport
 from .spectral import shift
 from .stability import classical_stability_experiment, quantum_stability_experiment
-from .sweeps import (
-    DYNAMICS_PROBES,
-    b_bound_sweep,
-    commutator_sweep,
-    dynamics_reports,
-    init_diff_sweep,
-    weight_remainder_sweep,
-    wick_square_sweep,
-    wick_structure_sweep,
-)
+from .sweeps import sweep_reports
 from .trajectory import resolve_steps
 from .vlasov import evolve_vlasov
 
@@ -97,7 +87,7 @@ def _twin_fields(config: SimConfig, grid):
 
 
 def cmd_run(config: SimConfig) -> int:
-    grid = make_grid(config["d"], config["N"], config["L_x"], config["L_xi"])
+    grid = make_grid(1, config["N"], config["L_x"], config["L_xi"])
     out_dir = Path(config["out_dir"])
     experiment = config["experiment"]
     T, sign = config["T"], config["sign"]
@@ -141,44 +131,31 @@ def cmd_run(config: SimConfig) -> int:
     return EXIT_OK
 
 
-class _Sweep:
-    """One sweep's settings; its dynamics probes share one member pass over N."""
-
-    def __init__(self, config: SimConfig, jobs: int):
-        self.config, self.jobs = config, jobs
-        self.N_list = tuple(config["sweep_N"])
-
-    @cached_property
-    def dynamics(self) -> dict[str, list[ProbeReport]]:
-        c = self.config
-        wanted = [p for p in c["probes"] if p in DYNAMICS_PROBES]
-        return dynamics_reports(wanted, c["profile"], c["T"], self.N_list, c["sign"],
-                                dt=c["dt"], jobs=self.jobs)
+def _probe_reports(config: SimConfig, probes: list[str], jobs: int) -> list[ProbeReport]:
+    """Reports of the probes, in the given order, from one sweep pass."""
+    by_probe = sweep_reports(probes, config["sweep_N"], jobs,
+                             profile=config["profile"], T=config["T"], sign=config["sign"],
+                             dt=config["dt"], seed=config["seed"])
+    return [rep for name in probes for rep in by_probe[name]]
 
 
-def _shared(name: str):
-    return lambda sweep: sweep.dynamics[name]
+def _write_reports(reports: list[ProbeReport], out_dir: Path, line) -> int:
+    """Write each report's JSON and print line(report, flag); under a FAIL
+    line, every failing tolerance entry with its observed value and bound."""
+    all_pass = True
+    for rep in reports:
+        (out_dir / f"{rep.probe}.json").write_text(rep.to_json() + "\n")
+        print(line(rep, "pass" if rep.passed else "FAIL"))
+        for name, tol in rep.tolerance.items():
+            if not tol["ok"]:
+                print(f"  {name}: observed={tol['observed']} bound={tol['bound']}")
+        all_pass = all_pass and rep.passed
+    return EXIT_OK if all_pass else EXIT_PROBE_FAIL
 
 
-# probe name -> reports of that probe for one sweep
-PROBE_SWEEPS = {
-    "convergence": _shared("convergence"),
-    "wick_structure": lambda s: [wick_structure_sweep(s.N_list, jobs=s.jobs)],
-    "wick_square": lambda s: [wick_square_sweep(s.N_list, jobs=s.jobs)],
-    "weight_remainder": lambda s: [weight_remainder_sweep(s.N_list, jobs=s.jobs)],
-    "commutator": lambda s: [commutator_sweep(s.N_list, seed=s.config["seed"], jobs=s.jobs)],
-    "b_remainder": lambda s: [b_bound_sweep(s.config["profile"], s.N_list, s.config["sign"],
-                                            jobs=s.jobs)],
-    "init_diff": lambda s: [init_diff_sweep(s.N_list, jobs=s.jobs)],
-    "positivity_defect": _shared("positivity_defect"),
-    "sqrt_comparison": _shared("sqrt_comparison"),
-    "regularity": _shared("regularity"),
-}
-
-
-def _run_probe_reports(config: SimConfig, jobs: int) -> list[ProbeReport]:
-    sweep = _Sweep(config, jobs)
-    return [rep for name in config["probes"] for rep in PROBE_SWEEPS[name](sweep)]
+def _sweep_line(rep: ProbeReport, flag: str) -> str:
+    slope = "" if rep.slope is None else f"{rep.slope:+.4f}"
+    return f"{rep.probe:24s} slope={slope:>8s}  {flag}"
 
 
 def cmd_sweep(config: SimConfig, jobs: int) -> int:
@@ -188,30 +165,21 @@ def cmd_sweep(config: SimConfig, jobs: int) -> int:
         raise ConfigurationError("sweep needs a nonempty probe list")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _run_probe_reports(config, jobs)
-    rows = []
-    all_pass = True
-    for rep in reports:
-        (out_dir / f"{rep.probe}.json").write_text(rep.to_json() + "\n")
-        rows.extend(rep.csv_rows())
-        flag = "pass" if rep.passed else "FAIL"
-        if not rep.passed:
-            all_pass = False
-        slope = "" if rep.slope is None else f"{rep.slope:+.4f}"
-        print(f"{rep.probe:24s} slope={slope:>8s}  {flag}")
+    reports = _probe_reports(config, config["probes"], jobs)
+    code = _write_reports(reports, out_dir, _sweep_line)
     write_csv(out_dir / "sweep_summary.csv",
               ["probe", "hbar", "lhs", "budget", "ratio", "slope", "pass"],
               [[r["probe"], r["hbar"], r["lhs"], r["budget"], r["ratio"],
-                r["slope"], r["pass"]] for r in rows])
-    return EXIT_OK if all_pass else EXIT_PROBE_FAIL
+                r["slope"], r["pass"]] for rep in reports for r in rep.csv_rows()])
+    return code
 
 
 def cmd_probe(config: SimConfig, name: str, jobs: int) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(config["d"], config["N"], config["L_x"], config["L_xi"])
     if name == "norms":
-        f = sample_field(grid, config["profile"])
+        f = sample_field(make_grid(1, config["N"], config["L_x"], config["L_xi"]),
+                         config["profile"])
         rows = [
             ["L1", lebesgue_norm(f, 1)],
             ["L2", lebesgue_norm(f, 2)],
@@ -229,16 +197,8 @@ def cmd_probe(config: SimConfig, name: str, jobs: int) -> int:
         return EXIT_OK
     if name not in PROBES:
         raise ConfigurationError(f"unknown probe {name!r}")
-    single = dict(config.data)
-    single["probes"] = [name]
-    single["sweep_N"] = sorted(set(config["sweep_N"]))
-    reports = _run_probe_reports(SimConfig(single), jobs)
-    ok = True
-    for rep in reports:
-        (out_dir / f"{rep.probe}.json").write_text(rep.to_json() + "\n")
-        print(f"{rep.probe:24s} {'pass' if rep.passed else 'FAIL'}")
-        ok = ok and rep.passed
-    return EXIT_OK if ok else EXIT_PROBE_FAIL
+    reports = _probe_reports(config, [name], jobs)
+    return _write_reports(reports, out_dir, lambda rep, flag: f"{rep.probe:24s} {flag}")
 
 
 def cmd_report(results_dir: str, out: str | None) -> int:

@@ -29,7 +29,6 @@ PROBES = (
 
 _SCHEMA = {
     "experiment": str,
-    "d": int,
     "N": int,
     "L_x": (int, float),
     "L_xi": (int, float),
@@ -48,7 +47,6 @@ _SCHEMA = {
 
 _DEFAULTS = {
     "experiment": "vlasov",
-    "d": 1,
     "N": 64,
     "L_x": 6.283185307179586,
     "L_xi": 6.283185307179586,
@@ -103,8 +101,6 @@ def validate(data: dict) -> SimConfig:
         raise ConfigurationError(
             f"experiment must be one of {EXPERIMENTS}, got {merged['experiment']!r}"
         )
-    if merged["d"] != 1:
-        raise ConfigurationError("only d = 1 is supported")
     N = merged["N"]
     if N % 2 != 0 or N < 8:
         raise ConfigurationError(f"N must be even and >= 8, got {N}")

@@ -70,13 +70,16 @@ def _free_step_density(K: np.ndarray, grid: PhaseGrid, phase: np.ndarray,
     return np.einsum("ij,ij->i", UK, circulant).real * grid.h**grid.d
 
 
-def _operator_logs(traj: Trajectory, t: float, op: DensityOperator, snap: FieldSnapshot,
-                   log_spectrum: bool):
+def _operator_logs(traj: Trajectory, t: float, op: DensityOperator, rho: np.ndarray,
+                   snap: FieldSnapshot, log_spectrum: bool):
+    """Log trace, Hilbert-Schmidt norm and energy; ``rho`` is op's density and
+    ``snap`` the field whose potential enters the energy."""
     g = op.grid
-    rho = spatial_density(op).real
+    K = op.kernel
     traj.add_time(t)
     traj.log("trace", float(op.trace().real))
-    hs = np.sqrt(np.sum(np.abs(op.kernel) ** 2)) * g.dx**g.d
+    hs = np.sqrt(np.einsum("ij,ij->", K.real, K.real)
+                 + np.einsum("ij,ij->", K.imag, K.imag)) * g.dx**g.d
     traj.log("l2_norm", float(g.h ** (g.d / 2.0) * hs))
     potential = 0.5 * float(np.sum(rho * snap.V) * g.dx**g.d)
     traj.log("energy", kinetic_energy(op) + potential)
@@ -101,9 +104,10 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
 
     def record(t, Kmat):
         op = DensityOperator(g, Kmat, hermitian=True, positive=op0.positive)
-        snap = solve_poisson(g, spatial_density(op), sign, time=t)
+        rho = spatial_density(op)
+        snap = solve_poisson(g, rho, sign, time=t)
         traj.fields.append(snap)
-        _operator_logs(traj, t, op, snap, log_spectrum)
+        _operator_logs(traj, t, op, rho, snap, log_spectrum)
         return op
 
     op = record(0.0, K)
@@ -150,7 +154,7 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
 
     def record(t, Kmat, snap):
         op = DensityOperator(g, Kmat, hermitian=True, positive=op0.positive)
-        _operator_logs(traj, t, op, snap, log_spectrum)
+        _operator_logs(traj, t, op, spatial_density(op), snap, log_spectrum)
         return op
 
     op = record(0.0, K, field_history[0])

@@ -59,10 +59,6 @@ class ProbeReport:
         self.slope, self.slope_stderr = fit_loglog(self.hbar, self.lhs)
         return self.slope
 
-    def ratio_slope(self) -> float:
-        s, _ = fit_loglog(self.hbar, self.ratio)
-        return s
-
     def require(self, name: str, ok: bool, observed, bound):
         """Record one named assertion; failing any flips ``passed``."""
         self.tolerance[name] = {"bound": bound, "observed": observed, "ok": bool(ok)}

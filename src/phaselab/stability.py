@@ -34,35 +34,15 @@ ENVELOPE_SLACK = 1e-9
 ENVELOPE_SLACK_FACTOR = 2.0  # same structural slack the regularity envelope uses
 
 
-def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
-                                   dt: float, sign: int = 1,
-                                   snapshot_stride: int = 5) -> ProbeReport:
-    """Twin Vlasov runs: ||sqrt(f1) - sqrt(f2)||_L2 under its Gronwall envelope.
-
-    Also checks the corollary ||f1 - f2||_L2 <= 2 C_inf^(1/2)
-    ||f1^init - f2^init||_L1^(1/2) e^Lambda with the same fitted constant.
-    """
-    if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
-        raise ConfigurationError("twin experiment needs nonnegative initial data")
-    tr1 = evolve_vlasov(f1_0, T, dt, sign, snapshot_stride=snapshot_stride)
-    tr2 = evolve_vlasov(f2_0, T, dt, sign, snapshot_stride=snapshot_stride)
-    C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
-    budget = classical_lambda(tr2, C_inf)
-    times = np.asarray(tr1.snapshot_times)
-    left = np.array([
-        lebesgue_norm(sqrt_field(a) - sqrt_field(b), 2)
-        for a, b in zip(tr1.snapshots, tr2.snapshots)
-    ])
-    left_l2 = np.array([
-        lebesgue_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)
-    ])
+def _twin_report(probe: str, hbar: float, times, left, left_l2, budget, C_inf: float,
+                 l1_init, **details) -> ProbeReport:
+    """The tail both twin experiments share: details, the identical-data
+    branch, the fitted envelope and the L2-L1 corollary. ``l1_init()`` gives
+    the L1 distance of the initial data; it runs only when they differ."""
     Lambda = budget.Lambda()
-    report = ProbeReport(probe="classical_stability", hbar=[f1_0.grid.hbar])
-    report.details["times"] = times
-    report.details["left"] = left
-    report.details["lambda"] = budget.lam
-    report.details["Lambda"] = Lambda
-    report.details["C_inf"] = C_inf
+    report = ProbeReport(probe=probe, hbar=[hbar])
+    report.details.update({"times": times, "left": left, "lambda": budget.lam,
+                           "Lambda": Lambda, "C_inf": C_inf, **details})
     if left[0] <= 1e-12:
         report.lhs = [float(np.max(left))]
         report.budget = [1e-9]
@@ -76,8 +56,7 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
     report.details["envelope"] = env
     ok = bool(np.all(left <= env * (1.0 + ENVELOPE_SLACK)))
     report.require("left_under_envelope", ok, float(np.max(left / env)), 1.0)
-    l1_init = lebesgue_norm(f1_0 - f2_0, 1)
-    corollary_env = 2.0 * np.sqrt(C_inf) * np.sqrt(l1_init) * np.exp(c_star * Lambda)
+    corollary_env = 2.0 * np.sqrt(C_inf) * np.sqrt(l1_init()) * np.exp(c_star * Lambda)
     ok2 = bool(np.all(left_l2 <= corollary_env * (1.0 + ENVELOPE_SLACK)))
     report.require("l2_l1_corollary", ok2, float(np.max(left_l2 / corollary_env)), 1.0)
     report.details["left_l2"] = left_l2
@@ -86,6 +65,31 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
     report.budget = [1.0]
     report.finalize_ratios()
     return report
+
+
+def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
+                                   dt: float, sign: int = 1,
+                                   snapshot_stride: int = 5) -> ProbeReport:
+    """Twin Vlasov runs: ||sqrt(f1) - sqrt(f2)||_L2 under its Gronwall envelope.
+
+    Also checks the corollary ||f1 - f2||_L2 <= 2 C_inf^(1/2)
+    ||f1^init - f2^init||_L1^(1/2) e^Lambda with the same fitted constant.
+    """
+    if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
+        raise ConfigurationError("twin experiment needs nonnegative initial data")
+    tr1 = evolve_vlasov(f1_0, T, dt, sign, snapshot_stride=snapshot_stride)
+    tr2 = evolve_vlasov(f2_0, T, dt, sign, snapshot_stride=snapshot_stride)
+    C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
+    left = np.array([
+        lebesgue_norm(sqrt_field(a) - sqrt_field(b), 2)
+        for a, b in zip(tr1.snapshots, tr2.snapshots)
+    ])
+    left_l2 = np.array([
+        lebesgue_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)
+    ])
+    return _twin_report("classical_stability", f1_0.grid.hbar, np.asarray(tr1.snapshot_times),
+                        left, left_l2, classical_lambda(tr2, C_inf), C_inf,
+                        lambda: lebesgue_norm(f1_0 - f2_0, 1))
 
 
 def _sqrt_series(traj) -> list[DensityOperator]:
@@ -110,40 +114,11 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, v2)])
     left_l2 = np.array([schatten_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)])
     budget = quantum_lambda(v2, times, rho_sup_series(tr2), C_inf, n=n, eps=eps)
-    Lambda = budget.Lambda()
-    report = ProbeReport(probe="quantum_stability", hbar=[op1_0.grid.hbar])
-    report.details["times"] = times
-    report.details["left"] = left
-    report.details["lambda"] = budget.lam
-    report.details["Lambda"] = Lambda
-    report.details["C_inf"] = C_inf
     # optional comparison column: H^(1/2) norm of the Wigner of grad_xi v2
-    report.details["h_half_comparison"] = [
-        h_half_norm(wigner_transform(op)) for op in v2[:1]
-    ]
-    if left[0] <= 1e-12:
-        report.lhs = [float(np.max(left))]
-        report.budget = [1e-9]
-        report.finalize_ratios()
-        report.require("identical_data_stays_identical", np.max(left) < 1e-9,
-                       float(np.max(left)), 1e-9)
-        return report
-    c_star = fit_c_star_window(times, left, Lambda)
-    env = ENVELOPE_SLACK_FACTOR * budget.envelope(left[0], c_star)
-    report.details["c_star"] = c_star
-    report.details["envelope"] = env
-    ok = bool(np.all(left <= env * (1.0 + ENVELOPE_SLACK)))
-    report.require("left_under_envelope", ok, float(np.max(left / env)), 1.0)
-    l1_init = schatten_norm(op1_0 - op2_0, 1)
-    corollary_env = 2.0 * np.sqrt(C_inf) * np.sqrt(l1_init) * np.exp(c_star * Lambda)
-    ok2 = bool(np.all(left_l2 <= corollary_env * (1.0 + ENVELOPE_SLACK)))
-    report.require("l2_l1_corollary", ok2, float(np.max(left_l2 / corollary_env)), 1.0)
-    report.details["left_l2"] = left_l2
-    report.details["corollary_envelope"] = corollary_env
-    report.lhs = [float(np.max(left / env))]
-    report.budget = [1.0]
-    report.finalize_ratios()
-    return report
+    h_half = [h_half_norm(wigner_transform(op)) for op in v2[:1]]
+    return _twin_report("quantum_stability", op1_0.grid.hbar, times, left, left_l2, budget,
+                        C_inf, lambda: schatten_norm(op1_0 - op2_0, 1),
+                        h_half_comparison=h_half)
 
 
 def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100,

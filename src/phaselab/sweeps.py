@@ -3,11 +3,14 @@ positivity-defect and diagonal-drift budgets, square-root comparison,
 regularity tracking, the single-inequality probes, and sweep aggregation
 into probe reports.
 
-Every sweep member is a pure function of (N, config); members run serially
-or in a process pool over the grid sizes in increasing N, that is in
-decreasing hbar, so reports are deterministic for a fixed configuration.
-The four dynamics probes share one member per grid: it evolves each flow
-at most once, and every requested probe reads its metric from the bundle.
+Every probe is a pair in PROBE_TABLE: a metric of one grid's bundle, and the
+reports built from the metrics over N. A sweep is one member pass over the
+grid ladder: each member is a pure function of (N, settings) that builds one
+DynamicsBundle and reads from it the metric of every requested probe. The
+bundle builds its data on first use, so each grid computes every datum, flow
+and shared per-snapshot quantity at most once, and only when a requested
+probe reads it. Results come back in increasing N, that is in decreasing
+hbar, so reports are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -59,28 +62,26 @@ from .vlasov import evolve_vlasov
 DEFAULT_N_LIST = (64, 96, 128, 192, 256)
 DT_FACTOR = 0.1          # default step: dt = hbar / 10
 SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
+# the probes that read the snapshot series
+SERIES_PROBES = frozenset({"positivity_defect", "sqrt_comparison", "regularity"})
 BOX = 2 * math.pi        # sweeps run on the square box of side 2 pi
+# member settings a sweep need not pass; profile and T have no default
+MEMBER_DEFAULTS = {"sign": 1, "dt": None, "seed": 0, "pairs": 10, "k": 1, "q": 2, "n": 1}
 
 
 def run_members(fn, arg_list, jobs: int = 1):
     """Evaluate fn over the argument list, optionally in a process pool.
 
-    Results keep the argument order, so aggregation is deterministic
-    regardless of completion order.
+    The pool gets the members in decreasing N, so the largest grid, the
+    critical path, starts first. Results keep the argument order, so
+    aggregation is deterministic regardless of completion order.
     """
     if jobs <= 1 or len(arg_list) <= 1:
         return [fn(a) for a in arg_list]
+    order = sorted(range(len(arg_list)), key=lambda i: -arg_list[i]["N"])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, arg_list))
-
-
-def _grid(N: int):
-    return make_grid(1, N, BOX, BOX)
-
-
-def _ladder(fn, N_list, jobs: int, **common) -> list:
-    """fn over the grid ladder in increasing N (decreasing hbar)."""
-    return run_members(fn, [dict(N=N, **common) for N in sorted(N_list)], jobs)
+        futures = {i: pool.submit(fn, arg_list[i]) for i in order}
+        return [futures[i].result() for i in range(len(arg_list))]
 
 
 def _report(probe: str, members, lhs, budget) -> ProbeReport:
@@ -91,49 +92,107 @@ def _report(probe: str, members, lhs, budget) -> ProbeReport:
 
 
 # ---------------------------------------------------------------------------
-# the per-grid dynamics bundle
+# the per-grid bundle
 
 
 class DynamicsBundle:
-    """One grid's initial datum and its four flows.
+    """One grid and everything its probes read.
 
-    The grid, f0, dt and the Wick-square datum (vt, op0) are built once.
-    Each flow is evolved on first access, so a flow that no requested probe
-    reads never runs. All flows share one snapshot stride: SNAPSHOT_POINTS
-    intervals when a time-series probe is requested, else only the initial
-    and final states.
+    The grid is built at once; every other datum on first access, so data
+    that no requested probe reads are never computed. All flows share one
+    snapshot stride: SNAPSHOT_POINTS intervals when a time-series probe is
+    requested, else only the initial and final states.
     """
 
     def __init__(self, args: dict):
-        self.args = args
-        self.grid = _grid(args["N"])
-        self.f0 = sample_field(self.grid, args["profile"])
-        self.T, self.sign = args["T"], args["sign"]
-        dt = args.get("dt")
-        steps, self.dt = resolve_steps(self.T, self.grid.hbar * DT_FACTOR if dt is None else dt)
-        series = set(args["probes"]) - {"convergence"}
-        self.stride = max(1, steps // SNAPSHOT_POINTS) if series else None
-        self.vt, self.op0 = wick_square_datum(self.f0)
+        self.args = {**MEMBER_DEFAULTS, **args}
+        self.grid = make_grid(1, args["N"], BOX, BOX)
+
+    @cached_property
+    def f0(self) -> PhaseField:
+        return sample_field(self.grid, self.args["profile"])
+
+    @cached_property
+    def wick_datum(self):
+        """The Wick-square datum (vt, op0) of f0."""
+        return wick_square_datum(self.f0)
+
+    @property
+    def op0(self):
+        return self.wick_datum[1]
+
+    @cached_property
+    def gaussian(self) -> PhaseField:
+        """Wide smooth Gaussian for pure-inequality probes (momentum tails ~1e-7
+        are irrelevant to these measurements and keep the hbar window unsaturated)."""
+        grid = self.grid
+        return sample_field(grid, {"name": "gaussian", "a": 1.0, "x0": grid.L_x / 2,
+                                   "xi0": 0.0, "sigma_x": 1.2, "sigma_xi": 0.8},
+                            tail_tol=1e-4)
+
+    def _steps(self) -> tuple[int, float]:
+        dt = self.args["dt"]
+        return resolve_steps(self.args["T"], self.grid.hbar * DT_FACTOR if dt is None else dt)
+
+    @cached_property
+    def dt(self) -> float:
+        return self._steps()[1]
+
+    @cached_property
+    def stride(self) -> int | None:
+        if SERIES_PROBES.isdisjoint(self.args["probes"]):
+            return None
+        return max(1, self._steps()[0] // SNAPSHOT_POINTS)
 
     @cached_property
     def vlasov(self):
-        return evolve_vlasov(self.f0, self.T, self.dt, self.sign, snapshot_stride=self.stride)
+        return evolve_vlasov(self.f0, self.args["T"], self.dt, self.args["sign"],
+                             snapshot_stride=self.stride)
 
     @cached_property
     def hartree(self):
-        return evolve_hartree(self.op0, self.T, self.dt, self.sign, snapshot_stride=self.stride)
+        return evolve_hartree(self.op0, self.args["T"], self.dt, self.args["sign"],
+                              snapshot_stride=self.stride)
 
     @cached_property
     def linear(self):
         """Linear Hartree flow of op0 in the Vlasov field history."""
-        return evolve_linear_hartree(self.op0, self.vlasov.fields, self.T, self.dt,
-                                     snapshot_stride=self.stride)
+        return evolve_linear_hartree(self.op0, self.vlasov.fields, self.args["T"],
+                                     self.dt, snapshot_stride=self.stride)
 
     @cached_property
     def linear_sqrt(self):
         """Linear Hartree flow of the square root vt in the Vlasov field history."""
-        return evolve_linear_hartree(self.vt, self.vlasov.fields, self.T, self.dt,
-                                     snapshot_stride=self.stride)
+        return evolve_linear_hartree(self.wick_datum[0], self.vlasov.fields, self.args["T"],
+                                     self.dt, snapshot_stride=self.stride)
+
+    @cached_property
+    def snapshot_fields(self) -> list:
+        """The Vlasov field at each Vlasov snapshot time."""
+        by_time = {s.time: s for s in self.vlasov.fields}
+        return [by_time[t] for t in self.vlasov.snapshot_times]
+
+    @cached_property
+    def weyl_terms(self) -> list[tuple]:
+        """Per Vlasov snapshot f, with op_f = weyl_quantize(f) and op_til the
+        linear Hartree snapshot: (||op_til - op_f||_L2, the density of op_f,
+        ||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}).
+
+        op_f itself is not kept: holding every snapshot's operator until the
+        member ends would raise its peak memory by about 9 MiB at N=256.
+        """
+        out = []
+        for f, op_til, snap in zip(self.vlasov.snapshots, self.linear.snapshots,
+                                   self.snapshot_fields):
+            op_f = weyl_quantize(f)
+            out.append((schatten_norm(op_til - op_f, 2), spatial_density(op_f).real,
+                        spatial_sobolev_norm(snap.rho, self.grid.L_x, 1, np.inf)
+                        * quantum_sobolev_norm(op_f, 2, 2, 2)))
+        return out
+
+    @cached_property
+    def c_init(self) -> float:
+        return c_init_value(self.f0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +265,16 @@ def convergence_report(members: list) -> ProbeReport:
 def defect_metric(b: DynamicsBundle) -> dict:
     """Linear Hartree vs Weyl-quantized Vlasov: L2 defect and diagonal drift."""
     grid, ftraj = b.grid, b.vlasov
-    field_by_time = {s.time: s for s in ftraj.fields}
     times = np.asarray(ftraj.snapshot_times)
     left_pos, left_diag, rate = [], [], []
-    weyl_ops = []
-    for t, f_snap, op_til in zip(times, ftraj.snapshots, b.linear.snapshots):
-        op_f = weyl_quantize(f_snap)
-        weyl_ops.append(op_f)
-        left_pos.append(schatten_norm(op_til - op_f, 2))
-        rho_diff = spatial_density(op_til).real - spatial_density(op_f).real
+    for f_snap, op_til, snap, (gap, rho_f, _) in zip(ftraj.snapshots, b.linear.snapshots,
+                                                    b.snapshot_fields, b.weyl_terms):
+        left_pos.append(gap)
+        rho_diff = spatial_density(op_til).real - rho_f
         left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx**grid.d, 2))
-        snap = field_by_time[t]
         rate.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap))
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
     integral = cumulative_trapezoid(rate, times)
-    c_init = c_init_value(b.f0)
-    diag_budget_sup = 0.0
-    for t, op_f in zip(times, weyl_ops):
-        rho_w1inf = spatial_sobolev_norm(field_by_time[t].rho, grid.L_x, 1, np.inf)
-        w22 = quantum_sobolev_norm(op_f, 2, 2, 2)
-        diag_budget_sup = max(diag_budget_sup, rho_w1inf * w22)
     return {
         "N": grid.N,
         "hbar": grid.hbar,
@@ -233,8 +282,8 @@ def defect_metric(b: DynamicsBundle) -> dict:
         "left_positivity": np.asarray(left_pos),
         "left_diag": np.asarray(left_diag),
         "budget_integral": integral,
-        "c_init": c_init,
-        "diag_budget": grid.hbar * (c_init + diag_budget_sup),
+        "c_init": b.c_init,
+        "diag_budget": grid.hbar * (b.c_init + max(term for _, _, term in b.weyl_terms)),
         "pos_budget_final": left_pos[0] + grid.hbar * integral[-1],
     }
 
@@ -276,24 +325,18 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
 
 
 def sqrt_metric(b: DynamicsBundle) -> dict:
-    grid, ftraj = b.grid, b.vlasov
+    grid = b.grid
     times = np.asarray(b.hartree.snapshot_times)
     v1 = [operator_sqrt(op) for op in b.hartree.snapshots]
     vtil = [operator_sqrt(op) for op in b.linear.snapshots]
     left = np.array([schatten_norm(a - c, 2) for a, c in zip(v1, vtil)])
     C_inf = schatten_norm(b.op0, np.inf)
-    Lambda = quantum_lambda(vtil, times, rho_sup_series(ftraj), C_inf).Lambda()
-    c_init = c_init_value(b.f0)
-    c_series = []
-    for t, f_snap, v in zip(times, ftraj.snapshots, vtil):
-        op_f = weyl_quantize(f_snap)
-        rho = ftraj.fields[int(round(t / b.dt))].rho
-        rho_w1inf = spatial_sobolev_norm(rho, grid.L_x, 1, np.inf)
-        w22 = quantum_sobolev_norm(op_f, 2, 2, 2)
-        gv = quantum_sobolev_norm(quantum_gradient_xi(v, SQRT_WRAP_TOL), 1, 2, 0,
-                                  wrap_tol=SQRT_WRAP_TOL)
-        c_series.append(gv * (c_init + rho_w1inf * w22))
-    c_series = np.asarray(c_series)
+    Lambda = quantum_lambda(vtil, times, rho_sup_series(b.vlasov), C_inf).Lambda()
+    c_series = np.array([
+        quantum_sobolev_norm(quantum_gradient_xi(v, SQRT_WRAP_TOL), 1, 2, 0,
+                             wrap_tol=SQRT_WRAP_TOL) * (b.c_init + term)
+        for v, (_, _, term) in zip(vtil, b.weyl_terms)
+    ])
     # raw envelope with unit constants: hbar * sqrt(int c^2 e^{2(Lambda(t)-Lambda(s))})
     env0 = np.zeros(len(times))
     for n in range(1, len(times)):
@@ -345,12 +388,10 @@ def regularity_metric(b: DynamicsBundle) -> dict:
         quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
         for v in vtraj.snapshots
     ])
-    field_by_time = {s.time: s for s in b.vlasov.fields}
     rho_rate = []
-    for t in times:
-        rho = field_by_time[t].rho
-        lo = spatial_sobolev_norm(rho, grid.L_x, 2 * n, 3.0 - eps)
-        hi = spatial_sobolev_norm(rho, grid.L_x, 2 * n, 3.0 + eps)
+    for snap in b.snapshot_fields:
+        lo = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - eps)
+        hi = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + eps)
         rho_rate.append(max(lo, hi))
     return {"N": grid.N, "hbar": grid.hbar, "times": times, "norms": norms,
             "integral": cumulative_trapezoid(rho_rate, times), "init_norm": float(norms[0])}
@@ -381,94 +422,11 @@ def regularity_report(members: list) -> ProbeReport:
 
 
 # ---------------------------------------------------------------------------
-# the shared dynamics pass
-
-# probe -> (metric of one bundle, reports built from the metrics over N)
-DYNAMICS_PROBES = {
-    "convergence": (headline_metric, lambda ms: [convergence_report(ms)]),
-    "positivity_defect": (defect_metric, lambda ms: list(defect_reports(ms))),
-    "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
-    "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
-}
+# single-inequality probes
 
 
-def dynamics_member(args: dict) -> dict:
-    """Metrics of every requested dynamics probe on the grid of size N, all
-    read from one bundle."""
-    bundle = DynamicsBundle(args)
-    return {p: DYNAMICS_PROBES[p][0](bundle) for p in args["probes"]}
-
-
-def dynamics_reports(probes, profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                     dt: float | None = None, jobs: int = 1,
-                     k: int = 1, q: float = 2, n: int = 1) -> dict[str, list[ProbeReport]]:
-    """Reports of the requested dynamics probes from one member pass over N."""
-    probes = tuple(probes)
-    if not probes:
-        return {}
-    if "convergence" in probes and len(N_list) < 4:
-        raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
-    members = _ladder(dynamics_member, N_list, jobs, profile=profile, T=T, sign=sign,
-                      dt=dt, k=k, q=q, n=n, probes=probes)
-    return {p: DYNAMICS_PROBES[p][1]([m[p] for m in members]) for p in probes}
-
-
-def headline_member(args: dict) -> dict:
-    """One convergence-sweep member: errors at time T on the grid of size N."""
-    return dynamics_member({**args, "probes": ("convergence",)})["convergence"]
-
-
-def defect_member(args: dict) -> dict:
-    """One positivity-defect member: the defect and diagonal-drift series."""
-    return dynamics_member({**args, "probes": ("positivity_defect",)})["positivity_defect"]
-
-
-def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                      dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    """Headline rate: slope of ||f_op(T) - f(T)||_L2 and ||op - op_f||_L2 vs hbar."""
-    return dynamics_reports(["convergence"], profile, T, N_list, sign, dt, jobs)["convergence"][0]
-
-
-def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                 dt: float | None = None, jobs: int = 1) -> tuple[ProbeReport, ProbeReport]:
-    """Sweep the positivity defect (final time) and the diagonal drift."""
-    pos, diag = dynamics_reports(["positivity_defect"], profile, T, N_list, sign, dt,
-                                 jobs)["positivity_defect"]
-    return pos, diag
-
-
-def sqrt_comparison_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                          dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    return dynamics_reports(["sqrt_comparison"], profile, T, N_list, sign, dt,
-                            jobs)["sqrt_comparison"][0]
-
-
-def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                     k: int = 1, q: float = 2, n: int = 1,
-                     dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    """Propagation of regularity: W^k(m) norms of the evolved square root stay
-    within the fitted exponential envelope (slack factor 2); the initial norm
-    is hbar-uniform (refinement stability)."""
-    return dynamics_reports(["regularity"], profile, T, N_list, sign, dt, jobs,
-                            k=k, q=q, n=n)["regularity"][0]
-
-
-# ---------------------------------------------------------------------------
-# single-inequality hbar sweeps
-
-
-def _gaussian_probe_field(N: int) -> PhaseField:
-    """Wide smooth Gaussian for pure-inequality probes (momentum tails ~1e-7
-    are irrelevant to these measurements and keep the hbar window unsaturated)."""
-    grid = _grid(N)
-    return sample_field(grid, {"name": "gaussian", "a": 1.0, "x0": grid.L_x / 2,
-                               "xi0": 0.0, "sigma_x": 1.2, "sigma_xi": 0.8},
-                        tail_tol=1e-4)
-
-
-def wick_gap_member(args: dict) -> dict:
-    f = _gaussian_probe_field(args["N"])
-    grid = f.grid
+def wick_structure_metric(b: DynamicsBundle) -> dict:
+    f, grid = b.gaussian, b.grid
     op_f = weyl_quantize(f)
     op_wick = wick_quantize(f)
     smoothed = husimi_convolve(f)
@@ -488,7 +446,7 @@ def wick_gap_member(args: dict) -> dict:
         contraction[key] = (schatten_norm(op_wick, p), lebesgue_norm(f, p))
     ev = op_wick.eigenvalues()
     return {
-        "N": args["N"], "hbar": grid.hbar,
+        "N": grid.N, "hbar": grid.hbar,
         "gap_op": gap_op, "gap_field": gap_field,
         "gap_equality_error": abs(gap_op - gap_field),
         "hbar_budget": grid.hbar * grid.d * hess_norm,
@@ -499,10 +457,9 @@ def wick_gap_member(args: dict) -> dict:
     }
 
 
-def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+def wick_structure_report(members: list) -> ProbeReport:
     """Wick-quantization structure: positivity, convolution identity, Schatten
     contraction, and the O(hbar) Wick-Weyl gap."""
-    members = _ladder(wick_gap_member, N_list, jobs)
     report = _report("wick_structure", members, [m["gap_op"] for m in members],
                      [m["hbar_budget"] for m in members])
     slope = report.fit_slope()
@@ -522,13 +479,12 @@ def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     return report
 
 
-def wick_square_member(args: dict) -> dict:
-    return {"N": args["N"], **wick_square_probe(_gaussian_probe_field(args["N"]))}
+def wick_square_metric(b: DynamicsBundle) -> dict:
+    return {"N": b.grid.N, **wick_square_probe(b.gaussian)}
 
 
-def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+def wick_square_report(members: list) -> ProbeReport:
     """Wick-square commutator gap: ratio <= 48 at every point, slope ~ hbar."""
-    members = _ladder(wick_square_member, N_list, jobs)
     report = _report("wick_square", members, [m["lhs_p2"] for m in members],
                      [m["budget_p2"] for m in members])
     slope = report.fit_slope()
@@ -540,16 +496,14 @@ def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     return report
 
 
-def weight_remainder_member(args: dict) -> dict:
-    f = _gaussian_probe_field(args["N"])
-    out = {"N": args["N"], **weight_remainder_probe(f)}
-    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(f, p=2).items()})
+def weight_remainder_metric(b: DynamicsBundle) -> dict:
+    out = {"N": b.grid.N, **weight_remainder_probe(b.gaussian)}
+    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(b.gaussian, p=2).items()})
     return out
 
 
-def weight_remainder_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+def weight_remainder_report(members: list) -> ProbeReport:
     """Weight remainders (ratios <= 1) and the Gaussian-commutator boundedness."""
-    members = _ladder(weight_remainder_member, N_list, jobs)
     report = _report("weight_remainder", members, [m["lhs1"] for m in members],
                      [m["budget1"] for m in members])
     r1 = max(m["lhs1"] / m["budget1"] for m in members)
@@ -564,31 +518,29 @@ def weight_remainder_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
     return report
 
 
-def commutator_member(args: dict) -> dict:
+def commutator_metric(b: DynamicsBundle) -> dict:
     """Ratio of the commutator estimate on random smooth Wick-quantized pairs.
 
     The random symbols are fixed analytic functions (low-mode Fourier blocks
     drawn once from the seed), so every sweep member probes the same data at
     a different hbar.
     """
-    grid = _grid(args["N"])
-    rng = np.random.default_rng(args.get("seed", 0))
+    grid = b.grid
+    rng = np.random.default_rng(b.args["seed"])
     ratios = []
-    for _ in range(args.get("pairs", 10)):
+    for _ in range(b.args["pairs"]):
         fsrc = field_from_modes(grid.N, random_mode_block(rng, 4))
         fmu = field_from_modes(grid.N, random_mode_block(rng, 4))
         src = wick_quantize(PhaseField(grid, fsrc**2 + 0.3))
         mu = wick_quantize(PhaseField(grid, fmu))
         r = commutator_probe(src, mu)
         ratios.append(r["lhs"] / r["budget"])
-    return {"N": args["N"], "hbar": grid.hbar, "ratio_mean": float(np.mean(ratios)),
+    return {"N": grid.N, "hbar": grid.hbar, "ratio_mean": float(np.mean(ratios)),
             "ratio_max": float(np.max(ratios))}
 
 
-def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
-                     jobs: int = 1) -> ProbeReport:
+def commutator_report(members: list) -> ProbeReport:
     """Semiclassical commutator estimate: the measured ratio is hbar-uniform."""
-    members = _ladder(commutator_member, N_list, jobs, pairs=pairs, seed=seed)
     report = _report("commutator_estimate", members, [m["ratio_mean"] for m in members],
                      [1.0] * len(members))
     slope, _ = fit_loglog(report.hbar, report.lhs)
@@ -598,16 +550,12 @@ def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
     return report
 
 
-def b_bound_member(args: dict) -> dict:
-    grid = _grid(args["N"])
-    f = sample_field(grid, args["profile"])
-    return {"N": args["N"], **b_bound_probe(f, args.get("sign", 1))}
+def b_bound_metric(b: DynamicsBundle) -> dict:
+    return {"N": b.grid.N, **b_bound_probe(b.f0, b.args["sign"])}
 
 
-def b_bound_sweep(profile: dict, N_list=DEFAULT_N_LIST, sign: int = 1,
-                  jobs: int = 1) -> ProbeReport:
+def b_bound_report(members: list) -> ProbeReport:
     """B-remainder size: slope of (1/hbar)||B_f(op_f)||_L2 in [1.8, 2.2]."""
-    members = _ladder(b_bound_member, N_list, jobs, profile=profile, sign=sign)
     report = _report("b_remainder", members, [m["lhs"] for m in members],
                      [m["budget"] for m in members])
     slope = report.fit_slope()
@@ -615,15 +563,105 @@ def b_bound_sweep(profile: dict, N_list=DEFAULT_N_LIST, sign: int = 1,
     return report
 
 
-def init_diff_member(args: dict) -> dict:
-    return {"N": args["N"], **init_diff_probe(_gaussian_probe_field(args["N"]))}
+def init_diff_metric(b: DynamicsBundle) -> dict:
+    return {"N": b.grid.N, **init_diff_probe(b.gaussian)}
 
 
-def init_diff_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+def init_diff_report(members: list) -> ProbeReport:
     """Weighted Wick-square gap slope in [0.8, 1.2]."""
-    members = _ladder(init_diff_member, N_list, jobs)
     report = _report("init_diff", members, [m["lhs"] for m in members],
                      [m["budget"] for m in members])
     slope = report.fit_slope()
     report.require("lhs_slope", 0.8 <= slope <= 1.2, slope, [0.8, 1.2])
     return report
+
+
+# ---------------------------------------------------------------------------
+# the probe table and the one member pass
+
+# probe -> (metric of one grid's bundle, reports built from the metrics over N),
+# in the order of config.PROBES
+PROBE_TABLE = {
+    "convergence": (headline_metric, lambda ms: [convergence_report(ms)]),
+    "wick_structure": (wick_structure_metric, lambda ms: [wick_structure_report(ms)]),
+    "wick_square": (wick_square_metric, lambda ms: [wick_square_report(ms)]),
+    "weight_remainder": (weight_remainder_metric, lambda ms: [weight_remainder_report(ms)]),
+    "commutator": (commutator_metric, lambda ms: [commutator_report(ms)]),
+    "b_remainder": (b_bound_metric, lambda ms: [b_bound_report(ms)]),
+    "init_diff": (init_diff_metric, lambda ms: [init_diff_report(ms)]),
+    "positivity_defect": (defect_metric, lambda ms: list(defect_reports(ms))),
+    "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
+    "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
+}
+
+
+def grid_member(args: dict) -> dict:
+    """Metrics of every requested probe on the grid of size N, all read from
+    one bundle."""
+    bundle = DynamicsBundle(args)
+    return {p: PROBE_TABLE[p][0](bundle) for p in args["probes"]}
+
+
+def sweep_reports(probes, N_list=DEFAULT_N_LIST, jobs: int = 1,
+                  **settings) -> dict[str, list[ProbeReport]]:
+    """Reports of the requested probes from one member pass over the grid
+    ladder; ``settings`` go to every member (see MEMBER_DEFAULTS)."""
+    probes = tuple(probes)
+    if "convergence" in probes and len(N_list) < 4:
+        raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
+    members = run_members(grid_member, [dict(settings, N=N, probes=probes)
+                                        for N in sorted(N_list)], jobs)
+    return {p: PROBE_TABLE[p][1]([m[p] for m in members]) for p in probes}
+
+
+def _only(probe: str, N_list, jobs: int, **settings) -> list[ProbeReport]:
+    return sweep_reports([probe], N_list, jobs, **settings)[probe]
+
+
+def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                      dt: float | None = None, jobs: int = 1) -> ProbeReport:
+    """Headline rate: slope of ||f_op(T) - f(T)||_L2 and ||op - op_f||_L2 vs hbar."""
+    return _only("convergence", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt)[0]
+
+
+def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                 dt: float | None = None, jobs: int = 1) -> tuple[ProbeReport, ProbeReport]:
+    """Sweep the positivity defect (final time) and the diagonal drift."""
+    pos, diag = _only("positivity_defect", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt)
+    return pos, diag
+
+
+def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
+                     k: int = 1, q: float = 2, n: int = 1,
+                     dt: float | None = None, jobs: int = 1) -> ProbeReport:
+    """Propagation of regularity: W^k(m) norms of the evolved square root stay
+    within the fitted exponential envelope (slack factor 2); the initial norm
+    is hbar-uniform (refinement stability)."""
+    return _only("regularity", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt,
+                 k=k, q=q, n=n)[0]
+
+
+def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+    return _only("wick_structure", N_list, jobs)[0]
+
+
+def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+    return _only("wick_square", N_list, jobs)[0]
+
+
+def weight_remainder_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+    return _only("weight_remainder", N_list, jobs)[0]
+
+
+def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
+                     jobs: int = 1) -> ProbeReport:
+    return _only("commutator", N_list, jobs, pairs=pairs, seed=seed)[0]
+
+
+def b_bound_sweep(profile: dict, N_list=DEFAULT_N_LIST, sign: int = 1,
+                  jobs: int = 1) -> ProbeReport:
+    return _only("b_remainder", N_list, jobs, profile=profile, sign=sign)[0]
+
+
+def init_diff_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
+    return _only("init_diff", N_list, jobs)[0]

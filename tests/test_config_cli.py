@@ -161,31 +161,33 @@ class TestCli:
         assert (tmp_path / "out" / "classical_stability.json").exists()
 
     def test_failing_probe_exits_1(self, config_file, monkeypatch, capsys):
-        from phaselab import cli
+        from phaselab import sweeps
         from phaselab.reports import ProbeReport
 
-        def fake_sweep(sweep):
+        def fake_reports(members):
             rep = ProbeReport(probe="wick_square", hbar=[0.1, 0.05, 0.025, 0.0125],
                               lhs=[1, 1, 1, 1], budget=[1, 1, 1, 1])
             rep.finalize_ratios()
             rep.require("lhs_slope", False, 0.0, [0.85, 1.15])
             return [rep]
 
-        monkeypatch.setitem(cli.PROBE_SWEEPS, "wick_square", fake_sweep)
+        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square", (lambda b: {}, fake_reports))
         code = main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["wick_square"]', "--jobs", "1"])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "  lhs_slope: observed=0.0 bound=[0.85, 1.15]" in out.splitlines()
 
 
     def test_internal_error_exits_4(self, config_file, monkeypatch, capsys):
-        from phaselab import cli
+        from phaselab import cli, sweeps
 
-        def broken_sweep(sweep):
+        def broken_reports(members):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setitem(cli.PROBE_SWEEPS, "wick_square", broken_sweep)
+        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square", (lambda b: {}, broken_reports))
         code = main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["wick_square"]', "--jobs", "1"])
@@ -195,26 +197,27 @@ class TestCli:
         assert err[1].startswith("Traceback")
 
     def test_probe_registry_covers_every_probe(self):
-        from phaselab import cli
+        from phaselab import sweeps
         from phaselab.config import PROBES
 
-        assert tuple(cli.PROBE_SWEEPS) == PROBES
+        assert tuple(sweeps.PROBE_TABLE) == PROBES
 
     def test_shared_dynamics_pass_matches_single_probes(self, config_file, tmp_path):
-        dynamics = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
+        from phaselab.config import PROBES
+
         common = ["--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",
                   "--set", "T=0.1", "--set", "sign=1", "--jobs", "1"]
         # the verdicts themselves are not the point: sqrt_comparison fails its
         # envelope check at this short horizon, in the shared pass and alone
-        code = main(["sweep", *common, "--set", f"probes={json.dumps(dynamics)}",
+        code = main(["sweep", *common, "--set", f"probes={json.dumps(list(PROBES))}",
                      "--set", f"out_dir={tmp_path / 'shared'}"])
         codes = [main(["sweep", *common, "--set", f'probes=["{name}"]',
-                       "--set", f"out_dir={tmp_path / name}"]) for name in dynamics]
+                       "--set", f"out_dir={tmp_path / name}"]) for name in PROBES]
         assert code == max(codes)
-        singles = {p.name: p.read_bytes() for name in dynamics
+        singles = {p.name: p.read_bytes() for name in PROBES
                    for p in (tmp_path / name).glob("*.json")}
         shared = {p.name: p.read_bytes() for p in (tmp_path / "shared").glob("*.json")}
-        assert len(shared) == 5
+        assert len(shared) == 11
         assert shared == singles
 
 

@@ -7,7 +7,7 @@ from phaselab.coherent import wick_quantize
 from phaselab.norms import lebesgue_norm, schatten_norm
 from phaselab.probes import commutator_probe, init_diff_probe, wick_square_probe
 from phaselab.operators import DensityOperator
-from phaselab.sweeps import defect_member
+from phaselab.sweeps import grid_member
 from phaselab.vlasov import evolve_vlasov
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
@@ -87,7 +87,8 @@ def test_defect_constant_with_interaction_off():
     # free flow. The Schatten-norm defect is exactly invariant; the diagonal
     # is not a unitary invariant of the flow, so its norm only stays pinned
     # to a narrow band around the initial value (no secular growth).
-    m = defect_member(dict(N=64, profile=PROFILE, T=0.25, sign=0, dt=0.0125))
+    m = grid_member(dict(N=64, profile=PROFILE, T=0.25, sign=0, dt=0.0125,
+                         probes=["positivity_defect"]))["positivity_defect"]
     pos = m["left_positivity"]
     diag = m["left_diag"]
     assert np.max(np.abs(pos - pos[0])) < 1e-9

@@ -7,11 +7,11 @@ from phaselab.sweeps import (
     commutator_sweep,
     convergence_sweep,
     defect_sweep,
-    dynamics_reports,
-    headline_member,
+    grid_member,
     init_diff_sweep,
     regularity_sweep,
     run_members,
+    sweep_reports,
     weight_remainder_sweep,
     wick_square_sweep,
     wick_structure_sweep,
@@ -28,7 +28,8 @@ def test_convergence_needs_four_points():
 
 def test_headline_member_t_zero():
     # at T = 0 the error equals the initial Wick-square gap
-    m = headline_member(dict(N=48, profile=PROFILE, T=0.0, sign=1))
+    m = grid_member(dict(N=48, profile=PROFILE, T=0.0, sign=1,
+                         probes=["convergence"]))["convergence"]
     assert m["err_weyl"] == pytest.approx(m["init_gap"], rel=1e-12)
     assert m["err_wigner"] == pytest.approx(m["err_weyl"], rel=1e-10)
 
@@ -39,8 +40,10 @@ def test_t_zero_slope_is_first_order():
 
 
 def test_interaction_off_error_constant():
-    m0 = headline_member(dict(N=64, profile=PROFILE, T=0.0, sign=0))
-    m1 = headline_member(dict(N=64, profile=PROFILE, T=0.3, sign=0, dt=0.015))
+    m0 = grid_member(dict(N=64, profile=PROFILE, T=0.0, sign=0,
+                          probes=["convergence"]))["convergence"]
+    m1 = grid_member(dict(N=64, profile=PROFILE, T=0.3, sign=0, dt=0.015,
+                          probes=["convergence"]))["convergence"]
     assert abs(m1["err_wigner"] - m0["err_wigner"]) < 1e-9
 
 
@@ -52,9 +55,9 @@ def test_convergence_sweep_small_window():
 
 
 def test_parallel_members_match_serial():
-    args = [dict(N=N, profile=PROFILE, T=0.1, sign=1) for N in (48, 64)]
-    serial = run_members(headline_member, args, jobs=1)
-    parallel = run_members(headline_member, args, jobs=2)
+    args = [dict(N=N, profile=PROFILE, T=0.1, sign=1, probes=["convergence"]) for N in (48, 64)]
+    serial = [m["convergence"] for m in run_members(grid_member, args, jobs=1)]
+    parallel = [m["convergence"] for m in run_members(grid_member, args, jobs=2)]
     for a, b in zip(serial, parallel):
         assert a["err_wigner"] == b["err_wigner"]
         assert a["err_weyl"] == b["err_weyl"]
@@ -170,7 +173,7 @@ def _count_evolves(monkeypatch):
 def test_bundle_evolves_each_flow_once(monkeypatch):
     trajectories = _count_evolves(monkeypatch)
     probes = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
-    dynamics_reports(probes, PROFILE, 0.1, N_list=SMALL)
+    sweep_reports(probes, SMALL, profile=PROFILE, T=0.1)
     assert len(trajectories) == 4 * len(SMALL)
 
 
@@ -196,3 +199,53 @@ def test_static_sweeps_honour_jobs(sweep, monkeypatch):
     monkeypatch.setattr(sweeps, "run_members", spy)
     assert sweep(N_list=ladder, jobs=2).to_json() == serial
     assert pool_sizes == [2]
+
+
+def test_pool_gets_largest_grid_first(monkeypatch):
+    from concurrent.futures import Future
+
+    from phaselab import sweeps
+
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            submitted.append(arg["N"])
+            future = Future()
+            future.set_result(fn(arg))
+            return future
+
+        def map(self, fn, args):
+            args = list(args)
+            submitted.extend(a["N"] for a in args)
+            return map(fn, args)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    results = run_members(lambda a: a["N"], [dict(N=N) for N in SMALL], jobs=2)
+    assert submitted == sorted(SMALL, reverse=True)
+    assert results == list(SMALL)
+
+
+def test_ten_probe_sweep_is_one_member_pass(monkeypatch):
+    from phaselab import sweeps
+    from phaselab.config import PROBES
+
+    calls = []
+
+    def spy(fn, arg_list, jobs=1):
+        calls.append([a["N"] for a in arg_list])
+        return run_members(fn, arg_list, jobs)
+
+    monkeypatch.setattr(sweeps, "run_members", spy)
+    reports = sweep_reports(PROBES, SMALL, profile=PROFILE, T=0.1)
+    assert calls == [list(SMALL)]
+    assert tuple(reports) == PROBES
