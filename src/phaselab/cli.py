@@ -91,8 +91,7 @@ def cmd_run(config: SimConfig) -> int:
     out_dir = Path(config["out_dir"])
     experiment = config["experiment"]
     T, sign = config["T"], config["sign"]
-    dt = config["dt"] if config["dt"] is not None else grid.hbar / 10.0
-    steps, dt = resolve_steps(T, dt)
+    _, dt = resolve_steps(T, config["dt"])
     stride = config["snapshot_stride"]
     if experiment == "vlasov":
         f0 = sample_field(grid, config["profile"])

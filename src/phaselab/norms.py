@@ -54,8 +54,9 @@ def _phase_derivative(f: PhaseField, ax: int, axi: int) -> np.ndarray:
     return out
 
 
-def weighted_sobolev_norm(f: PhaseField, k: int, p: float, n: int) -> float:
-    """W^{k,p}_n norm: (sum_{|alpha|<=k} ||<xi>^n d^alpha f||_{L^p}^2)^(1/2).
+def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
+    """W^{k,p}_n norms (sum_{|alpha|<=k} ||<xi>^n d^alpha f||_{L^p}^2)^(1/2),
+    one per exponent in ``ps``, from a single pass over the derivatives.
 
     The outer exponent is 2 for every p, matching the weighted-space
     convention used by the stability budgets. Derivatives are spectral.
@@ -64,12 +65,18 @@ def weighted_sobolev_norm(f: PhaseField, k: int, p: float, n: int) -> float:
         raise ConfigurationError("weighted Sobolev norms support k <= 4")
     g = f.grid
     weight = (1.0 + g.xi**2) ** (n / 2.0)
-    total = 0.0
+    totals = [0.0] * len(ps)
     for ax in range(k + 1):
         for axi in range(k + 1 - ax):
-            dv = _phase_derivative(f, ax, axi) * weight[None, :]
-            total += lebesgue_norm(PhaseField(g, dv, real=False), p) ** 2
-    return float(math.sqrt(total))
+            dv = PhaseField(g, _phase_derivative(f, ax, axi) * weight[None, :], real=False)
+            for i, p in enumerate(ps):
+                totals[i] += lebesgue_norm(dv, p) ** 2
+    return [float(math.sqrt(t)) for t in totals]
+
+
+def weighted_sobolev_norm(f: PhaseField, k: int, p: float, n: int) -> float:
+    """W^{k,p}_n norm; see weighted_sobolev_norms."""
+    return weighted_sobolev_norms(f, k, (p,), n)[0]
 
 
 def spatial_lebesgue_norm(values: np.ndarray, dx: float, p: float) -> float:

@@ -8,6 +8,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# Default time step of every flow. Time-splitting spectral schemes resolve
+# quadratic observables with a step that does not depend on hbar (Bao, Jin &
+# Markowich, J. Comput. Phys. 175, 2002); tests/test_sweeps.py and
+# tests/test_dynamics.py bound the change of every probe's result at dt / 2.
+DEFAULT_DT = 0.01
+
 
 @dataclass
 class FieldSnapshot:
@@ -62,8 +68,11 @@ class Trajectory:
         return float(np.max(np.abs(series - series[0])) / scale)
 
 
-def resolve_steps(T: float, dt: float) -> tuple[int, float]:
-    """Number of steps and the adjusted dt that lands exactly on T."""
+def resolve_steps(T: float, dt: float | None) -> tuple[int, float]:
+    """Number of steps and the adjusted dt that lands exactly on T; dt=None
+    means DEFAULT_DT."""
+    if dt is None:
+        dt = DEFAULT_DT
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if T < 0:

@@ -25,7 +25,8 @@ from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.poisson import solve_poisson
 from phaselab.spectral import fourier_multiplier, modes, shift
-from phaselab.trajectory import FieldSnapshot
+from phaselab.sweeps import grid_member
+from phaselab.trajectory import DEFAULT_DT, FieldSnapshot
 from phaselab.vlasov import evolve_vlasov, free_transport
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
@@ -264,3 +265,14 @@ class TestTemporalOrder:
         _, op0 = wick_square_datum(sample_field(grid64, profile))
         finals = [evolve_hartree(op0, 0.5, 0.05 / 2**k, sign).final().kernel for k in range(3)]
         assert 3.5 <= self._ratio(finals) <= 4.5
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+@pytest.mark.parametrize("profile", [PROFILE, TWO_STREAM], ids=["maxwellian", "two_stream"])
+def test_default_step_headline_self_difference(sign, profile):
+    """The headline error at the default step moves by at most 1e-5 relative
+    at DEFAULT_DT / 2, off the benchmark datum too."""
+    errs = [grid_member(dict(N=128, profile=profile, T=0.5, sign=sign, dt=dt,
+                             probes=["convergence"]))["convergence"]["err_wigner"]
+            for dt in (None, DEFAULT_DT / 2)]
+    assert abs(errs[0] - errs[1]) <= 1e-5 * errs[1]

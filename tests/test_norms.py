@@ -17,6 +17,7 @@ from phaselab.norms import (
     weighted_schatten_norm,
     weighted_schatten_norms,
     weighted_sobolev_norm,
+    weighted_sobolev_norms,
 )
 from phaselab.operators import DensityOperator
 from phaselab.spectral import band_limited_field
@@ -53,6 +54,24 @@ def test_sobolev_weight_order(grid32, rng):
     n0 = weighted_sobolev_norm(f, 1, 2, 0)
     n2 = weighted_sobolev_norm(f, 1, 2, 2)
     assert n2 >= n0
+
+
+def test_sobolev_norms_share_one_derivative_pass(grid32, rng, monkeypatch):
+    from phaselab import norms
+
+    f = PhaseField(grid32, band_limited_field(32, rng, max_mode=6))
+    ps = (np.inf, 2, 4)
+    separate = [weighted_sobolev_norm(f, 4, p, 4) for p in ps]
+    calls = []
+    phase_derivative = norms._phase_derivative
+
+    def counted(*args):
+        calls.append(1)
+        return phase_derivative(*args)
+
+    monkeypatch.setattr(norms, "_phase_derivative", counted)
+    assert weighted_sobolev_norms(f, 4, ps, 4) == separate
+    assert len(calls) == 15          # |alpha| <= 4 in two variables, once each
 
 
 class TestLorentz:

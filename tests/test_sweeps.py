@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from phaselab.config import load_config
 from phaselab.errors import ConfigurationError
 from phaselab.sweeps import (
+    SERIES_PROBES,
     b_bound_sweep,
     commutator_sweep,
     convergence_sweep,
@@ -16,6 +20,7 @@ from phaselab.sweeps import (
     wick_square_sweep,
     wick_structure_sweep,
 )
+from phaselab.trajectory import DEFAULT_DT
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 SMALL = (48, 64, 96, 128)
@@ -249,3 +254,44 @@ def test_ten_probe_sweep_is_one_member_pass(monkeypatch):
     reports = sweep_reports(PROBES, SMALL, profile=PROFILE, T=0.1)
     assert calls == [list(SMALL)]
     assert tuple(reports) == PROBES
+
+
+# ---------------------------------------------------------------------------
+# the default step against dt / 2 on the datum of the default sweep
+
+DEFAULT_PROFILE = load_config(Path(__file__).resolve().parents[1]
+                              / "configs" / "default.json")["profile"]
+
+
+def _halving_pair(N: int, probes) -> list[dict]:
+    """Members at the default step and at DEFAULT_DT / 2, T = 0.5, sign +1."""
+    return [grid_member(dict(N=N, profile=DEFAULT_PROFILE, T=0.5, sign=1, dt=dt,
+                             probes=list(probes)))
+            for dt in (None, DEFAULT_DT / 2)]
+
+
+def _rel(coarse: float, fine: float) -> float:
+    return abs(coarse - fine) / abs(fine)
+
+
+def test_default_step_resolves_headline():
+    coarse, fine = (m["convergence"] for m in _halving_pair(256, ["convergence"]))
+    assert coarse["dt"] == DEFAULT_DT
+    for key in ("err_wigner", "err_weyl"):
+        # the relative tolerance of the benchmark's headline reference
+        assert _rel(coarse[key], fine[key]) <= 1e-5, key
+
+
+def test_default_step_resolves_series_probes():
+    coarse, fine = _halving_pair(128, sorted(SERIES_PROBES))
+    final_lhs = {
+        "positivity_defect": lambda m: m["positivity_defect"]["left_positivity"][-1],
+        "diag_drift": lambda m: m["positivity_defect"]["left_diag"][-1],
+        "regularity_tracking": lambda m: np.max(m["regularity"]["norms"]),
+    }
+    for report, lhs in final_lhs.items():
+        assert _rel(lhs(coarse), lhs(fine)) <= 1e-4, report
+    # the square-root gap is a difference of two flows, ~5e-3 here, so its
+    # step error (~2e-6 absolute) is a larger share of it
+    left = [m["sqrt_comparison"]["left"][-1] for m in (coarse, fine)]
+    assert _rel(*left) <= 1e-2
