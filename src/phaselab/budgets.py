@@ -92,15 +92,16 @@ def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[floa
     lambda = ||grad_xi v||_{W^{1,2}} ||rho||_inf^(1/2)
            + C_inf^(1/2) ||grad_xi v||_{L^{3 +- eps}(<p>^n)},
 
-    with the 3 +- eps pair combined by max. Reports the n = 1 variant of the
-    weighted piece alongside for comparison. The wrap guard is relaxed by
-    default because square-root kernels sit on a sqrt(eps) rounding floor.
+    with the 3 +- eps pair combined by max. ``extras`` holds the two pieces
+    per snapshot: "w12" (||grad_xi v||_{W^{1,2}}) and "weighted_n" (the
+    weighted pair). The wrap guard is relaxed by default because square-root
+    kernels sit on a sqrt(eps) rounding floor.
     """
     if not (0 < eps < 1):
         raise ConfigurationError("eps must lie in (0, 1)")
     times = np.asarray(times)
     lam = np.empty(len(times))
-    w12s, weighted, weighted_n1 = [], [], []
+    w12s, weighted = [], []
     for idx, v in enumerate(v_snapshots):
         grad = quantum_gradient_xi(v, wrap_tol)
         w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=wrap_tol)
@@ -108,10 +109,8 @@ def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[floa
         lam[idx] = w12 * np.sqrt(rho_sup[idx]) + np.sqrt(C_inf) * pair
         w12s.append(w12)
         weighted.append(pair)
-        weighted_n1.append(max(weighted_schatten_norms(grad, (3.0 - eps, 3.0 + eps), 1)))
     return GronwallBudget(times, lam, C_inf,
-                          extras={"w12": w12s, "weighted_n": weighted,
-                                  "weighted_n1": weighted_n1, "n": n, "eps": eps})
+                          extras={"w12": w12s, "weighted_n": weighted, "n": n, "eps": eps})
 
 
 def fit_c_star(times, left, Lambda, floor: float = 0.0) -> float:

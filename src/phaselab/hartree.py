@@ -10,6 +10,10 @@ and a row-wise product with a circulant, no implicit solve. Per step the
 kinetic conjugation takes four N x N FFT passes and the predictor two; the
 kinetic-energy log takes none. Trace, Hilbert-Schmidt norm, Hermiticity,
 positivity and the full spectrum are exact invariants of the conjugation.
+
+The step unitary depends only on the density of the evolved operator, so
+U sqrt(op) U* = sqrt(U op U*): a companion kernel conjugated by the same
+factors carries the square root along the flow without an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -90,14 +94,23 @@ def _operator_logs(traj: Trajectory, t: float, op: DensityOperator, rho: np.ndar
 
 def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
                    snapshot_stride: int | None = None,
-                   log_spectrum: bool = False) -> Trajectory:
-    """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op]."""
+                   log_spectrum: bool = False,
+                   root: DensityOperator | None = None) -> Trajectory:
+    """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op].
+
+    ``root``, a Hermitian square root of op0, is conjugated by the same step
+    unitaries as op0; its snapshots go to ``root_snapshots``, taken at the
+    ``snapshot_times``. The op0 kernel evolves bit-identically either way.
+    """
     if not op0.hermitian and not op0.check_hermitian(1e-10):
         raise ConfigurationError("Hartree evolution needs a Hermitian initial operator")
+    if root is not None and not root.hermitian and not root.check_hermitian(1e-10):
+        raise ConfigurationError("the carried square root must be Hermitian")
     g = op0.grid
     steps, dt = resolve_steps(T, dt)
     traj = Trajectory(kind="operator", dt=dt)
     K = op0.kernel.astype(complex).copy()
+    R = None if root is None else root.kernel.astype(complex).copy()
     half_kin = _kinetic_phase(g, dt / 2.0)
     half_circ = _diagonal_circulant(half_kin)
     full_kin = _kinetic_phase(g, dt)
@@ -110,8 +123,12 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
         _operator_logs(traj, t, op, rho, snap, log_spectrum)
         return op
 
-    op = record(0.0, K)
-    traj.add_snapshot(0.0, op)
+    def snapshot(t, op):
+        traj.add_snapshot(t, op)
+        if R is not None:
+            traj.root_snapshots.append(DensityOperator(g, R, hermitian=True, positive=True))
+
+    snapshot(0.0, record(0.0, K))
     for n in range(steps):
         t_next = (n + 1) * dt
         # predictor: the density after the free half step is the exact
@@ -119,10 +136,12 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
         rho_mid = _free_step_density(K, g, half_kin, half_circ)
         snap_half = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
         K = _split_step(K, g, snap_half.V, dt, full_kin)
+        if R is not None:
+            R = _split_step(R, g, snap_half.V, dt, full_kin)
         op = record(t_next, K)
         is_last = n == steps - 1
         if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):
-            traj.add_snapshot(t_next, op)
+            snapshot(t_next, op)
     return traj
 
 

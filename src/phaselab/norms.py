@@ -130,26 +130,43 @@ def h_half_norm(f: PhaseField) -> float:
 # operator norms
 
 
+def _gram_singular_values(op: DensityOperator) -> np.ndarray:
+    """Operator singular values, descending, as the square roots of the
+    eigenvalues of the Gram matrix K^H K, clamped at 0.
+
+    Squaring loses the singular values below about sqrt(eps) sigma_max; for
+    p >= 2 each of them adds at most eps sigma_max^p to the power sum.
+    """
+    K = op.kernel
+    ev = np.linalg.eigvalsh(K.conj().T @ K)[::-1]
+    return np.sqrt(np.clip(ev, 0.0, None)) * op.dx**op.grid.d
+
+
 def schatten_norms(op: DensityOperator, ps) -> list[float]:
     """Rescaled Schatten norms ||op||_{L^p} = h^{d/p} (sum sigma_i^p)^{1/p},
-    one per index in ``ps``, from a single SVD.
+    one per index in ``ps``, from a single set of singular values.
 
     Operator singular values are dx^d times the kernel-matrix ones; p = inf
-    returns the largest singular value with no h factor, p = 2 needs no SVD.
+    returns the largest singular value with no h factor, p = 2 needs no
+    singular values. For p > 2 they come from the Gram matrix (one Hermitian
+    eigvalsh), for p < 2 from an SVD; each route runs at most once per call,
+    and every norm has the same bits whichever other indices share the call.
     """
     if any(p < 1 for p in ps):
         raise ConfigurationError("Schatten index must satisfy p >= 1")
     g = op.grid
-    sv = None
+    by_route = {}
     out = []
     for p in ps:
         if p == 2:
-            # Hilbert-Schmidt: no SVD needed
+            # Hilbert-Schmidt: no singular values needed
             hs = math.sqrt(float(np.sum(np.abs(op.kernel) ** 2))) * g.dx**g.d
             out.append(float(g.h ** (g.d / 2.0) * hs))
             continue
-        if sv is None:
-            sv = op.singular_values()
+        gram = p > 2
+        if gram not in by_route:
+            by_route[gram] = _gram_singular_values(op) if gram else op.singular_values()
+        sv = by_route[gram]
         if math.isinf(p):
             out.append(float(sv[0]) if len(sv) else 0.0)
         else:

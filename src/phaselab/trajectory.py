@@ -30,7 +30,8 @@ class Trajectory:
     """Snapshots of a flow plus per-time conserved-quantity logs.
 
     ``logs`` maps quantity name -> list aligned with ``times``;
-    ``snapshots`` are stored at ``snapshot_times`` (a subset of times).
+    ``snapshots`` are stored at ``snapshot_times`` (a subset of times);
+    ``root_snapshots``, when a flow carries a square root, at the same times.
     """
 
     kind: str                      # "field" | "operator"
@@ -39,6 +40,7 @@ class Trajectory:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     fields: list = field(default_factory=list)   # FieldSnapshot history
+    root_snapshots: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     dt: float = 0.0
 

@@ -31,6 +31,12 @@ from phaselab.vlasov import evolve_vlasov, free_transport
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 TWO_STREAM = {"name": "two_stream", "perturbation": 0.05, "sigma_xi": 0.3}
+GAUSSIAN = {"name": "gaussian"}
+# every datum under every interaction sign: repulsive, free, attractive
+SIGNS_BY_PROFILES = pytest.mark.parametrize(
+    "profile,sign",
+    [(p, s) for p in (PROFILE, TWO_STREAM, GAUSSIAN) for s in (-1, 0, 1)],
+    ids=[f"{n}-{s}" for n in ("maxwellian", "two_stream", "gaussian") for s in (-1, 0, 1)])
 
 
 def _complex_shift(values, L, s, axis):
@@ -99,9 +105,10 @@ class TestVlasov:
         exact = free_transport(f0, 0.25)
         assert np.max(np.abs(traj.final().values - exact.values)) < 1e-9
 
-    def test_conservation(self, grid64):
-        f0 = sample_field(grid64, PROFILE)
-        traj = evolve_vlasov(f0, 0.5, 1e-3, +1)
+    @SIGNS_BY_PROFILES
+    def test_conservation(self, grid64, profile, sign):
+        f0 = sample_field(grid64, profile)
+        traj = evolve_vlasov(f0, 0.5, 1e-3, sign)
         assert traj.relative_drift("mass") < 1e-12
         assert traj.relative_drift("l1_norm") < 1e-8
         assert traj.relative_drift("l2_norm") < 1e-8
@@ -126,23 +133,29 @@ class TestVlasov:
 
 
 class TestHartree:
-    def _initial(self, grid):
-        f0 = sample_field(grid, PROFILE)
-        vt = wick_quantize(sqrt_field(f0))
-        op0 = vt @ vt
-        op0.hermitian = True
-        op0.positive = True
-        return f0, op0
-
-    def test_conservation(self, grid64):
-        _, op0 = self._initial(grid64)
-        traj = evolve_hartree(op0, 0.25, 1e-3, +1)
+    @SIGNS_BY_PROFILES
+    def test_conservation(self, grid64, profile, sign):
+        _, op0 = wick_square_datum(sample_field(grid64, profile))
+        traj = evolve_hartree(op0, 0.25, 1e-3, sign)
         assert traj.relative_drift("trace") < 1e-12
         assert traj.relative_drift("l2_norm") < 1e-12
         assert traj.relative_drift("energy") < 1e-6
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_carried_root_is_the_square_root(self, grid64, sign):
+        vt, op0 = wick_square_datum(sample_field(grid64, PROFILE))
+        plain = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, snapshot_stride=6)
+        carried = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, snapshot_stride=6, root=vt)
+        assert carried.snapshot_times == plain.snapshot_times
+        assert len(carried.root_snapshots) == len(carried.snapshots) == 10
+        for op, bare, root in zip(carried.snapshots, plain.snapshots, carried.root_snapshots):
+            assert np.array_equal(op.kernel, bare.kernel)
+            hs = schatten_norm(op, 2)
+            assert schatten_norm(root @ root - op, 2) <= 1e-10 * hs
+            assert schatten_norm(root - operator_sqrt(op), 2) <= 1e-8
+
     def test_free_flow_transports_wigner(self, grid64):
-        _, op0 = self._initial(grid64)
+        _, op0 = wick_square_datum(sample_field(grid64, PROFILE))
         traj = evolve_hartree(op0, 0.25, 0.0125, 0)
         w_final = wigner_transform(traj.final())
         w_expected = free_transport(wigner_transform(op0), 0.25)

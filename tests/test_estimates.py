@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from phaselab import PhaseField, make_grid, sample_field
-from phaselab.budgets import classical_lambda, quantum_lambda, rho_sup_series, sqrt_field
+from phaselab.budgets import (
+    SQRT_WRAP_TOL,
+    classical_lambda,
+    quantum_lambda,
+    rho_sup_series,
+    sqrt_field,
+)
+from phaselab.calculus import quantum_gradient_xi
 from phaselab.coherent import wick_quantize
-from phaselab.norms import lebesgue_norm
+from phaselab.norms import lebesgue_norm, weighted_schatten_norms
 from phaselab.operators import DensityOperator
 from phaselab.reports import ProbeReport, fit_loglog
 from phaselab.spectral import shift
@@ -96,7 +103,9 @@ class TestQuantumBudget:
         f0 = sample_field(grid32, PROFILE)
         vt = wick_quantize(sqrt_field(f0))
         budget = quantum_lambda([vt], [0.0], [1.0], C_inf=1.0, n=3)
-        assert budget.extras["weighted_n"][0] >= budget.extras["weighted_n1"][0] > 0
+        weighted_n1 = max(weighted_schatten_norms(quantum_gradient_xi(vt, SQRT_WRAP_TOL),
+                                                  (2.5, 3.5), 1))
+        assert budget.extras["weighted_n"][0] >= weighted_n1 > 0
 
 
 class TestStability:

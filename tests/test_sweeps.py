@@ -187,6 +187,21 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     convergence_sweep(PROFILE, 0.1, N_list=SMALL)
     assert len(trajectories) == 3 * len(SMALL)
     assert all(len(t.snapshots) == 2 for t in trajectories)
+    # only the square-root comparison makes the Hartree flow carry a root
+    assert not any(t.root_snapshots for t in trajectories)
+
+
+def test_sqrt_comparison_dense_kernel_count(monkeypatch):
+    """One eigh per flow at time T checks the carried square roots; nothing
+    else in the square-root analysis takes an eigh or an SVD."""
+    calls = {"eigh": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    grid_member(dict(N=64, profile=PROFILE, T=0.5, probes=("sqrt_comparison",)))
+    assert calls == {"eigh": 2, "svd": 0}
 
 
 @pytest.mark.parametrize("sweep", [weight_remainder_sweep, init_diff_sweep])
