@@ -38,13 +38,19 @@ def quantum_gradient_x(op: DensityOperator) -> DensityOperator:
 
 def wrap_mass(op: DensityOperator) -> float:
     """Relative kernel mass on the antipodal chords |x - y| near L_x / 2."""
-    N = op.grid.N
-    c = _chord_indices(N)["c"]
-    band = np.abs(np.abs(c) - N // 2) <= 1
-    total = np.sum(np.abs(op.kernel))
+    a = np.abs(op.kernel)
+    total = np.sum(a)
     if total == 0:
         return 0.0
-    return float(np.sum(np.abs(op.kernel)[band]) / total)
+    return float(np.sum(a.take(_chord_indices(op.grid.N)["wrap_band"])) / total)
+
+
+@lru_cache(maxsize=1)
+def _chord_multiplier(grid: PhaseGrid) -> np.ndarray:
+    """(x - y) / (i hbar) on the minimal-image chord; one grid is held."""
+    m = _chord_indices(grid.N)["c"] * grid.dx / (1j * grid.hbar)
+    m.flags.writeable = False
+    return m
 
 
 def quantum_gradient_xi(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL) -> DensityOperator:
@@ -60,14 +66,14 @@ def quantum_gradient_xi(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL) -
         raise WrapAmbiguityError(
             f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
         )
-    chord = _chord_indices(g.N)["c"] * g.dx
-    out = chord / (1j * g.hbar) * op.kernel
-    return DensityOperator(g, out, hermitian=False)
+    return DensityOperator(g, _chord_multiplier(g) * op.kernel, hermitian=False)
 
 
 def momentum_weight_multiplier(grid: PhaseGrid, n: int) -> np.ndarray:
     """<p>^n = (1 + |p|^2)^(n/2) eigenvalues on the Fourier modes, fft order."""
-    return (1.0 + grid.fourier_momenta**2) ** (n / 2.0)
+    if n < 0 or int(n) != n:
+        raise ConfigurationError("weight order n must be a nonnegative integer")
+    return (1.0 + grid.fourier_momenta**2) ** (int(n) / 2.0)
 
 
 def momentum_weight_apply(op: DensityOperator, n: int, side: str = "both") -> DensityOperator:
@@ -76,12 +82,10 @@ def momentum_weight_apply(op: DensityOperator, n: int, side: str = "both") -> De
     side = "left" gives <p>^n op, "right" gives op <p>^n, "both" conjugates
     <p>^n op <p>^n.
     """
-    if n < 0 or int(n) != n:
-        raise ConfigurationError("weight order n must be a nonnegative integer")
     if side not in ("left", "right", "both"):
         raise ConfigurationError(f"side must be left|right|both, got {side!r}")
     g = op.grid
-    mult = momentum_weight_multiplier(g, int(n))
+    mult = momentum_weight_multiplier(g, n)
     K = op.kernel
     if side in ("left", "both"):
         K = fourier_multiplier(K, mult, axis=0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,9 +97,27 @@ def coherent_overlap(z: tuple[float, float], zp: tuple[float, float], grid: Phas
     return complex(np.exp(-d2 / hbar) * np.exp(1j * (x + xp) * (xip - xi) / (2 * hbar)))
 
 
+@lru_cache(maxsize=1)
+def _gaussian_half_spectrum(grid: PhaseGrid) -> np.ndarray:
+    """rfft2 of g_h, aligned so index [0, 0] is the zero offset, times the
+    cell measure; one grid is held."""
+    kv = np.roll(gaussian_phase_kernel(grid).values, -(grid.N // 2), axis=1)
+    spec = np.fft.rfft2(kv) * grid.cell
+    spec.flags.writeable = False
+    return spec
+
+
 def husimi_convolve(f: PhaseField, kernel: PhaseField | None = None) -> PhaseField:
-    """Periodic convolution with the phase-space Gaussian: f -> g_h * f."""
+    """Periodic convolution with the phase-space Gaussian: f -> g_h * f.
+
+    A real symbol smoothed by g_h takes the real-input transforms; a complex
+    symbol or an explicit ``kernel`` takes full complex ones.
+    """
     g = f.grid
+    if kernel is None and f.real:
+        conv = np.fft.irfft2(np.fft.rfft2(f.values) * _gaussian_half_spectrum(g),
+                             s=f.values.shape)
+        return PhaseField(g, conv, real=True)
     if kernel is None:
         kernel = gaussian_phase_kernel(g)
     # align the kernel so index [0, 0] is the zero offset on both axes

@@ -9,15 +9,20 @@ semiclassical limit; the operator norm (p = inf) carries no h factor.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
-from .calculus import momentum_weight_apply, quantum_gradient_x, quantum_gradient_xi
+from .calculus import (
+    WRAP_GUARD_TOL,
+    momentum_weight_apply,
+    momentum_weight_multiplier,
+    quantum_gradient_x,
+    quantum_gradient_xi,
+)
 from .errors import ConfigurationError
 from .grids import PhaseField
 from .operators import DensityOperator
-from .spectral import derivative
+from .spectral import derivative, derivative_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +31,7 @@ from .spectral import derivative
 
 def lebesgue_norm(f: PhaseField, p: float) -> float:
     """L^p norm over the phase box; p = inf gives max|f|."""
-    v = np.abs(f.values)
-    if math.isinf(p):
-        return float(v.max())
-    return float((np.sum(v**p) * f.grid.cell) ** (1.0 / p))
+    return spatial_lebesgue_norm(f.values, f.grid.cell, p)
 
 
 def mixed_norm(f: PhaseField, p: float, q: float) -> float:
@@ -45,13 +47,15 @@ def mixed_norm(f: PhaseField, p: float, q: float) -> float:
     return float((np.sum(inner**p) * g.dx**g.d) ** (1.0 / p))
 
 
-def _phase_derivative(f: PhaseField, ax: int, axi: int) -> np.ndarray:
-    out = f.values.astype(complex)
-    if ax:
-        out = derivative(out, f.grid.L_x, axis=0, order=ax)
-    if axi:
-        out = derivative(out, f.grid.L_xi, axis=1, order=axi)
-    return out
+def _phase_derivative(f: PhaseField, ax: int, axi: int, spec: np.ndarray) -> np.ndarray:
+    """d_x^ax d_xi^axi f from ``spec``, the 2-d spectrum of f: the half
+    spectrum (rfft2) of a real field, with a real result, else fft2."""
+    g = f.grid
+    mult = (derivative_multiplier(g.N, g.L_x, ax)[:, None]
+            * derivative_multiplier(g.N, g.L_xi, axi)[None, :spec.shape[1]])
+    if f.real:
+        return np.fft.irfft2(spec * mult, s=f.values.shape)
+    return np.fft.ifft2(spec * mult)
 
 
 def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
@@ -59,18 +63,21 @@ def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
     one per exponent in ``ps``, from a single pass over the derivatives.
 
     The outer exponent is 2 for every p, matching the weighted-space
-    convention used by the stability budgets. Derivatives are spectral.
+    convention used by the stability budgets. Derivatives are spectral: one
+    forward 2-d transform, then one inverse per multi-index.
     """
     if k > 4:
         raise ConfigurationError("weighted Sobolev norms support k <= 4")
     g = f.grid
     weight = (1.0 + g.xi**2) ** (n / 2.0)
+    spec = np.fft.rfft2(f.values) if f.real else np.fft.fft2(f.values)
     totals = [0.0] * len(ps)
     for ax in range(k + 1):
         for axi in range(k + 1 - ax):
-            dv = PhaseField(g, _phase_derivative(f, ax, axi) * weight[None, :], real=False)
+            dv = _phase_derivative(f, ax, axi, spec)
+            dv *= weight
             for i, p in enumerate(ps):
-                totals[i] += lebesgue_norm(dv, p) ** 2
+                totals[i] += spatial_lebesgue_norm(dv, g.cell, p) ** 2
     return [float(math.sqrt(t)) for t in totals]
 
 
@@ -142,6 +149,12 @@ def _gram_singular_values(op: DensityOperator) -> np.ndarray:
     return np.sqrt(np.clip(ev, 0.0, None)) * op.dx**op.grid.d
 
 
+def _hilbert_schmidt(K: np.ndarray, g) -> float:
+    """Rescaled Hilbert-Schmidt norm h^{d/2} dx^d ||K||_F: needs no singular values."""
+    hs = math.sqrt(float(np.sum(np.abs(K) ** 2))) * g.dx**g.d
+    return float(g.h ** (g.d / 2.0) * hs)
+
+
 def schatten_norms(op: DensityOperator, ps) -> list[float]:
     """Rescaled Schatten norms ||op||_{L^p} = h^{d/p} (sum sigma_i^p)^{1/p},
     one per index in ``ps``, from a single set of singular values.
@@ -159,9 +172,7 @@ def schatten_norms(op: DensityOperator, ps) -> list[float]:
     out = []
     for p in ps:
         if p == 2:
-            # Hilbert-Schmidt: no singular values needed
-            hs = math.sqrt(float(np.sum(np.abs(op.kernel) ** 2))) * g.dx**g.d
-            out.append(float(g.h ** (g.d / 2.0) * hs))
+            out.append(_hilbert_schmidt(op.kernel, g))
             continue
         gram = p > 2
         if gram not in by_route:
@@ -180,9 +191,18 @@ def schatten_norm(op: DensityOperator, p: float) -> float:
 
 
 def weighted_schatten_norms(op: DensityOperator, ps, n: int) -> list[float]:
-    """||op||_{L^p(<p>^n)} = schatten_norm(op <p>^n, p) for each p in ``ps``."""
+    """||op||_{L^p(<p>^n)} = schatten_norm(op <p>^n, p) for each p in ``ps``.
+
+    When every p is 2 the weight takes one axis-1 FFT pass, by Parseval:
+    ||K <p>^n||_HS = ||fft(K, axis=1) <p>^n||_HS / sqrt(N).
+    """
     if n == 0:
         return schatten_norms(op, ps)
+    if all(p == 2 for p in ps):
+        g = op.grid
+        Y = np.fft.fft(op.kernel, axis=1)
+        Y *= momentum_weight_multiplier(g, n)
+        return [_hilbert_schmidt(Y, g) / math.sqrt(g.N)] * len(ps)
     return schatten_norms(momentum_weight_apply(op, n, side="right"), ps)
 
 
@@ -191,13 +211,9 @@ def weighted_schatten_norm(op: DensityOperator, p: float, n: int) -> float:
     return weighted_schatten_norms(op, (p,), n)[0]
 
 
-def _gradient_multiindices(k: int):
-    """Multi-indices (ax, axi) with ax + axi <= k, x-gradients applied first."""
-    return [(ax, axi) for ax, axi in product(range(k + 1), repeat=2) if ax + axi <= k]
-
-
 def apply_quantum_gradients(op: DensityOperator, ax: int, axi: int,
                             wrap_tol: float | None = None) -> DensityOperator:
+    """grad_x^ax then grad_xi^axi of op, for one multi-index alone."""
     out = op
     for _ in range(ax):
         out = quantum_gradient_x(out)
@@ -218,10 +234,18 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
     """
     if k > 2:
         raise ConfigurationError("quantum Sobolev norms support k <= 2")
+    tol = WRAP_GUARD_TOL if wrap_tol is None else wrap_tol
+    # each multi-index (ax, axi), x-gradients first, extends a shared prefix
     terms = []
-    for ax, axi in _gradient_multiindices(k):
-        gop = apply_quantum_gradients(op, ax, axi, wrap_tol=wrap_tol)
-        terms.append(weighted_schatten_norm(gop, p, n))
+    grad_x = op
+    for ax in range(k + 1):
+        gop = grad_x
+        for axi in range(k + 1 - ax):
+            if axi:
+                gop = quantum_gradient_xi(gop, tol)
+            terms.append(weighted_schatten_norm(gop, p, n))
+        if ax < k:
+            grad_x = quantum_gradient_x(grad_x)
     if math.isinf(p):
         return float(max(terms))
     return float(np.sum(np.array(terms) ** p) ** (1.0 / p))

@@ -16,17 +16,22 @@ def modes(N: int) -> np.ndarray:
     return np.fft.fftfreq(N, d=1.0 / N)
 
 
+def derivative_multiplier(N: int, L: float, order: int) -> np.ndarray:
+    """Fourier multiplier (2 pi i a / L)^order of the spectral derivative, in
+    fft order; odd orders zero the Nyquist mode, even orders are real."""
+    mult = (2j * np.pi * modes(N) / L) ** order
+    if order % 2 == 1:
+        mult[N // 2] = 0.0
+        return mult
+    return mult.real.astype(complex)
+
+
 def derivative(values: np.ndarray, L: float, axis: int, order: int = 1) -> np.ndarray:
     """Spectral derivative along one axis of periodic samples."""
     N = values.shape[axis]
-    a = modes(N)
-    mult = (2j * np.pi * a / L) ** order
-    if order % 2 == 1:
-        mult[N // 2] = 0.0
-    else:
-        mult = mult.real.astype(complex)
     shape = [1] * values.ndim
     shape[axis] = N
+    mult = derivative_multiplier(N, L, order)
     out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
     if not np.iscomplexobj(values):
         return out.real
@@ -83,8 +88,10 @@ def shift(values: np.ndarray, L: float, s, axis: int) -> np.ndarray:
     return apply_shift(values, shift_phase(values.shape[axis], L, s, axis), axis)
 
 
-def half_shift(values: np.ndarray, axis: int, direction: int = +1) -> np.ndarray:
-    """Evaluate the band-limited interpolant half a cell away.
+def half_shift(values: np.ndarray, axis: int, direction: int = +1,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the band-limited interpolant half a cell away, into ``out``
+    when given.
 
     direction=+1 maps samples at x_i to values at x_i + dx/2; direction=-1
     maps samples at x_i + dx/2 back to x_i. The Nyquist mode vanishes at the
@@ -97,7 +104,7 @@ def half_shift(values: np.ndarray, axis: int, direction: int = +1) -> np.ndarray
     phase[N // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = N
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * phase.reshape(shape), axis=axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * phase.reshape(shape), axis=axis, out=out)
 
 
 def fourier_multiplier(values: np.ndarray, mult: np.ndarray, axis: int) -> np.ndarray:

@@ -92,10 +92,6 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
                         lambda: lebesgue_norm(f1_0 - f2_0, 1))
 
 
-def _sqrt_series(traj) -> list[DensityOperator]:
-    return [operator_sqrt(op) for op in traj.snapshots]
-
-
 def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
                                  T: float, dt: float, sign: int = 1,
                                  snapshot_stride: int = 5,
@@ -105,11 +101,14 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     for op in (op1_0, op2_0):
         if not op.check_positive(1e-8):
             raise ConfigurationError("twin experiment needs positive initial operators")
-    tr1 = evolve_hartree(op1_0, T, dt, sign, snapshot_stride=snapshot_stride)
-    tr2 = evolve_hartree(op2_0, T, dt, sign, snapshot_stride=snapshot_stride)
+    # each flow carries the square root of its datum, taken once at t = 0
+    tr1 = evolve_hartree(op1_0, T, dt, sign, snapshot_stride=snapshot_stride,
+                         root=operator_sqrt(op1_0))
+    tr2 = evolve_hartree(op2_0, T, dt, sign, snapshot_stride=snapshot_stride,
+                         root=operator_sqrt(op2_0))
     C_inf = max(schatten_norm(op1_0, np.inf), schatten_norm(op2_0, np.inf))
-    v1 = _sqrt_series(tr1)
-    v2 = _sqrt_series(tr2)
+    v1 = tr1.root_snapshots
+    v2 = tr2.root_snapshots
     times = np.asarray(tr1.snapshot_times)
     left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, v2)])
     left_l2 = np.array([schatten_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)])

@@ -174,18 +174,28 @@ class DynamicsBundle:
         return [by_time[t] for t in self.vlasov.snapshot_times]
 
     @cached_property
+    def weyl_ends(self) -> tuple:
+        """(op_{f0}, op_{f(T)}): the Weyl quantizations of the first and last
+        Vlasov snapshots, which the headline and weyl_terms both read.
+        weyl_terms, the later reader in PROBE_TABLE order, releases them."""
+        return weyl_quantize(self.f0), weyl_quantize(self.vlasov.final())
+
+    @cached_property
     def weyl_terms(self) -> list[tuple]:
         """Per Vlasov snapshot f, with op_f = weyl_quantize(f) and op_til the
         linear Hartree snapshot: (||op_til - op_f||_L2, the density of op_f,
         ||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}).
 
-        op_f itself is not kept: holding every snapshot's operator until the
-        member ends would raise its peak memory by about 9 MiB at N=256.
+        op_f is not kept: holding every snapshot's operator until the member
+        ends would raise its peak memory by about 9 MiB at N=256, and even the
+        two weyl_ends by about 2 MiB, so they are released here.
         """
         out = []
-        for f, op_til, snap in zip(self.vlasov.snapshots, self.linear.snapshots,
-                                   self.snapshot_fields):
-            op_f = weyl_quantize(f)
+        ends = {0: self.weyl_ends[0], len(self.vlasov.snapshots) - 1: self.weyl_ends[1]}
+        del self.weyl_ends
+        for i, (f, op_til, snap) in enumerate(zip(self.vlasov.snapshots, self.linear.snapshots,
+                                                  self.snapshot_fields)):
+            op_f = ends[i] if i in ends else weyl_quantize(f)
             out.append((schatten_norm(op_til - op_f, 2), spatial_density(op_f).real,
                         spatial_sobolev_norm(snap.rho, self.grid.L_x, 1, np.inf)
                         * quantum_sobolev_norm(op_f, 2, 2, 2)))
@@ -218,7 +228,7 @@ def headline_metric(b: DynamicsBundle) -> dict:
     fT = b.vlasov.final()
     opT = b.hartree.final()
     tilT = b.linear.final()
-    opfT = weyl_quantize(fT)
+    op_f0, opfT = b.weyl_ends
     wT = wigner_transform(opT)
     diff = wT.values - fT.values
     err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell))
@@ -230,7 +240,7 @@ def headline_metric(b: DynamicsBundle) -> dict:
         "err_weyl": schatten_norm(opT - opfT, 2),
         "gap_nonlinear": schatten_norm(opT - tilT, 2),
         "gap_positivity": schatten_norm(tilT - opfT, 2),
-        "init_gap": schatten_norm(b.op0 - weyl_quantize(b.f0), 2),
+        "init_gap": schatten_norm(b.op0 - op_f0, 2),
         "checklist": checklist,
         "mass_drift": b.vlasov.relative_drift("mass"),
         "trace_drift": b.hartree.relative_drift("trace"),

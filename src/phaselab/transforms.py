@@ -17,6 +17,8 @@ test fields therefore round-trip to machine precision.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import IncompatibleGridError
@@ -24,73 +26,66 @@ from .grids import PhaseField, PhaseGrid
 from .operators import DensityOperator
 from .spectral import half_shift
 
-_index_cache: dict[int, dict] = {}
-
-
+@lru_cache(maxsize=1)
 def _chord_indices(N: int) -> dict:
-    """Precompute gather indices for kernel assembly/disassembly at size N."""
-    if N in _index_cache:
-        return _index_cache[N]
+    """Flat gather tables for kernel assembly/disassembly at size N.
+
+    Only the last size is held: a sweep member works on one grid at a time,
+    and each table is an N x N index array.
+    """
     i = np.arange(N)[:, None]
     j = np.arange(N)[None, :]
     c = ((i - j + N // 2) % N) - N // 2          # minimal-image chord in [-N/2, N/2)
     col = c % N                                   # chord column in B
-    even = (c % 2) == 0
-    anti = c == -N // 2
-    row_even = (i - (c >> 1)) % N                 # u/2 with u = 2i - c, c even
-    row_odd = (i - ((c + 1) >> 1)) % N            # (u-1)/2 with u = 2i - c, c odd
+    odd = c % 2
+    # K[i, j] = D[u, c] with u = 2i - c: even chords read B at row u/2, odd
+    # chords read Bmid, stacked below B, at row (u - 1)/2
+    row = (i - ((c + odd) >> 1)) % N
+    weyl_flat = (row + N * odd) * N + col
+    # the antipodal chord c = -N/2 sits at j = i + N/2; it averages the two
+    # midpoint images u = 2i -+ N/2, primal rows when N/2 is even, else
+    # half-lattice rows (u - 1)/2
     half = N // 2
-    if half % 2 == 0:
-        anti_a = (i - half // 2) % N              # u = 2i - N/2 -> primal index
-        anti_b = (i + half // 2) % N              # u = 2i + N/2
-        anti_odd = False
-    else:
-        anti_a = (i - (half + 1) // 2) % N        # (u-1)/2 for u = 2i - N/2 (odd)
-        anti_b = (i + (half - 1) // 2) % N        # (u-1)/2 for u = 2i + N/2
-        anti_odd = True
-    # diagonal gather: Dmat[i0, col] = K[R[i0, col], C[i0, col]] walks the
-    # chord-c circulant diagonal; for even c the samples sit at integer
-    # midpoints i0 dx, for odd c at (i0 + 1/2) dx
-    i0 = np.arange(N)[:, None]
-    cc = ((np.arange(N)[None, :] + N // 2) % N) - N // 2   # chord per column
-    ceven = (cc % 2) == 0
-    R = np.where(ceven, (i0 + (cc >> 1)) % N, (i0 + ((cc + 1) >> 1)) % N)
-    C = np.where(ceven, (i0 - (cc >> 1)) % N, (i0 + ((1 - cc) >> 1)) % N)
-    cache = dict(c=c, col=col, even=even, anti=anti,
-                 row_even=row_even, row_odd=row_odd,
-                 anti_a=np.broadcast_to(anti_a, (N, N)),
-                 anti_b=np.broadcast_to(anti_b, (N, N)), anti_odd=anti_odd,
-                 diag_R=R, diag_C=C, col_even=ceven[0], chord=cc[0])
-    _index_cache[N] = cache
-    return cache
+    h_odd = half % 2
+    r = np.arange(N)
+    anti_pos = r * N + (r + half) % N
+    anti_src = (np.stack([(r - (half + h_odd) // 2) % N, (r + (half - h_odd) // 2) % N])
+                + N * h_odd) * N + half
+    # diagonal gather: Dmat[i0, col] = K.flat[diag_flat[i0, col]] walks the
+    # chord-cc circulant diagonal; for even cc the samples sit at integer
+    # midpoints i0 dx, for odd cc at (i0 + 1/2) dx
+    cc = ((j + N // 2) % N) - N // 2               # chord per column
+    codd = cc % 2
+    diag_flat = ((i + ((cc + codd) >> 1)) % N) * N + (i - ((cc - codd) >> 1)) % N
+    # kernel entries within one cell of the antipodal cut, for the wrap guard
+    wrap_band = np.flatnonzero(np.abs(np.abs(c) - half) <= 1)
+    tables = dict(c=c, col=col, weyl_flat=weyl_flat, anti_pos=anti_pos, anti_src=anti_src,
+                  diag_flat=diag_flat, col_even=codd[0] == 0, wrap_band=wrap_band)
+    for a in tables.values():
+        a.flags.writeable = False
+    return tables
 
 
-def _chord_slices(f_values: np.ndarray, grid: PhaseGrid):
-    """Momentum-FFT of the symbol: B[i, m] = (1/L) sum_k f[i,k] e^{2 pi i k m / N}."""
+def _chord_slices(f_values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Momentum-FFT of the symbol, B[i, m] = (1/L) sum_k f[i,k] e^{2 pi i k m / N},
+    in rows 0..N-1, over its half-lattice interpolant Bmid in rows N..2N-1."""
     N = grid.N
-    B = np.fft.ifft(np.fft.ifftshift(f_values.astype(complex), axes=1), axis=1) * (N / grid.L_x)
-    Bmid = half_shift(B, axis=0, direction=+1)
-    return B, Bmid
+    S = np.empty((2 * N, N), dtype=complex)
+    B = S[:N]
+    np.multiply(np.fft.ifft(np.fft.ifftshift(f_values, axes=1), axis=1), N / grid.L_x, out=B)
+    half_shift(B, axis=0, direction=+1, out=S[N:])
+    return S
 
 
 def weyl_quantize(f: PhaseField) -> DensityOperator:
     """Weyl quantization: kernel op_f(x, y) from the midpoint-Fourier formula."""
     grid = f.grid
-    N = grid.N
-    idx = _chord_indices(N)
-    B, Bmid = _chord_slices(f.values, grid)
-    rows = np.where(idx["even"], idx["row_even"], idx["row_odd"])
-    src = np.where(idx["even"], B[rows, idx["col"]], Bmid[rows, idx["col"]])
-    K = np.asarray(src)
+    idx = _chord_indices(grid.N)
+    S = _chord_slices(f.values, grid)
+    K = S.take(idx["weyl_flat"])
     # antipodal chord: average the two equally short midpoint images
-    anti = idx["anti"]
-    if idx["anti_odd"]:
-        va = Bmid[idx["anti_a"], idx["col"]]
-        vb = Bmid[idx["anti_b"], idx["col"]]
-    else:
-        va = B[idx["anti_a"], idx["col"]]
-        vb = B[idx["anti_b"], idx["col"]]
-    K = np.where(anti, 0.5 * (va + vb), K)
+    va, vb = S.take(idx["anti_src"])
+    K.put(idx["anti_pos"], 0.5 * (va + vb))
     op = DensityOperator(grid, K)
     op.hermitian = bool(f.real)  # real symbols quantize to Hermitian kernels
     return op
@@ -103,15 +98,13 @@ def chord_matrix(op: DensityOperator) -> np.ndarray:
     sampled along its midpoint (integer midpoints for even c, half-integer
     for odd c).
     """
-    idx = _chord_indices(op.grid.N)
-    return op.kernel[idx["diag_R"], idx["diag_C"]]
+    return np.take(op.kernel, _chord_indices(op.grid.N)["diag_flat"])
 
 
 def scatter_chords(grid: PhaseGrid, Dmat: np.ndarray) -> np.ndarray:
     """Inverse of chord_matrix: rebuild the kernel from its diagonals."""
-    idx = _chord_indices(grid.N)
     K = np.empty((grid.N, grid.N), dtype=complex)
-    K[idx["diag_R"], idx["diag_C"]] = Dmat
+    K.put(_chord_indices(grid.N)["diag_flat"], Dmat)
     return K
 
 

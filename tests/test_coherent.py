@@ -177,3 +177,21 @@ class TestWick:
         op = wick_quantize(f)
         for p in (1, 2, np.inf):
             assert schatten_norm(op, p) <= lebesgue_norm(f, p) * (1 + 1e-10)
+
+
+class TestHusimiRoutes:
+    def test_real_route_matches_complex_route(self, grid64, rng):
+        f = PhaseField(grid64, band_limited_field(64, rng, max_mode=16))
+        real = husimi_convolve(f)
+        # an explicit kernel takes the complex fft2 route
+        full = husimi_convolve(f, kernel=gaussian_phase_kernel(grid64))
+        assert real.real and real.values.dtype == np.float64
+        scale = np.max(np.abs(full.values))
+        assert np.max(np.abs(real.values - full.values)) <= 1e-14 * scale
+
+    def test_unresolved_grid_raises_every_time(self):
+        coarse = make_grid(1, 8, 2 * np.pi, 32 * np.pi)   # dxi >> sqrt(hbar)
+        f = PhaseField(coarse, np.ones((8, 8)))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                husimi_convolve(f)

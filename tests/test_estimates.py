@@ -10,7 +10,7 @@ from phaselab.budgets import (
     sqrt_field,
 )
 from phaselab.calculus import quantum_gradient_xi
-from phaselab.coherent import wick_quantize
+from phaselab.coherent import wick_quantize, wick_square_datum
 from phaselab.norms import lebesgue_norm, weighted_schatten_norms
 from phaselab.operators import DensityOperator
 from phaselab.reports import ProbeReport, fit_loglog
@@ -139,6 +139,17 @@ class TestStability:
         op.positive = True
         rep = quantum_stability_experiment(op, op, T=0.1, dt=grid32.hbar / 10, sign=1)
         assert rep.passed
+
+    def test_twin_quantum_roots_ride_the_flows(self, grid32, monkeypatch):
+        """One eigh per twin at t = 0; the flows carry the square roots."""
+        f0 = sample_field(grid32, PROFILE)
+        vt, op = wick_square_datum(f0)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        rep = quantum_stability_experiment(op, op, T=0.2, dt=grid32.hbar / 10, sign=1)
+        assert len(calls) == 2
+        assert len(rep.details["times"]) > 2
 
     def test_translated_quantum_under_envelope(self):
         grid = make_grid(1, 48, 2 * np.pi, 2 * np.pi)

@@ -167,6 +167,33 @@ class TestQuantumSobolev:
         assert weighted_schatten_norm(op, 2, 0) == pytest.approx(
             schatten_norm(op, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_shared_prefixes_match_per_index_gradients(self, grid64, rng, n):
+        from phaselab.calculus import momentum_weight_apply
+        from phaselab.norms import apply_quantum_gradients
+
+        op = weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=10)))
+        terms = []
+        for ax, axi in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]:
+            gop = apply_quantum_gradients(op, ax, axi)
+            if n:
+                gop = momentum_weight_apply(gop, n, side="right")
+            terms.append(schatten_norm(gop, 2))
+        oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
+        value = quantum_sobolev_norm(op, 2, 2, n)
+        if n == 0:
+            assert value == oracle
+        else:
+            assert abs(value - oracle) <= 1e-13 * oracle
+
+    def test_antipodal_mass_trips_the_wrap_guard(self, grid32):
+        from phaselab.errors import WrapAmbiguityError
+
+        K = np.eye(32, dtype=complex)
+        K[0, 16] = K[16, 0] = 1.0          # chord |x - y| = L_x / 2
+        with pytest.raises(WrapAmbiguityError):
+            quantum_sobolev_norm(DensityOperator(grid32, K, hermitian=True), 2, 2, 2)
+
     def test_powers_stormer(self, grid32, rng):
         # ||sqrt(A) - sqrt(B)||_L2^2 <= ||A - B||_L1 on random positive pairs
         from phaselab.stability import powers_stormer_check
@@ -188,3 +215,34 @@ def test_h_half_between_l2_and_h1(grid64, rng):
     h1 = weighted_sobolev_norm(f, 1, 2, 0)
     hh = h_half_norm(f)
     assert l2 <= hh <= h1 * (1 + 1e-12)
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+def _count_ffts(monkeypatch):
+    calls = []
+    for name in FFT_NAMES:
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_quantum_sobolev_fft_count(grid64, rng, monkeypatch):
+    """k = 2: two x-gradients (an FFT pair each) on the shared prefixes, and
+    one axis-1 FFT per weighted Hilbert-Schmidt norm of the six multi-indices."""
+    op = weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=10)))
+    calls = _count_ffts(monkeypatch)
+    quantum_sobolev_norm(op, 2, 2, 2)
+    assert len(calls) == 10
+
+
+def test_weighted_sobolev_fft_count(grid64, rng, monkeypatch):
+    """One forward real 2-d transform, then one inverse per |alpha| <= 4."""
+    f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10))
+    calls = _count_ffts(monkeypatch)
+    weighted_sobolev_norms(f, 4, (np.inf, 2), 4)
+    assert len(calls) == 16

@@ -204,6 +204,22 @@ def test_sqrt_comparison_dense_kernel_count(monkeypatch):
     assert calls == {"eigh": 2, "svd": 0}
 
 
+def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):
+    """With the headline and a series probe on one grid, f0 and f(T) are
+    quantized once each, and the headline reads the same bits as alone."""
+    from phaselab import sweeps
+
+    args = dict(N=64, profile=PROFILE, T=0.5)
+    alone = grid_member(dict(args, probes=("convergence",)))
+    calls = []
+    quantize = sweeps.weyl_quantize
+    monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
+    both = grid_member(dict(args, probes=("convergence", "positivity_defect")))
+    # one per Vlasov snapshot: t = 0, every sixth of the 50 steps, and T
+    assert len(calls) == 10
+    assert both["convergence"] == alone["convergence"]
+
+
 @pytest.mark.parametrize("sweep", [weight_remainder_sweep, init_diff_sweep])
 def test_static_sweeps_honour_jobs(sweep, monkeypatch):
     from phaselab import sweeps

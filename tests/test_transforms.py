@@ -147,3 +147,84 @@ def test_positivity_check_idempotent(grid32, rng):
     assert ev[0] >= -1e-10 * ev[-1]
     neg = DensityOperator(grid32, -pos.kernel, hermitian=True)
     assert not neg.check_positive()
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness of the flat chord gathers against the 2-d fancy-index tables
+
+
+def _oracle_tables(N):
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    c = ((i - j + N // 2) % N) - N // 2
+    half = N // 2
+    if half % 2 == 0:
+        anti_a, anti_b, anti_odd = (i - half // 2) % N, (i + half // 2) % N, False
+    else:
+        anti_a, anti_b, anti_odd = (i - (half + 1) // 2) % N, (i + (half - 1) // 2) % N, True
+    cc = ((j + N // 2) % N) - N // 2
+    ceven = (cc % 2) == 0
+    return dict(
+        col=c % N, even=(c % 2) == 0, anti=c == -N // 2,
+        row_even=(i - (c >> 1)) % N, row_odd=(i - ((c + 1) >> 1)) % N,
+        anti_a=np.broadcast_to(anti_a, (N, N)), anti_b=np.broadcast_to(anti_b, (N, N)),
+        anti_odd=anti_odd,
+        diag_R=np.where(ceven, (i + (cc >> 1)) % N, (i + ((cc + 1) >> 1)) % N),
+        diag_C=np.where(ceven, (i - (cc >> 1)) % N, (i + ((1 - cc) >> 1)) % N),
+        col_even=ceven[0])
+
+
+def _oracle_weyl(f):
+    from phaselab.spectral import half_shift
+
+    grid = f.grid
+    N = grid.N
+    idx = _oracle_tables(N)
+    B = np.fft.ifft(np.fft.ifftshift(f.values.astype(complex), axes=1), axis=1) * (N / grid.L_x)
+    Bmid = half_shift(B, axis=0, direction=+1)
+    rows = np.where(idx["even"], idx["row_even"], idx["row_odd"])
+    K = np.where(idx["even"], B[rows, idx["col"]], Bmid[rows, idx["col"]])
+    src = Bmid if idx["anti_odd"] else B
+    va = src[idx["anti_a"], idx["col"]]
+    vb = src[idx["anti_b"], idx["col"]]
+    return np.where(idx["anti"], 0.5 * (va + vb), K)
+
+
+def _oracle_chord_matrix(K):
+    idx = _oracle_tables(K.shape[0])
+    return K[idx["diag_R"], idx["diag_C"]]
+
+
+def _oracle_scatter(Dmat):
+    N = Dmat.shape[0]
+    idx = _oracle_tables(N)
+    K = np.empty((N, N), dtype=complex)
+    K[idx["diag_R"], idx["diag_C"]] = Dmat
+    return K
+
+
+def _oracle_wigner(op):
+    from phaselab.spectral import half_shift
+
+    B = _oracle_chord_matrix(op.kernel)
+    odd = ~_oracle_tables(op.grid.N)["col_even"]
+    B[:, odd] = half_shift(B[:, odd], axis=0, direction=-1)
+    return np.fft.fftshift(np.fft.fft(B, axis=1), axes=(1,)) * op.grid.dx
+
+
+@pytest.mark.parametrize("N", [10, 64])   # N/2 odd takes the half-lattice antipodal path
+@pytest.mark.parametrize("real", [True, False])
+def test_flat_gathers_match_fancy_index_oracles(N, real, rng):
+    from phaselab.transforms import chord_matrix, scatter_chords
+
+    grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+    # full-band data: the Nyquist modes and the antipodal chord carry mass
+    f = PhaseField(grid, band_limited_field(N, rng, max_mode=N // 2, real=real), real=real)
+    op = weyl_quantize(f)
+    assert np.array_equal(op.kernel, _oracle_weyl(f))
+    D = chord_matrix(op)
+    assert np.array_equal(D, _oracle_chord_matrix(op.kernel))
+    assert np.array_equal(scatter_chords(grid, D), _oracle_scatter(D))
+    assert np.array_equal(scatter_chords(grid, D), op.kernel)
+    assert np.array_equal(wigner_transform(op).values, _oracle_wigner(op).real if real
+                          else _oracle_wigner(op))
