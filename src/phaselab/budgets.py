@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import quantum_gradient_xi, spatial_density
+from .calculus import quantum_gradient_xi
 from .errors import ConfigurationError
 from .grids import PhaseField
 from .norms import (
@@ -64,8 +64,7 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
     times = np.asarray(f2_traj.snapshot_times)
     lam = np.empty(len(times))
     piece_mixed, piece_lorentz = [], []
-    field_by_time = {snap.time: snap for snap in f2_traj.fields}
-    for idx, (t, f2) in enumerate(zip(times, f2_traj.snapshots)):
+    for idx, (f2, snap) in enumerate(zip(f2_traj.snapshots, f2_traj.snapshot_fields())):
         g = f2.grid
         v2 = sqrt_field(f2)
         grad = derivative(v2.values.astype(complex), g.L_xi, axis=1).real
@@ -73,7 +72,7 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
         m32 = mixed_norm(gfield, 3, 2)
         w = np.sum(np.abs(grad), axis=1) * g.dxi**g.d
         l31 = lorentz_norm(w, g.dx**g.d, 3, 1)
-        rho_inf = float(np.max(np.abs(field_by_time[t].rho)))
+        rho_inf = float(np.max(np.abs(snap.rho)))
         lam[idx] = np.sqrt(rho_inf) * m32 + np.sqrt(C_inf) * l31
         piece_mixed.append(m32)
         piece_lorentz.append(l31)
@@ -113,29 +112,28 @@ def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[floa
                           extras={"w12": w12s, "weighted_n": weighted, "n": n, "eps": eps})
 
 
-def fit_c_star(times, left, Lambda, floor: float = 0.0) -> float:
+def fit_c_star(times, left, Lambda) -> float:
     """Effective Gronwall constant calibrated on the earliest usable interval.
 
     Uses the first time where both the left side and Lambda have moved;
-    frozen afterwards so envelopes are not self-fulfilling.
+    frozen afterwards so envelopes are not self-fulfilling. Never negative.
     """
     left = np.asarray(left)
     Lambda = np.asarray(Lambda)
     if left[0] <= 0:
-        return floor
+        return 0.0
     for n in range(1, len(times)):
         if Lambda[n] > 0 and left[n] > 0:
-            c = float(np.log(left[n] / left[0]) / Lambda[n])
-            return max(c, floor)
-    return floor
+            return max(float(np.log(left[n] / left[0]) / Lambda[n]), 0.0)
+    return 0.0
 
 
-def fit_c_star_window(times, left, Lambda, frac: float = 0.5, floor: float = 0.0) -> float:
-    """Effective Gronwall constant from the early part of the horizon.
+def fit_c_star_window(times, left, Lambda) -> float:
+    """Effective Gronwall constant from the first half of the horizon.
 
     Takes the largest implied rate log(left/left0)/Lambda over times in
-    [0, frac * T] and freezes it; the envelope is then genuinely tested by
-    the later (uncalibrated) times. Robust against the quadratic-in-time
+    [0, T / 2], never below 0, and freezes it; the envelope is then genuinely
+    tested by the later (uncalibrated) times. Robust against the quadratic-in-time
     transients of symmetric twin data, for which the single-first-interval
     rate systematically underestimates the saturated growth rate.
     """
@@ -143,9 +141,9 @@ def fit_c_star_window(times, left, Lambda, frac: float = 0.5, floor: float = 0.0
     left = np.asarray(left)
     Lambda = np.asarray(Lambda)
     if left[0] <= 0 or len(times) < 2:
-        return floor
-    t_cal = times[0] + frac * (times[-1] - times[0])
-    best = floor
+        return 0.0
+    t_cal = times[0] + 0.5 * (times[-1] - times[0])
+    best = 0.0
     for n in range(1, len(times)):
         if times[n] > t_cal:
             break
@@ -155,12 +153,6 @@ def fit_c_star_window(times, left, Lambda, frac: float = 0.5, floor: float = 0.0
 
 
 def rho_sup_series(traj: Trajectory) -> list[float]:
-    """Sup norms of the spatial density at the snapshot times of a trajectory."""
-    by_time = {snap.time: snap for snap in traj.fields}
-    out = []
-    for t, s in zip(traj.snapshot_times, traj.snapshots):
-        if traj.kind == "field":
-            out.append(float(np.max(np.abs(by_time[t].rho))))
-        else:
-            out.append(float(np.max(np.abs(spatial_density(s)))))
-    return out
+    """Sup norms of the spatial density at the snapshot times of a flow that
+    records its field history (Vlasov or nonlinear Hartree)."""
+    return [float(np.max(np.abs(snap.rho))) for snap in traj.snapshot_fields()]

@@ -45,6 +45,17 @@ def wrap_mass(op: DensityOperator) -> float:
     return float(np.sum(a.take(_chord_indices(op.grid.N)["wrap_band"])) / total)
 
 
+def require_unwrapped(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL):
+    """The wrap guard of every minimal-image chord product: raise when the
+    kernel carries more than ``wrap_tol`` of its mass near the antipodal cut,
+    where the shortest chord is ambiguous."""
+    wm = wrap_mass(op)
+    if wm > wrap_tol:
+        raise WrapAmbiguityError(
+            f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
+        )
+
+
 @lru_cache(maxsize=1)
 def _chord_multiplier(grid: PhaseGrid) -> np.ndarray:
     """(x - y) / (i hbar) on the minimal-image chord; one grid is held."""
@@ -60,13 +71,8 @@ def quantum_gradient_xi(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL) -
     periodic representative; kernels carrying mass near the |x - y| = L_x/2
     cut are ambiguous and rejected.
     """
-    g = op.grid
-    wm = wrap_mass(op)
-    if wm > wrap_tol:
-        raise WrapAmbiguityError(
-            f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
-        )
-    return DensityOperator(g, _chord_multiplier(g) * op.kernel, hermitian=False)
+    require_unwrapped(op, wrap_tol)
+    return DensityOperator(op.grid, _chord_multiplier(op.grid) * op.kernel, hermitian=False)
 
 
 def momentum_weight_multiplier(grid: PhaseGrid, n: int) -> np.ndarray:

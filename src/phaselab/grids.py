@@ -165,9 +165,9 @@ def _check_same_grid(a, b):
 # named analytic profiles
 
 
-def _wrapped_offsets(coord: np.ndarray, center: float, period: float, images: int = 3):
-    """Offsets coord - center summed over periodic images (for smooth wrapping)."""
-    return [coord - center + n * period for n in range(-images, images + 1)]
+def _wrapped_offsets(coord: np.ndarray, center: float, period: float):
+    """Offsets coord - center over the periodic images -3..3 (for smooth wrapping)."""
+    return [coord - center + n * period for n in range(-3, 4)]
 
 
 def _profile_values(grid: PhaseGrid, name: str, params: dict) -> np.ndarray:

@@ -11,9 +11,12 @@ kinetic conjugation takes four N x N FFT passes and the predictor two; the
 kinetic-energy log takes none. Trace, Hilbert-Schmidt norm, Hermiticity,
 positivity and the full spectrum are exact invariants of the conjugation.
 
-The step unitary depends only on the density of the evolved operator, so
+The nonlinear and the linear flow share one step loop and differ only in
+the potential of each step and the field of the energy log. The step unitary
+depends at most on the density of the evolved operator, so
 U sqrt(op) U* = sqrt(U op U*): a companion kernel conjugated by the same
-factors carries the square root along the flow without an eigendecomposition.
+factors carries the square root along either flow without an
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import ConfigurationError
 from .grids import PhaseGrid
 from .operators import DensityOperator
 from .poisson import solve_poisson
-from .trajectory import FieldSnapshot, Trajectory, resolve_steps
+from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
 from .transforms import _chord_indices
 
 
@@ -74,30 +77,15 @@ def _free_step_density(K: np.ndarray, grid: PhaseGrid, phase: np.ndarray,
     return np.einsum("ij,ij->i", UK, circulant).real * grid.h**grid.d
 
 
-def _operator_logs(traj: Trajectory, t: float, op: DensityOperator, rho: np.ndarray,
-                   snap: FieldSnapshot, log_spectrum: bool):
-    """Log trace, Hilbert-Schmidt norm and energy; ``rho`` is op's density and
-    ``snap`` the field whose potential enters the energy."""
-    g = op.grid
-    K = op.kernel
-    traj.add_time(t)
-    traj.log("trace", float(op.trace().real))
-    hs = np.sqrt(np.einsum("ij,ij->", K.real, K.real)
-                 + np.einsum("ij,ij->", K.imag, K.imag)) * g.dx**g.d
-    traj.log("l2_norm", float(g.h ** (g.d / 2.0) * hs))
-    potential = 0.5 * float(np.sum(rho * snap.V) * g.dx**g.d)
-    traj.log("energy", kinetic_energy(op) + potential)
-    if log_spectrum:
-        ev = op.eigenvalues()
-        traj.log("min_eigenvalue", float(ev[0]))
+def _evolve(op0: DensityOperator, steps: int, dt: float, potential, field,
+            snapshot_stride: int | None, log_spectrum: bool,
+            root: DensityOperator | None) -> Trajectory:
+    """The operator step loop both Hartree flows share: step, log trace,
+    Hilbert-Schmidt norm and energy, store the due snapshots.
 
-
-def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
-                   snapshot_stride: int | None = None,
-                   log_spectrum: bool = False,
-                   root: DensityOperator | None = None) -> Trajectory:
-    """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op].
-
+    ``potential(n, K)`` is the potential of step n, from t_n to t_n + dt,
+    given the kernel K at t_n; ``field(n, rho)`` is the field at step time
+    t_n whose potential enters the energy, given the density there.
     ``root``, a Hermitian square root of op0, is conjugated by the same step
     unitaries as op0; its snapshots go to ``root_snapshots``, taken at the
     ``snapshot_times``. The op0 kernel evolves bit-identically either way.
@@ -107,56 +95,77 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
     if root is not None and not root.hermitian and not root.check_hermitian(1e-10):
         raise ConfigurationError("the carried square root must be Hermitian")
     g = op0.grid
-    steps, dt = resolve_steps(T, dt)
     traj = Trajectory(kind="operator", dt=dt)
-    K = op0.kernel.astype(complex).copy()
-    R = None if root is None else root.kernel.astype(complex).copy()
+    K = op0.kernel.astype(complex)
+    R = None if root is None else root.kernel.astype(complex)
+    full_kin = _kinetic_phase(g, dt)
+    for n in range(steps + 1):
+        if n > 0:
+            V = potential(n - 1, K)
+            K = _split_step(K, g, V, dt, full_kin)
+            if R is not None:
+                R = _split_step(R, g, V, dt, full_kin)
+        t = n * dt
+        op = DensityOperator(g, K, hermitian=True, positive=op0.positive)
+        rho = spatial_density(op)
+        traj.add_time(t)
+        traj.log("trace", float(op.trace().real))
+        hs = np.sqrt(np.einsum("ij,ij->", K.real, K.real)
+                     + np.einsum("ij,ij->", K.imag, K.imag)) * g.dx**g.d
+        traj.log("l2_norm", float(g.h ** (g.d / 2.0) * hs))
+        potential_energy = 0.5 * float(np.sum(rho * field(n, rho).V) * g.dx**g.d)
+        traj.log("energy", kinetic_energy(op) + potential_energy)
+        if log_spectrum:
+            traj.log("min_eigenvalue", float(op.eigenvalues()[0]))
+        if snapshot_due(n, steps, snapshot_stride):
+            traj.add_snapshot(t, op)
+            if R is not None:
+                traj.root_snapshots.append(DensityOperator(g, R, hermitian=True, positive=True))
+    return traj
+
+
+def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
+                   snapshot_stride: int | None = None,
+                   log_spectrum: bool = False,
+                   root: DensityOperator | None = None) -> Trajectory:
+    """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op].
+
+    The self-consistent field at every step time goes to ``fields``. ``root``,
+    a Hermitian square root of op0, is carried to the square root of the
+    evolved operator at every snapshot (``root_snapshots``).
+    """
+    g = op0.grid
+    steps, dt = resolve_steps(T, dt)
     half_kin = _kinetic_phase(g, dt / 2.0)
     half_circ = _diagonal_circulant(half_kin)
-    full_kin = _kinetic_phase(g, dt)
+    fields = []
 
-    def record(t, Kmat):
-        op = DensityOperator(g, Kmat, hermitian=True, positive=op0.positive)
-        rho = spatial_density(op)
-        snap = solve_poisson(g, rho, sign, time=t)
-        traj.fields.append(snap)
-        _operator_logs(traj, t, op, rho, snap, log_spectrum)
-        return op
-
-    def snapshot(t, op):
-        traj.add_snapshot(t, op)
-        if R is not None:
-            traj.root_snapshots.append(DensityOperator(g, R, hermitian=True, positive=True))
-
-    snapshot(0.0, record(0.0, K))
-    for n in range(steps):
-        t_next = (n + 1) * dt
-        # predictor: the density after the free half step is the exact
-        # mid-step density for the V half step (V-conjugation preserves it)
+    def predictor(n, K):
+        # the density after the free half step is the exact mid-step density
+        # for the V half step (V-conjugation preserves it)
         rho_mid = _free_step_density(K, g, half_kin, half_circ)
-        snap_half = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
-        K = _split_step(K, g, snap_half.V, dt, full_kin)
-        if R is not None:
-            R = _split_step(R, g, snap_half.V, dt, full_kin)
-        op = record(t_next, K)
-        is_last = n == steps - 1
-        if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):
-            snapshot(t_next, op)
+        return solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2).V
+
+    def field(n, rho):
+        fields.append(solve_poisson(g, rho, sign, time=n * dt))
+        return fields[-1]
+
+    traj = _evolve(op0, steps, dt, predictor, field, snapshot_stride, log_spectrum, root)
+    traj.fields = fields
     return traj
 
 
 def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapshot],
                           T: float, dt: float,
                           snapshot_stride: int | None = None,
-                          log_spectrum: bool = False) -> Trajectory:
+                          log_spectrum: bool = False,
+                          root: DensityOperator | None = None) -> Trajectory:
     """Evolve i hbar d_t op = [H_f, op] with the frozen field history V_f(t).
 
     ``field_history`` must cover [0, T] on the same time grid; the potential
-    at half steps is the linear interpolation (V_n + V_{n+1}) / 2.
+    at half steps is the linear interpolation (V_n + V_{n+1}) / 2. ``root``
+    is carried as in evolve_hartree.
     """
-    if not op0.hermitian and not op0.check_hermitian(1e-10):
-        raise ConfigurationError("linear Hartree evolution needs a Hermitian initial operator")
-    g = op0.grid
     steps, dt = resolve_steps(T, dt)
     if len(field_history) < steps + 1:
         raise ConfigurationError(
@@ -167,26 +176,9 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
             raise ConfigurationError(
                 f"field history gap at step {n}: time {field_history[n].time} != {n * dt}"
             )
-    traj = Trajectory(kind="operator", dt=dt)
-    K = op0.kernel.astype(complex).copy()
-    full_kin = _kinetic_phase(g, dt)
-
-    def record(t, Kmat, snap):
-        op = DensityOperator(g, Kmat, hermitian=True, positive=op0.positive)
-        _operator_logs(traj, t, op, spatial_density(op), snap, log_spectrum)
-        return op
-
-    op = record(0.0, K, field_history[0])
-    traj.add_snapshot(0.0, op)
-    for n in range(steps):
-        t_next = (n + 1) * dt
-        V_half = 0.5 * (field_history[n].V + field_history[n + 1].V)
-        K = _split_step(K, g, V_half, dt, full_kin)
-        op = record(t_next, K, field_history[n + 1])
-        is_last = n == steps - 1
-        if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):
-            traj.add_snapshot(t_next, op)
-    return traj
+    return _evolve(op0, steps, dt,
+                   lambda n, K: 0.5 * (field_history[n].V + field_history[n + 1].V),
+                   lambda n, rho: field_history[n], snapshot_stride, log_spectrum, root)
 
 
 def free_schroedinger(op0: DensityOperator, t: float) -> DensityOperator:

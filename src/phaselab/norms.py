@@ -244,6 +244,7 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
             if axi:
                 gop = quantum_gradient_xi(gop, tol)
             terms.append(weighted_schatten_norm(gop, p, n))
+        del gop   # released before the next x-gradient is built: one kernel less at peak
         if ax < k:
             grad_x = quantum_gradient_x(grad_x)
     if math.isinf(p):

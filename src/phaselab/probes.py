@@ -39,8 +39,9 @@ def phase_gradient_magnitude(f: PhaseField) -> PhaseField:
     return PhaseField(g, np.sqrt(np.abs(dx_) ** 2 + np.abs(dxi) ** 2), real=True)
 
 
-def wick_square_probe(g_field: PhaseField, p_list=(1, 2, np.inf)) -> dict:
-    """Lemma on Wick squares: ||wick(g^2) - wick(g)^2||_{L^p} vs hbar ||grad g||^2_{L^{2p}}."""
+def wick_square_probe(g_field: PhaseField) -> dict:
+    """Lemma on Wick squares: ||wick(g^2) - wick(g)^2||_{L^p} vs hbar ||grad g||^2_{L^{2p}}
+    for p = 1, 2, inf."""
     grid = g_field.grid
     hbar = grid.hbar
     wg = wick_quantize(g_field)
@@ -48,7 +49,7 @@ def wick_square_probe(g_field: PhaseField, p_list=(1, 2, np.inf)) -> dict:
     diff = wg2 - (wg @ wg)
     gradmag = phase_gradient_magnitude(g_field)
     out = {"hbar": hbar}
-    for p in p_list:
+    for p in (1, 2, np.inf):
         lhs = schatten_norm(diff, p)
         two_p = np.inf if np.isinf(p) else 2 * p
         budget = hbar * lebesgue_norm(gradmag, two_p) ** 2

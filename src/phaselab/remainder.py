@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import wrap_mass, WRAP_GUARD_TOL
-from .errors import ConfigurationError, WrapAmbiguityError
+from .calculus import WRAP_GUARD_TOL, require_unwrapped
+from .errors import ConfigurationError
 from .grids import PhaseGrid
 from .norms import schatten_norm
 from .operators import DensityOperator
@@ -49,11 +49,7 @@ def b_remainder(op: DensityOperator, V: np.ndarray,
     N = g.N
     if V.shape != (N,):
         raise ConfigurationError("potential shape does not match the grid")
-    wm = wrap_mass(op)
-    if wm > wrap_tol:
-        raise WrapAmbiguityError(
-            f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
-        )
+    require_unwrapped(op, wrap_tol)
     if grad_v_half is None:
         grad_v_half = grad_on_half_lattice(g, V)
     if grad_v_half.shape != (2 * N,):

@@ -31,8 +31,9 @@ def derivative(values: np.ndarray, L: float, axis: int, order: int = 1) -> np.nd
     N = values.shape[axis]
     shape = [1] * values.ndim
     shape[axis] = N
-    mult = derivative_multiplier(N, L, order)
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
+    out = np.fft.fft(values, axis=axis)
+    out *= derivative_multiplier(N, L, order).reshape(shape)
+    np.fft.ifft(out, axis=axis, out=out)
     if not np.iscomplexobj(values):
         return out.real
     return out
@@ -104,7 +105,9 @@ def half_shift(values: np.ndarray, axis: int, direction: int = +1,
     phase[N // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = N
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * phase.reshape(shape), axis=axis, out=out)
+    spec = np.fft.fft(values, axis=axis)
+    spec *= phase.reshape(shape)
+    return np.fft.ifft(spec, axis=axis, out=spec if out is None else out)
 
 
 def fourier_multiplier(values: np.ndarray, mult: np.ndarray, axis: int) -> np.ndarray:
@@ -124,11 +127,11 @@ def random_mode_block(rng: np.random.Generator, max_mode: int, real: bool = True
     M = 2 * max_mode + 1
     c = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
     if real:
-        # Hermitian symmetry c[-a, -b] = conj(c[a, b])
-        for a in range(-max_mode, max_mode + 1):
-            for b in range(-max_mode, max_mode + 1):
-                if (a, b) > (-a, -b):
-                    c[a + max_mode, b + max_mode] = np.conj(c[-a + max_mode, -b + max_mode])
+        # Hermitian symmetry c[-a, -b] = conj(c[a, b]): the upper half, (a, b)
+        # > (-a, -b) lexicographically, mirrors the lower half
+        a = np.arange(-max_mode, max_mode + 1)
+        upper = (a[:, None] > 0) | ((a[:, None] == 0) & (a[None, :] > 0))
+        c[upper] = np.conj(c[::-1, ::-1][upper])
         c[max_mode, max_mode] = c[max_mode, max_mode].real
     return c
 
@@ -139,9 +142,8 @@ def field_from_modes(N: int, block: np.ndarray) -> np.ndarray:
     if N <= 2 * M:
         raise ValueError("grid too small for the mode block")
     spec = np.zeros((N, N), dtype=complex)
-    for a in range(-M, M + 1):
-        for b in range(-M, M + 1):
-            spec[a % N, b % N] = block[a + M, b + M]
+    bins = np.arange(-M, M + 1) % N
+    spec[np.ix_(bins, bins)] = block
     vals = np.fft.ifft2(spec) * N**2
     if np.max(np.abs(vals.imag)) < 1e-10 * max(np.max(np.abs(vals)), 1e-300):
         return vals.real

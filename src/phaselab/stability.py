@@ -32,6 +32,7 @@ from .vlasov import evolve_vlasov
 
 ENVELOPE_SLACK = 1e-9
 ENVELOPE_SLACK_FACTOR = 2.0  # same structural slack the regularity envelope uses
+TWIN_SNAPSHOT_STRIDE = 5     # every twin flow stores every fifth step
 
 
 def _twin_report(probe: str, hbar: float, times, left, left_l2, budget, C_inf: float,
@@ -68,8 +69,7 @@ def _twin_report(probe: str, hbar: float, times, left, left_l2, budget, C_inf: f
 
 
 def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
-                                   dt: float, sign: int = 1,
-                                   snapshot_stride: int = 5) -> ProbeReport:
+                                   dt: float, sign: int = 1) -> ProbeReport:
     """Twin Vlasov runs: ||sqrt(f1) - sqrt(f2)||_L2 under its Gronwall envelope.
 
     Also checks the corollary ||f1 - f2||_L2 <= 2 C_inf^(1/2)
@@ -77,8 +77,8 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
     """
     if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
         raise ConfigurationError("twin experiment needs nonnegative initial data")
-    tr1 = evolve_vlasov(f1_0, T, dt, sign, snapshot_stride=snapshot_stride)
-    tr2 = evolve_vlasov(f2_0, T, dt, sign, snapshot_stride=snapshot_stride)
+    tr1 = evolve_vlasov(f1_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
+    tr2 = evolve_vlasov(f2_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
     C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
     left = np.array([
         lebesgue_norm(sqrt_field(a) - sqrt_field(b), 2)
@@ -93,18 +93,16 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
 
 
 def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
-                                 T: float, dt: float, sign: int = 1,
-                                 snapshot_stride: int = 5,
-                                 n: int = 3, eps: float = 0.5) -> ProbeReport:
+                                 T: float, dt: float, sign: int = 1) -> ProbeReport:
     """Twin Hartree runs: ||sqrt(op1) - sqrt(op2)||_L2 under the quantum envelope,
     plus the L2-L1 corollary via Powers-Stormer."""
     for op in (op1_0, op2_0):
         if not op.check_positive(1e-8):
             raise ConfigurationError("twin experiment needs positive initial operators")
     # each flow carries the square root of its datum, taken once at t = 0
-    tr1 = evolve_hartree(op1_0, T, dt, sign, snapshot_stride=snapshot_stride,
+    tr1 = evolve_hartree(op1_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
                          root=operator_sqrt(op1_0))
-    tr2 = evolve_hartree(op2_0, T, dt, sign, snapshot_stride=snapshot_stride,
+    tr2 = evolve_hartree(op2_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
                          root=operator_sqrt(op2_0))
     C_inf = max(schatten_norm(op1_0, np.inf), schatten_norm(op2_0, np.inf))
     v1 = tr1.root_snapshots
@@ -112,7 +110,7 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     times = np.asarray(tr1.snapshot_times)
     left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, v2)])
     left_l2 = np.array([schatten_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)])
-    budget = quantum_lambda(v2, times, rho_sup_series(tr2), C_inf, n=n, eps=eps)
+    budget = quantum_lambda(v2, times, rho_sup_series(tr2), C_inf)
     # optional comparison column: H^(1/2) norm of the Wigner of grad_xi v2
     h_half = [h_half_norm(wigner_transform(op)) for op in v2[:1]]
     return _twin_report("quantum_stability", op1_0.grid.hbar, times, left, left_l2, budget,
@@ -120,9 +118,9 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
                         h_half_comparison=h_half)
 
 
-def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100,
-                         max_mode: int | None = None) -> float:
-    """Max of ||sqrt(A) - sqrt(B)||_L2^2 / ||A - B||_L1 over random positive pairs.
+def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100) -> float:
+    """Max of ||sqrt(A) - sqrt(B)||_L2^2 / ||A - B||_L1 over random positive pairs
+    A = X X*, with X band-limited to the modes |a| <= N / 3.
 
     The Powers-Stormer inequality bounds the ratio by 1.
     """
@@ -131,8 +129,8 @@ def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100,
     N = grid.N
     worst = 0.0
     for _ in range(pairs):
-        X = band_limited_field(N, rng, max_mode=max_mode or N // 3, real=False)
-        Y = band_limited_field(N, rng, max_mode=max_mode or N // 3, real=False)
+        X = band_limited_field(N, rng, max_mode=N // 3, real=False)
+        Y = band_limited_field(N, rng, max_mode=N // 3, real=False)
         A = DensityOperator(grid, X @ X.conj().T * grid.dx, hermitian=True, positive=True)
         B = DensityOperator(grid, Y @ Y.conj().T * grid.dx, hermitian=True, positive=True)
         num = schatten_norm(operator_sqrt(A) - operator_sqrt(B), 2) ** 2

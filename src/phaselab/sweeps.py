@@ -63,6 +63,10 @@ DEFAULT_N_LIST = (64, 96, 128, 192, 256)
 SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
 # the probes that read the snapshot series
 SERIES_PROBES = frozenset({"positivity_defect", "sqrt_comparison", "regularity"})
+# the probes that read the square root carried by the linear Hartree flow
+ROOT_PROBES = frozenset({"sqrt_comparison", "regularity"})
+# the probes that read a flow; a member evaluates the others first
+FLOW_PROBES = SERIES_PROBES | {"convergence"}
 BOX = 2 * math.pi        # sweeps run on the square box of side 2 pi
 # member settings a sweep need not pass; profile and T have no default
 MEMBER_DEFAULTS = {"sign": 1, "dt": None, "seed": 0, "pairs": 10, "k": 1, "q": 2, "n": 1}
@@ -157,21 +161,11 @@ class DynamicsBundle:
 
     @cached_property
     def linear(self):
-        """Linear Hartree flow of op0 in the Vlasov field history."""
+        """Linear Hartree flow of op0 in the Vlasov field history; it carries
+        the square root vt when a probe of the linear root is requested."""
+        root = self.wick_datum[0] if ROOT_PROBES & set(self.args["probes"]) else None
         return evolve_linear_hartree(self.op0, self.vlasov.fields, self.args["T"],
-                                     self.dt, snapshot_stride=self.stride)
-
-    @cached_property
-    def linear_sqrt(self):
-        """Linear Hartree flow of the square root vt in the Vlasov field history."""
-        return evolve_linear_hartree(self.wick_datum[0], self.vlasov.fields, self.args["T"],
-                                     self.dt, snapshot_stride=self.stride)
-
-    @cached_property
-    def snapshot_fields(self) -> list:
-        """The Vlasov field at each Vlasov snapshot time."""
-        by_time = {s.time: s for s in self.vlasov.fields}
-        return [by_time[t] for t in self.vlasov.snapshot_times]
+                                     self.dt, snapshot_stride=self.stride, root=root)
 
     @cached_property
     def weyl_ends(self) -> tuple:
@@ -194,8 +188,8 @@ class DynamicsBundle:
         ends = {0: self.weyl_ends[0], len(self.vlasov.snapshots) - 1: self.weyl_ends[1]}
         del self.weyl_ends
         for i, (f, op_til, snap) in enumerate(zip(self.vlasov.snapshots, self.linear.snapshots,
-                                                  self.snapshot_fields)):
-            op_f = ends[i] if i in ends else weyl_quantize(f)
+                                                  self.vlasov.snapshot_fields())):
+            op_f = ends.pop(i) if i in ends else weyl_quantize(f)
             out.append((schatten_norm(op_til - op_f, 2), spatial_density(op_f).real,
                         spatial_sobolev_norm(snap.rho, self.grid.L_x, 1, np.inf)
                         * quantum_sobolev_norm(op_f, 2, 2, 2)))
@@ -276,7 +270,7 @@ def defect_metric(b: DynamicsBundle) -> dict:
     times = np.asarray(ftraj.snapshot_times)
     left_pos, left_diag, rate = [], [], []
     for f_snap, op_til, snap, (gap, rho_f, _) in zip(ftraj.snapshots, b.linear.snapshots,
-                                                    b.snapshot_fields, b.weyl_terms):
+                                                    ftraj.snapshot_fields(), b.weyl_terms):
         left_pos.append(gap)
         rho_diff = spatial_density(op_til).real - rho_f
         left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx**grid.d, 2))
@@ -339,7 +333,7 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     routes are compared once per flow, at time T."""
     grid = b.grid
     times = np.asarray(b.hartree.snapshot_times)
-    vtil = b.linear_sqrt.snapshots
+    vtil = b.linear.root_snapshots
     left = np.array([schatten_norm(a - c, 2) for a, c in zip(b.hartree.root_snapshots, vtil)])
     C_inf = schatten_norm(b.op0, np.inf)
     budget = quantum_lambda(vtil, times, rho_sup_series(b.vlasov), C_inf)
@@ -355,7 +349,7 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
         "N": grid.N, "hbar": grid.hbar, "times": times, "left": left,
         "env0": env0, "Lambda": Lambda, "c_series": c_series,
         "sqrt_two_routes_gap": max(
-            schatten_norm(operator_sqrt(b.linear.final()) - b.linear_sqrt.final(), 2),
+            schatten_norm(operator_sqrt(b.linear.final()) - vtil[-1], 2),
             schatten_norm(operator_sqrt(b.hartree.final()) - b.hartree.root_snapshots[-1], 2)),
     }
 
@@ -391,16 +385,17 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
 
 
 def regularity_metric(b: DynamicsBundle) -> dict:
-    grid, vtraj = b.grid, b.linear_sqrt
+    """W^k(m) norms of the square root carried by the linear Hartree flow."""
+    grid = b.grid
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
     eps = 0.5
-    times = np.asarray(vtraj.snapshot_times)
+    times = np.asarray(b.linear.snapshot_times)
     norms = np.array([
         quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
-        for v in vtraj.snapshots
+        for v in b.linear.root_snapshots
     ])
     rho_rate = []
-    for snap in b.snapshot_fields:
+    for snap in b.vlasov.snapshot_fields():
         lo = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - eps)
         hi = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + eps)
         rho_rate.append(max(lo, hi))
@@ -608,9 +603,17 @@ PROBE_TABLE = {
 
 def grid_member(args: dict) -> dict:
     """Metrics of every requested probe on the grid of size N, all read from
-    one bundle."""
+    one bundle.
+
+    The static probes run first, then the flow probes, each in PROBE_TABLE
+    order whatever the requested order: the flows are not yet held while the
+    static metrics churn the heap, and weyl_terms reads weyl_ends after the
+    headline, as the release of weyl_ends assumes.
+    """
     bundle = DynamicsBundle(args)
-    return {p: PROBE_TABLE[p][0](bundle) for p in args["probes"]}
+    order = list(PROBE_TABLE)
+    probes = sorted(args["probes"], key=lambda p: (p in FLOW_PROBES, order.index(p)))
+    return {p: PROBE_TABLE[p][0](bundle) for p in probes}
 
 
 def sweep_reports(probes, N_list=DEFAULT_N_LIST, jobs: int = 1,

@@ -59,10 +59,10 @@ class Trajectory:
     def final(self):
         return self.snapshots[-1]
 
-    def drift(self, name: str) -> float:
-        """Max absolute drift of a logged quantity from its initial value."""
-        series = np.asarray(self.logs[name])
-        return float(np.max(np.abs(series - series[0])))
+    def snapshot_fields(self) -> list:
+        """The recorded field at each snapshot time."""
+        by_time = {s.time: s for s in self.fields}
+        return [by_time[t] for t in self.snapshot_times]
 
     def relative_drift(self, name: str) -> float:
         series = np.asarray(self.logs[name])
@@ -83,3 +83,10 @@ def resolve_steps(T: float, dt: float | None) -> tuple[int, float]:
         return 0, dt
     steps = max(1, round(T / dt))
     return steps, T / steps
+
+
+def snapshot_due(n: int, steps: int, stride: int | None) -> bool:
+    """Whether a flow stores its state after step n of ``steps``: always the
+    initial and final states, and every ``stride``-th step when a stride is
+    given."""
+    return n == 0 or n == steps or bool(stride and n % stride == 0)

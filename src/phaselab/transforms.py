@@ -72,7 +72,8 @@ def _chord_slices(f_values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     N = grid.N
     S = np.empty((2 * N, N), dtype=complex)
     B = S[:N]
-    np.multiply(np.fft.ifft(np.fft.ifftshift(f_values, axes=1), axis=1), N / grid.L_x, out=B)
+    np.fft.ifft(np.fft.ifftshift(f_values, axes=1), axis=1, out=B)
+    B *= N / grid.L_x
     half_shift(B, axis=0, direction=+1, out=S[N:])
     return S
 

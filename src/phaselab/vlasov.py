@@ -17,7 +17,7 @@ from .errors import SupportEscapeError
 from .grids import PhaseField
 from .poisson import solve_poisson
 from .spectral import apply_shift, shift, shift_phase
-from .trajectory import Trajectory, resolve_steps
+from .trajectory import Trajectory, resolve_steps, snapshot_due
 
 NEGATIVITY_WARN = 1e-6
 BOUNDARY_TOL = 1e-8
@@ -31,17 +31,16 @@ def _boundary_fraction(values: np.ndarray, cell: float) -> float:
     return float(edge / total)
 
 
-def _field_logs(traj: Trajectory, t: float, f: PhaseField, snap, sign: int):
+def _field_logs(traj: Trajectory, t: float, f: PhaseField, snap):
     g = f.grid
     v = f.values
-    rho = v.sum(axis=1) * g.dxi**g.d
     xi = g.xi
     mass = v.sum() * g.cell
     l1 = np.sum(np.abs(v)) * g.cell
     l2 = np.sqrt(np.sum(v * v) * g.cell)
     momentum = float((v @ xi).sum() * g.cell)
     kinetic = float((v @ (xi**2 / 2.0)).sum() * g.cell)
-    potential = 0.5 * float(np.sum(rho * snap.V) * g.dx**g.d)
+    potential = 0.5 * float(np.sum(snap.rho * snap.V) * g.dx**g.d)
     traj.add_time(t)
     traj.log("mass", mass)
     traj.log("l1_norm", l1)
@@ -71,11 +70,10 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
         rho = fv.sum(axis=1) * g.dxi**g.d
         snap = solve_poisson(g, rho, sign, time=t)
         traj.fields.append(snap)
-        _field_logs(traj, t, fld, snap, sign)
+        _field_logs(traj, t, fld, snap)
         return fld
 
-    fld = record(0.0, f)
-    traj.add_snapshot(0.0, fld)
+    traj.add_snapshot(0.0, record(0.0, f))
     transport = shift_phase(g.N, g.L_x, g.xi * (dt / 2.0), axis=0)
     for n in range(steps):
         t_next = (n + 1) * dt
@@ -94,8 +92,7 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
                 f"negative excursion {f.min():.3e} at t={t_next:.4g}"
             )
         fld = record(t_next, f)
-        is_last = n == steps - 1
-        if is_last or (snapshot_stride and (n + 1) % snapshot_stride == 0):
+        if snapshot_due(n + 1, steps, snapshot_stride):
             traj.add_snapshot(t_next, fld)
     return traj
 

@@ -56,6 +56,11 @@ class TestQuantumGradients:
         assert wrap_mass(op) > 0.9
         with pytest.raises(WrapAmbiguityError):
             quantum_gradient_xi(op)
+        # B_f takes the same minimal-image chord behind the same guard
+        from phaselab.remainder import b_remainder
+
+        with pytest.raises(WrapAmbiguityError):
+            b_remainder(op, np.zeros(32))
 
 
 class TestMomentumWeight:

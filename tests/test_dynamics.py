@@ -228,6 +228,24 @@ class TestLinearHartree:
         route_b = evolve_linear_hartree(vt, ftraj.fields, 0.2, ftraj.dt).final()
         assert schatten_norm(route_a - route_b, 2) < 1e-8
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_carried_root_matches_a_separate_flow(self, grid64, sign):
+        # the carried root takes the same step unitaries as the op0 kernel,
+        # so it is bit for bit the linear flow of vt on its own
+        vt, op0 = wick_square_datum(sample_field(grid64, PROFILE))
+        ftraj = evolve_vlasov(sample_field(grid64, PROFILE), 0.5, DEFAULT_DT, sign)
+        plain = evolve_linear_hartree(op0, ftraj.fields, 0.5, DEFAULT_DT, snapshot_stride=6)
+        carried = evolve_linear_hartree(op0, ftraj.fields, 0.5, DEFAULT_DT,
+                                        snapshot_stride=6, root=vt)
+        alone = evolve_linear_hartree(vt, ftraj.fields, 0.5, DEFAULT_DT, snapshot_stride=6)
+        assert carried.snapshot_times == plain.snapshot_times == alone.snapshot_times
+        assert len(carried.root_snapshots) == len(carried.snapshots) == 10
+        assert not plain.root_snapshots
+        for op, bare, root, ref in zip(carried.snapshots, plain.snapshots,
+                                       carried.root_snapshots, alone.snapshots):
+            assert np.array_equal(op.kernel, bare.kernel)
+            assert np.array_equal(root.kernel, ref.kernel)
+
     def test_gauge_invariance(self, grid32):
         # adding a constant to V changes no observable
         f0 = sample_field(grid32, PROFILE)
@@ -289,3 +307,18 @@ def test_default_step_headline_self_difference(sign, profile):
                              probes=["convergence"]))["convergence"]["err_wigner"]
             for dt in (None, DEFAULT_DT / 2)]
     assert abs(errs[0] - errs[1]) <= 1e-5 * errs[1]
+
+
+@pytest.mark.parametrize("stride", [6, None])
+def test_steppers_share_snapshot_times(grid32, stride):
+    """Vlasov, Hartree and linear Hartree store their states at the same times:
+    the initial and final states, and every stride-th step."""
+    f0 = sample_field(grid32, PROFILE)
+    _, op0 = wick_square_datum(f0)
+    ftraj = evolve_vlasov(f0, 0.5, DEFAULT_DT, +1, snapshot_stride=stride)
+    htraj = evolve_hartree(op0, 0.5, DEFAULT_DT, +1, snapshot_stride=stride)
+    ltraj = evolve_linear_hartree(op0, ftraj.fields, 0.5, DEFAULT_DT, snapshot_stride=stride)
+    steps = [0, 6, 12, 18, 24, 30, 36, 42, 48, 50] if stride else [0, 50]
+    assert ftraj.snapshot_times == [n * DEFAULT_DT for n in steps]
+    assert htraj.snapshot_times == ftraj.snapshot_times
+    assert ltraj.snapshot_times == ftraj.snapshot_times

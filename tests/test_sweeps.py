@@ -176,10 +176,19 @@ def _count_evolves(monkeypatch):
 
 
 def test_bundle_evolves_each_flow_once(monkeypatch):
+    # Vlasov, Hartree and linear Hartree; both Hartree flows carry the root
     trajectories = _count_evolves(monkeypatch)
     probes = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
     sweep_reports(probes, SMALL, profile=PROFILE, T=0.1)
-    assert len(trajectories) == 4 * len(SMALL)
+    assert len(trajectories) == 3 * len(SMALL)
+    assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
+
+
+def test_positivity_defect_alone_carries_no_root(monkeypatch):
+    trajectories = _count_evolves(monkeypatch)
+    grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["positivity_defect"]))
+    assert len(trajectories) == 2
+    assert not any(t.root_snapshots for t in trajectories)
 
 
 def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
@@ -218,6 +227,24 @@ def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):
     # one per Vlasov snapshot: t = 0, every sixth of the 50 steps, and T
     assert len(calls) == 10
     assert both["convergence"] == alone["convergence"]
+
+
+def test_member_order_does_not_follow_the_request(monkeypatch):
+    """Requested flow-probes-first or headline-last, a member still runs the
+    headline before weyl_terms, so f0 and f(T) are quantized once each."""
+    from phaselab import sweeps
+
+    args = dict(N=64, profile=PROFILE, T=0.5)
+    calls = []
+    quantize = sweeps.weyl_quantize
+    monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
+    reordered = grid_member(dict(args, probes=("positivity_defect", "convergence")))
+    assert len(calls) == 10
+    monkeypatch.setattr(sweeps, "weyl_quantize", quantize)
+    ordered = grid_member(dict(args, probes=("convergence", "positivity_defect")))
+    assert reordered["convergence"] == ordered["convergence"]
+    for key, value in ordered["positivity_defect"].items():
+        assert np.array_equal(reordered["positivity_defect"][key], value), key
 
 
 @pytest.mark.parametrize("sweep", [weight_remainder_sweep, init_diff_sweep])

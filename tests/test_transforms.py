@@ -228,3 +228,38 @@ def test_flat_gathers_match_fancy_index_oracles(N, real, rng):
     assert np.array_equal(scatter_chords(grid, D), op.kernel)
     assert np.array_equal(wigner_transform(op).values, _oracle_wigner(op).real if real
                           else _oracle_wigner(op))
+
+
+def _oracle_mode_block(rng, max_mode):
+    """random_mode_block's Hermitian symmetrization, one mode pair at a time."""
+    M = 2 * max_mode + 1
+    c = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    for a in range(-max_mode, max_mode + 1):
+        for b in range(-max_mode, max_mode + 1):
+            if (a, b) > (-a, -b):
+                c[a + max_mode, b + max_mode] = np.conj(c[-a + max_mode, -b + max_mode])
+    c[max_mode, max_mode] = c[max_mode, max_mode].real
+    return c
+
+
+def _oracle_spectrum(N, block):
+    """field_from_modes's spectrum, one mode at a time."""
+    M = (block.shape[0] - 1) // 2
+    spec = np.zeros((N, N), dtype=complex)
+    for a in range(-M, M + 1):
+        for b in range(-M, M + 1):
+            spec[a % N, b % N] = block[a + M, b + M]
+    return spec
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("real", [True, False])
+def test_mode_blocks_match_loop_oracles(seed, real):
+    from phaselab.spectral import field_from_modes, random_mode_block
+
+    block = random_mode_block(np.random.default_rng(seed), 4, real=real)
+    if real:
+        assert np.array_equal(block, _oracle_mode_block(np.random.default_rng(seed), 4))
+    for N in (10, 64):
+        vals = np.fft.ifft2(_oracle_spectrum(N, block)) * N**2
+        assert np.array_equal(field_from_modes(N, block), vals.real if real else vals)
