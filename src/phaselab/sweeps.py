@@ -31,7 +31,7 @@ from .budgets import (
 )
 from .calculus import operator_sqrt, spatial_density
 from .coherent import husimi_convolve, wick_quantize, wick_square_datum
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
 from .norms import (
@@ -63,8 +63,6 @@ DEFAULT_N_LIST = (64, 96, 128, 192, 256)
 SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
 # the probes that read the snapshot series
 SERIES_PROBES = frozenset({"positivity_defect", "sqrt_comparison", "regularity"})
-# the probes that read the square root carried by the linear Hartree flow
-ROOT_PROBES = frozenset({"sqrt_comparison", "regularity"})
 # the probes that read a flow; a member evaluates the others first
 FLOW_PROBES = SERIES_PROBES | {"convergence"}
 BOX = 2 * math.pi        # sweeps run on the square box of side 2 pi
@@ -153,19 +151,19 @@ class DynamicsBundle:
 
     @cached_property
     def hartree(self):
-        """Hartree flow of op0; it carries the square root vt when the
-        square-root comparison is requested."""
-        root = self.wick_datum[0] if "sqrt_comparison" in self.args["probes"] else None
+        """Hartree flow of op0, carrying the square root vt. The root rides in
+        the packed kernel at no FFT cost, and carrying it whatever the probe
+        set keeps every probe's op bits independent of the others."""
         return evolve_hartree(self.op0, self.args["T"], self.dt, self.args["sign"],
-                              snapshot_stride=self.stride, root=root)
+                              snapshot_stride=self.stride, root=self.wick_datum[0])
 
     @cached_property
     def linear(self):
-        """Linear Hartree flow of op0 in the Vlasov field history; it carries
-        the square root vt when a probe of the linear root is requested."""
-        root = self.wick_datum[0] if ROOT_PROBES & set(self.args["probes"]) else None
+        """Linear Hartree flow of op0 in the Vlasov field history, carrying the
+        square root vt as the Hartree flow does."""
         return evolve_linear_hartree(self.op0, self.vlasov.fields, self.args["T"],
-                                     self.dt, snapshot_stride=self.stride, root=root)
+                                     self.dt, snapshot_stride=self.stride,
+                                     root=self.wick_datum[0])
 
     @cached_property
     def weyl_ends(self) -> tuple:
@@ -608,12 +606,19 @@ def grid_member(args: dict) -> dict:
     The static probes run first, then the flow probes, each in PROBE_TABLE
     order whatever the requested order: the flows are not yet held while the
     static metrics churn the heap, and weyl_terms reads weyl_ends after the
-    headline, as the release of weyl_ends assumes.
+    headline, as the release of weyl_ends assumes. A PhaselabError is
+    re-raised as the same class, with the probe and N in front of its message.
     """
     bundle = DynamicsBundle(args)
     order = list(PROBE_TABLE)
     probes = sorted(args["probes"], key=lambda p: (p in FLOW_PROBES, order.index(p)))
-    return {p: PROBE_TABLE[p][0](bundle) for p in probes}
+    metrics = {}
+    for p in probes:
+        try:
+            metrics[p] = PROBE_TABLE[p][0](bundle)
+        except PhaselabError as exc:
+            raise type(exc)(f"probe {p}, N={args['N']}: {exc}") from exc
+    return metrics
 
 
 def sweep_reports(probes, N_list=DEFAULT_N_LIST, jobs: int = 1,

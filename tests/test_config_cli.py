@@ -196,6 +196,19 @@ class TestCli:
         assert err[0] == "internal-error: LinAlgError: SVD did not converge"
         assert err[1].startswith("Traceback")
 
+    def test_solver_error_names_probe_and_n(self, config_file, monkeypatch, capsys):
+        from phaselab import cli, vlasov
+
+        # every Vlasov step now trips the momentum-boundary guard
+        monkeypatch.setattr(vlasov, "BOUNDARY_TOL", -1.0)
+        code = main(["sweep", "--config", str(config_file),
+                     "--set", "sweep_N=[48,64,96,128]",
+                     "--set", 'probes=["positivity_defect"]', "--jobs", "1"])
+        assert code == cli.EXIT_SOLVER == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(
+            "solver-error: probe positivity_defect, N=48: momentum-boundary mass")
+
     def test_probe_registry_covers_every_probe(self):
         from phaselab import sweeps
         from phaselab.config import PROBES

@@ -217,32 +217,18 @@ def test_h_half_between_l2_and_h1(grid64, rng):
     assert l2 <= hh <= h1 * (1 + 1e-12)
 
 
-FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
-
-
-def _count_ffts(monkeypatch):
-    calls = []
-    for name in FFT_NAMES:
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
-def test_quantum_sobolev_fft_count(grid64, rng, monkeypatch):
+def test_quantum_sobolev_fft_count(grid64, rng, count_ffts):
     """k = 2: two x-gradients (an FFT pair each) on the shared prefixes, and
     one axis-1 FFT per weighted Hilbert-Schmidt norm of the six multi-indices."""
     op = weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=10)))
-    calls = _count_ffts(monkeypatch)
+    calls = count_ffts()
     quantum_sobolev_norm(op, 2, 2, 2)
     assert len(calls) == 10
 
 
-def test_weighted_sobolev_fft_count(grid64, rng, monkeypatch):
+def test_weighted_sobolev_fft_count(grid64, rng, count_ffts):
     """One forward real 2-d transform, then one inverse per |alpha| <= 4."""
     f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10))
-    calls = _count_ffts(monkeypatch)
+    calls = count_ffts()
     weighted_sobolev_norms(f, 4, (np.inf, 2), 4)
     assert len(calls) == 16

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phaselab.config import load_config
-from phaselab.errors import ConfigurationError
+from phaselab.errors import ConfigurationError, SupportEscapeError
 from phaselab.sweeps import (
     SERIES_PROBES,
     b_bound_sweep,
@@ -184,11 +184,13 @@ def test_bundle_evolves_each_flow_once(monkeypatch):
     assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
 
 
-def test_positivity_defect_alone_carries_no_root(monkeypatch):
+def test_positivity_defect_alone_carries_the_root(monkeypatch):
+    # the root rides in the packed kernel at no FFT cost, so the linear flow
+    # carries it even where no requested probe reads it
     trajectories = _count_evolves(monkeypatch)
     grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["positivity_defect"]))
     assert len(trajectories) == 2
-    assert not any(t.root_snapshots for t in trajectories)
+    assert [bool(t.root_snapshots) for t in trajectories] == [False, True]
 
 
 def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
@@ -196,8 +198,18 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     convergence_sweep(PROFILE, 0.1, N_list=SMALL)
     assert len(trajectories) == 3 * len(SMALL)
     assert all(len(t.snapshots) == 2 for t in trajectories)
-    # only the square-root comparison makes the Hartree flow carry a root
-    assert not any(t.root_snapshots for t in trajectories)
+    # both Hartree flows carry the root, the Vlasov flow none
+    assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
+
+
+def test_member_error_names_probe_and_n(monkeypatch):
+    # a solver error keeps its class and gains the probe and grid in front
+    from phaselab import vlasov
+
+    monkeypatch.setattr(vlasov, "BOUNDARY_TOL", -1.0)
+    with pytest.raises(SupportEscapeError,
+                       match=r"^probe convergence, N=48: momentum-boundary mass"):
+        grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["convergence"]))
 
 
 def test_sqrt_comparison_dense_kernel_count(monkeypatch):
