@@ -1,27 +1,33 @@
 """Hartree evolution of density operators by split-step unitary conjugation.
 
-One step conjugates the kernel by U_V(dt/2) U_K(dt) U_V(dt/2): the kinetic
-factor exp(-i dt |p|^2 / (2 hbar)) is diagonal in Fourier, the potential
-factor exp(-i dt V / hbar) diagonal in position. Conjugation by the
-position-diagonal factor leaves the kernel diagonal (hence the density)
-untouched, so the mid-step mean-field density equals the density after a
-free half step. The predictor needs only that diagonal: one axis-0 FFT pair
-and a row-wise product with a circulant, no implicit solve. Per step the
-kinetic conjugation takes four N x N FFT passes and the predictor two; the
-kinetic-energy log takes none. Trace, Hilbert-Schmidt norm, Hermiticity,
-positivity and the full spectrum are exact invariants of the conjugation.
+One step from t_n to t_{n+1} conjugates the kernel by
+U_V(t_{n+1}, dt/2) U_K(dt) U_V(t_n, dt/2): the kinetic factor
+exp(-i dt |p|^2 / (2 hbar)) is diagonal in Fourier, the potential factor
+exp(-i dt V / (2 hbar)) diagonal in position (Bao, Jin & Markowich, J.
+Comput. Phys. 175, 2002). Conjugation by a position-diagonal factor leaves
+the kernel diagonal, hence the density, untouched. So the density after the
+free step is the exact density at t_{n+1}, and the self-consistent field
+that closes a step costs one Poisson solve of a diagonal the loop reads
+anyway; it also opens the next step. A step takes the four N x N FFT passes
+of the kinetic conjugation and nothing else; the kinetic-energy log takes
+none. Trace, Hilbert-Schmidt norm, Hermiticity, positivity and the full
+spectrum are exact invariants of the conjugation. The kicks at both step
+ends make the step exactly time-reversible: evolving the complex conjugate
+of the final kernel for the same time returns the conjugate of the initial
+one, to rounding.
 
 The nonlinear and the linear flow share one step loop and differ only in
-the potential of each step and the field of the energy log. The step unitary
-depends at most on the density of the evolved operator, so
-U sqrt(op) U* = sqrt(U op U*): the square root rides along either flow
-without an eigendecomposition. Conjugation is complex-linear and maps
-Hermitian kernels to Hermitian kernels, so the loop evolves one packed
-kernel M = op + i sqrt(op), whose Hermitian part is op and whose
-anti-Hermitian part over i is the root. Carrying the root thus costs no FFT
-pass. The predictor and the per-step logs read M as it is; M is split only
-at snapshots and for the spectrum log. The packed op kernel agrees with an
-unpacked one to rounding, about 5e-15 relative in Hilbert-Schmidt norm.
+the field at each step time: the Poisson field of the evolved density, or
+the entry of a frozen field history. The step unitary depends at most on
+the density of the evolved operator, so U sqrt(op) U* = sqrt(U op U*): the
+square root rides along either flow without an eigendecomposition.
+Conjugation is complex-linear and maps Hermitian kernels to Hermitian
+kernels, so the loop evolves one packed kernel M = op + i sqrt(op), whose
+Hermitian part is op and whose anti-Hermitian part over i is the root.
+Carrying the root thus costs no FFT pass. The density and the per-step logs
+read M as it is; M is split only at snapshots and for the spectrum log. The
+packed op kernel agrees with an unpacked one to rounding, about 5e-15
+relative in Hilbert-Schmidt norm.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .grids import PhaseGrid
 from .operators import DensityOperator
 from .poisson import solve_poisson
 from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
-from .transforms import _chord_indices
 
 
 def _kinetic_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
@@ -52,18 +57,10 @@ def _conjugate_kinetic(K: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft(K, axis=1, out=K)
 
 
-def _split_step(K: np.ndarray, grid: PhaseGrid, V: np.ndarray, dt: float,
-                kin: np.ndarray) -> None:
-    """U_V(dt/2) U_K(dt) U_V(dt/2) conjugation of K in place.
-
-    ``kin`` is the full-step kinetic phase; U_V(dt/2) is diagonal in position.
-    """
-    pot = np.exp(-1j * (dt / 2.0) * V / grid.hbar)
-    K *= pot[:, None]
-    K *= pot.conj()
-    _conjugate_kinetic(K, kin)
-    K *= pot[:, None]
-    K *= pot.conj()
+def _kick(K: np.ndarray, phase: np.ndarray) -> None:
+    """K -> U K U* in place for the position-diagonal U = diag(phase)."""
+    K *= phase[:, None]
+    K *= phase.conj()
 
 
 def _split_packed(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,30 +75,15 @@ def _split_packed(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, R
 
 
-def _diagonal_circulant(phase: np.ndarray) -> np.ndarray:
-    """conj(U) for U = F^-1 diag(phase) F, the circulant u[(j - m) mod N] with
-    u = ifft(phase): diag(U K U*) is the row sum of (U K) * conj(U)."""
-    return np.fft.ifft(phase).conj()[_chord_indices(len(phase))["col"]]
-
-
-def _free_step_density(K: np.ndarray, grid: PhaseGrid, phase: np.ndarray,
-                       circulant: np.ndarray) -> np.ndarray:
-    """h^d diag(U K U*) for the free step U = F^-1 diag(phase) F."""
-    UK = np.fft.fft(K, axis=0)
-    UK *= phase[:, None]
-    np.fft.ifft(UK, axis=0, out=UK)
-    return np.einsum("ij,ij->i", UK, circulant).real * grid.h**grid.d
-
-
-def _evolve(op0: DensityOperator, steps: int, dt: float, potential, field,
+def _evolve(op0: DensityOperator, steps: int, dt: float, field,
             snapshot_stride: int | None, log_spectrum: bool,
             root: DensityOperator | None) -> Trajectory:
     """The operator step loop both Hartree flows share: step, log trace,
     Hilbert-Schmidt norm and energy, store the due snapshots.
 
-    ``potential(n, M)`` is the potential of step n, from t_n to t_n + dt,
-    given the packed kernel M at t_n; ``field(n, rho)`` is the field at step
-    time t_n whose potential enters the energy, given the density there.
+    ``field(n, rho)`` is the field at step time t_n, given the density
+    there; it is called once per step time, in order. Its potential kicks
+    for half a step on both sides of t_n and enters the energy log.
     ``root``, a Hermitian square root of op0, rides in M = op + i root; its
     snapshots go to ``root_snapshots``, taken at the ``snapshot_times``. The
     snapshots at t = 0 are op0 and root themselves.
@@ -117,10 +99,18 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, potential, field,
     else:
         M = 1j * root.kernel
         M += op0.kernel
-    full_kin = _kinetic_phase(g, dt)
+    kin = _kinetic_phase(g, dt)
     for n in range(steps + 1):
         if n > 0:
-            _split_step(M, g, potential(n - 1, M), dt, full_kin)
+            _kick(M, pot)
+            _conjugate_kinetic(M, kin)
+        # Re diag M = diag op for Hermitian op and root, and a kick keeps the
+        # diagonal: this is the exact density at t_n
+        rho = M.diagonal().real * g.h**g.d
+        fld = field(n, rho)
+        pot = np.exp(-0.5j * dt * fld.V / g.hbar)
+        if n > 0:
+            _kick(M, pot)
         t = n * dt
         due = snapshot_due(n, steps, snapshot_stride)
         if n == 0:
@@ -129,18 +119,14 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, potential, field,
             A, R = _split_packed(M)
             op = DensityOperator(g, A, hermitian=True, positive=op0.positive)
             vt = None if root is None else DensityOperator(g, R, hermitian=True, positive=True)
-        # for Hermitian op and root: Re tr M = tr op, Re diag M = diag op,
-        # ||M||_F^2 + Re tr(M M) = 2 ||op||_F^2, and the imaginary part of the
-        # root is antisymmetric, so it drops out against the symmetric
-        # kinetic circulant
-        rho = M.diagonal().real * g.h**g.d
+        # Re tr M = tr op, ||M||_F^2 + Re tr(M M) = 2 ||op||_F^2, and the
+        # imaginary part of the root is antisymmetric, so it drops out
+        # against the symmetric kinetic circulant
         traj.add_time(t)
         traj.log("trace", float(np.trace(M).real * g.dx**g.d))
-        hs = np.sqrt(0.5 * (np.einsum("ij,ij->", M.real, M.real)
-                            + np.einsum("ij,ij->", M.imag, M.imag)
-                            + np.einsum("ij,ji->", M, M).real)) * g.dx**g.d
+        hs = np.sqrt(0.5 * (np.vdot(M, M).real + np.einsum("ij,ji->", M, M).real)) * g.dx**g.d
         traj.log("l2_norm", float(g.h ** (g.d / 2.0) * hs))
-        potential_energy = 0.5 * float(np.sum(rho * field(n, rho).V) * g.dx**g.d)
+        potential_energy = 0.5 * float(np.sum(rho * fld.V) * g.dx**g.d)
         traj.log("energy", kinetic_energy(DensityOperator(g, M)) + potential_energy)
         if log_spectrum:
             traj.log("min_eigenvalue", float(op.eigenvalues()[0]))
@@ -157,28 +143,23 @@ def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
                    root: DensityOperator | None = None) -> Trajectory:
     """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op].
 
-    The self-consistent field at every step time goes to ``fields``. ``root``,
-    a Hermitian square root of op0, is carried to the square root of the
-    evolved operator at every snapshot (``root_snapshots``) as the
+    Each step kicks for half a step with the self-consistent field at each of
+    its ends; the field at the closing end is the Poisson field of the
+    density after the free step, which is exact because a kick leaves the
+    density unchanged. One Poisson solve per step time; the fields go to
+    ``fields``, and they are exactly the fields the flow kicked with.
+    ``root``, a Hermitian square root of op0, is carried to the square root
+    of the evolved operator at every snapshot (``root_snapshots``) as the
     anti-Hermitian part of the packed kernel.
     """
-    g = op0.grid
     steps, dt = resolve_steps(T, dt)
-    half_kin = _kinetic_phase(g, dt / 2.0)
-    half_circ = _diagonal_circulant(half_kin)
     fields = []
 
-    def predictor(n, K):
-        # the density after the free half step is the exact mid-step density
-        # for the V half step (V-conjugation preserves it)
-        rho_mid = _free_step_density(K, g, half_kin, half_circ)
-        return solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2).V
-
     def field(n, rho):
-        fields.append(solve_poisson(g, rho, sign, time=n * dt))
+        fields.append(solve_poisson(op0.grid, rho, sign, time=n * dt))
         return fields[-1]
 
-    traj = _evolve(op0, steps, dt, predictor, field, snapshot_stride, log_spectrum, root)
+    traj = _evolve(op0, steps, dt, field, snapshot_stride, log_spectrum, root)
     traj.fields = fields
     return traj
 
@@ -190,9 +171,10 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
                           root: DensityOperator | None = None) -> Trajectory:
     """Evolve i hbar d_t op = [H_f, op] with the frozen field history V_f(t).
 
-    ``field_history`` must cover [0, T] on the same time grid; the potential
-    at half steps is the linear interpolation (V_n + V_{n+1}) / 2. ``root``
-    is carried as in evolve_hartree.
+    ``field_history`` must cover [0, T] on the same time grid; the step from
+    t_n to t_{n+1} kicks for half a step with V_n, then with V_{n+1} (the
+    trapezoidal rule for the time integral of the potential). ``root`` is
+    carried as in evolve_hartree.
     """
     steps, dt = resolve_steps(T, dt)
     if len(field_history) < steps + 1:
@@ -204,9 +186,8 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
             raise ConfigurationError(
                 f"field history gap at step {n}: time {field_history[n].time} != {n * dt}"
             )
-    return _evolve(op0, steps, dt,
-                   lambda n, K: 0.5 * (field_history[n].V + field_history[n + 1].V),
-                   lambda n, rho: field_history[n], snapshot_stride, log_spectrum, root)
+    return _evolve(op0, steps, dt, lambda n, rho: field_history[n],
+                   snapshot_stride, log_spectrum, root)
 
 
 def free_schroedinger(op0: DensityOperator, t: float) -> DensityOperator:

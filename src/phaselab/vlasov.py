@@ -57,7 +57,10 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
     self-consistent field history recorded at every step time.
 
     snapshot_stride=None stores only the initial and final states; stride k
-    stores every k-th step (weyl_vlasov_residual wants stride 1).
+    stores every k-th step (weyl_vlasov_residual wants stride 1). The
+    ``boundary_fraction`` log is the share of the L^1 mass in the two outer
+    momentum columns at each end, the value the support-escape guard holds
+    under BOUNDARY_TOL.
     """
     g = f0.grid
     steps, dt = resolve_steps(T, dt)
@@ -65,15 +68,16 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
     f = f0.values.astype(float).copy()
     fmax = np.abs(f).max()
 
-    def record(t, fv):
+    def record(t, fv, boundary):
         fld = PhaseField(g, fv, real=True)
         rho = fv.sum(axis=1) * g.dxi**g.d
         snap = solve_poisson(g, rho, sign, time=t)
         traj.fields.append(snap)
         _field_logs(traj, t, fld, snap)
+        traj.log("boundary_fraction", boundary)
         return fld
 
-    traj.add_snapshot(0.0, record(0.0, f))
+    traj.add_snapshot(0.0, record(0.0, f, _boundary_fraction(f, g.cell)))
     transport = shift_phase(g.N, g.L_x, g.xi * (dt / 2.0), axis=0)
     for n in range(steps):
         t_next = (n + 1) * dt
@@ -82,16 +86,17 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
         snap_mid = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
         f = shift(f, g.L_xi, snap_mid.E * dt, axis=1)         # full acceleration
         f = apply_shift(f, transport, axis=0)                 # half transport
-        if _boundary_fraction(f, g.cell) > BOUNDARY_TOL:
+        boundary = _boundary_fraction(f, g.cell)
+        if boundary > BOUNDARY_TOL:
             raise SupportEscapeError(
-                f"momentum-boundary mass {_boundary_fraction(f, g.cell):.3e} "
+                f"momentum-boundary mass {boundary:.3e} "
                 f"exceeds {BOUNDARY_TOL:.1e} at t={t_next:.4g}"
             )
         if f.min() < -NEGATIVITY_WARN * fmax:
             traj.warnings.append(
                 f"negative excursion {f.min():.3e} at t={t_next:.4g}"
             )
-        fld = record(t_next, f)
+        fld = record(t_next, f, boundary)
         if snapshot_due(n + 1, steps, snapshot_stride):
             traj.add_snapshot(t_next, fld)
     return traj

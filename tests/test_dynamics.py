@@ -11,23 +11,16 @@ from phaselab import (
     wigner_transform,
 )
 from phaselab.budgets import sqrt_field
-from phaselab.calculus import operator_sqrt
+from phaselab.calculus import operator_sqrt, spatial_density
 from phaselab.coherent import wick_quantize, wick_square_datum
-from phaselab.hartree import (
-    _diagonal_circulant,
-    _free_step_density,
-    _kinetic_phase,
-    evolve_hartree,
-    evolve_linear_hartree,
-    free_schroedinger,
-)
+from phaselab.hartree import evolve_hartree, evolve_linear_hartree, free_schroedinger
 from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.poisson import solve_poisson
-from phaselab.spectral import fourier_multiplier, modes, shift
+from phaselab.spectral import modes, shift
 from phaselab.sweeps import grid_member
 from phaselab.trajectory import DEFAULT_DT, FieldSnapshot
-from phaselab.vlasov import evolve_vlasov, free_transport
+from phaselab.vlasov import BOUNDARY_TOL, _boundary_fraction, evolve_vlasov, free_transport
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 TWO_STREAM = {"name": "two_stream", "perturbation": 0.05, "sigma_xi": 0.3}
@@ -123,6 +116,14 @@ class TestVlasov:
         with pytest.raises(SupportEscapeError):
             evolve_vlasov(f0, 1.0, 0.05, +1)
 
+    def test_boundary_fraction_logged(self, grid64):
+        # the guard's value at every step time, aligned with the times
+        traj = evolve_vlasov(sample_field(grid64, PROFILE), 0.1, 0.01, +1)
+        logged = traj.logs["boundary_fraction"]
+        assert len(logged) == len(traj.times)
+        assert 0.0 <= max(logged) <= BOUNDARY_TOL
+        assert logged[-1] == _boundary_fraction(traj.final().values, grid64.cell)
+
     def test_field_history_recorded(self, grid64):
         f0 = sample_field(grid64, PROFILE)
         traj = evolve_vlasov(f0, 0.1, 0.01, +1)
@@ -174,14 +175,31 @@ class TestHartree:
         rel = np.max(np.abs(traj.final().kernel - op.kernel)) / np.max(np.abs(op.kernel))
         assert rel < 1e-9
 
-    def test_predictor_density_matches_full_conjugation(self, grid64, rng):
-        X = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        K = X + X.conj().T
-        phase = _kinetic_phase(grid64, 0.013)
-        full = fourier_multiplier(fourier_multiplier(K, phase, axis=0), phase.conj(), axis=1)
-        expected = np.real(np.diag(full)) * grid64.h
-        got = _free_step_density(K, grid64, phase, _diagonal_circulant(phase))
-        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_time_reversal(self, grid64, sign):
+        # the step kicks with the field at both of its ends, so evolving the
+        # conjugate kernels back over [0, T] undoes the flow to rounding
+        vt, op0 = wick_square_datum(sample_field(grid64, PROFILE))
+        fwd = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, root=vt)
+
+        def conj(op):
+            return DensityOperator(grid64, op.kernel.conj(), hermitian=True, positive=True)
+
+        back = evolve_hartree(conj(fwd.final()), 0.5, DEFAULT_DT, sign,
+                              root=conj(fwd.root_snapshots[-1]))
+        for got, start in ((back.final(), op0), (back.root_snapshots[-1], vt)):
+            assert schatten_norm(conj(got) - start, 2) <= 1e-12 * schatten_norm(start, 2)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_fields_are_self_consistent(self, grid64, sign):
+        # the recorded field at every snapshot is the Poisson field of the
+        # snapshot's own density
+        _, op0 = wick_square_datum(sample_field(grid64, PROFILE))
+        traj = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, snapshot_stride=6)
+        assert len(traj.fields) == len(traj.times)
+        for op, fld in zip(traj.snapshots, traj.snapshot_fields()):
+            expected = solve_poisson(grid64, spatial_density(op).real, sign).V
+            assert np.max(np.abs(fld.V - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_non_hermitian_rejected(self, grid32, rng):
         K = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
@@ -205,14 +223,17 @@ class TestPackedRoot:
         fields = evolve_vlasov(sample_field(grid, PROFILE), 0.1, DEFAULT_DT, 1).fields
         return vt, op0, lambda **kw: evolve_linear_hartree(op0, fields, 0.1, DEFAULT_DT, **kw)
 
-    @pytest.mark.parametrize("linear,passes", [(False, 6), (True, 4)], ids=["hartree", "linear"])
-    def test_root_costs_no_fft_pass(self, grid64, count_ffts, linear, passes):
-        # four N x N passes per kinetic conjugation, two for the predictor of
-        # the nonlinear flow; the Poisson solves transform 1-d densities
+    @FLOWS
+    def test_root_costs_no_fft_pass(self, grid64, count_ffts, linear):
+        # four N x N passes per step, all in the kinetic conjugation; the
+        # nonlinear flow solves Poisson once per step time, three 1-d
+        # transforms of the density each
         vt, _, evolve = self._flow(grid64, linear)
         calls = count_ffts()
         traj = evolve(snapshot_stride=3, root=vt)
-        assert sum(len(shape) == 2 for shape in calls) == passes * (len(traj.times) - 1)
+        assert sum(len(shape) == 2 for shape in calls) == 4 * (len(traj.times) - 1)
+        solves = 0 if linear else len(traj.times)
+        assert sum(len(shape) == 1 for shape in calls) == 3 * solves
 
     @FLOWS
     def test_snapshots_are_the_exact_split(self, grid64, linear):
@@ -346,6 +367,19 @@ class TestTemporalOrder:
     def test_hartree_dt_halving(self, grid64, sign, profile):
         _, op0 = wick_square_datum(sample_field(grid64, profile))
         finals = [evolve_hartree(op0, 0.5, 0.05 / 2**k, sign).final().kernel for k in range(3)]
+        assert 3.5 <= self._ratio(finals) <= 4.5
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("profile", [PROFILE, TWO_STREAM], ids=["maxwellian", "two_stream"])
+    def test_linear_hartree_dt_halving(self, grid64, sign, profile):
+        # the frozen field is the Vlasov history at the same dt
+        f0 = sample_field(grid64, profile)
+        _, op0 = wick_square_datum(f0)
+        finals = []
+        for k in range(3):
+            dt = 0.05 / 2**k
+            fields = evolve_vlasov(f0, 0.5, dt, sign).fields
+            finals.append(evolve_linear_hartree(op0, fields, 0.5, dt).final().kernel)
         assert 3.5 <= self._ratio(finals) <= 4.5
 
 
