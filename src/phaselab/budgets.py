@@ -63,53 +63,48 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
         raise ConfigurationError("classical budget needs a field trajectory")
     times = np.asarray(f2_traj.snapshot_times)
     lam = np.empty(len(times))
-    piece_mixed, piece_lorentz = [], []
     for idx, (f2, snap) in enumerate(zip(f2_traj.snapshots, f2_traj.snapshot_fields())):
         g = f2.grid
         v2 = sqrt_field(f2)
         grad = derivative(v2.values.astype(complex), g.L_xi, axis=1).real
         gfield = PhaseField(g, np.abs(grad), real=True)
         m32 = mixed_norm(gfield, 3, 2)
-        w = np.sum(np.abs(grad), axis=1) * g.dxi**g.d
-        l31 = lorentz_norm(w, g.dx**g.d, 3, 1)
+        w = np.sum(np.abs(grad), axis=1) * g.dxi
+        l31 = lorentz_norm(w, g.dx, 3, 1)
         rho_inf = float(np.max(np.abs(snap.rho)))
         lam[idx] = np.sqrt(rho_inf) * m32 + np.sqrt(C_inf) * l31
-        piece_mixed.append(m32)
-        piece_lorentz.append(l31)
-    return GronwallBudget(times, lam, C_inf,
-                          extras={"mixed_32": piece_mixed, "lorentz_31": piece_lorentz})
+    return GronwallBudget(times, lam, C_inf)
 
 
+# the wrap guard for square-root kernels, which sit on a sqrt(eps) rounding floor
 SQRT_WRAP_TOL = 1e-5
+QUANTUM_WEIGHT_N = 3          # the momentum weight <p>^n of the quantum rate
+QUANTUM_PAIR = (2.5, 3.5)     # its Schatten pair 3 +- eps, eps = 1/2
 
 
 def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[float],
-                   C_inf: float, n: int = 3, eps: float = 0.5,
-                   wrap_tol: float = SQRT_WRAP_TOL) -> GronwallBudget:
+                   C_inf: float) -> GronwallBudget:
     """Quantum stability rate along the square-root trajectory v(t):
 
     lambda = ||grad_xi v||_{W^{1,2}} ||rho||_inf^(1/2)
            + C_inf^(1/2) ||grad_xi v||_{L^{3 +- eps}(<p>^n)},
 
-    with the 3 +- eps pair combined by max. ``extras`` holds the two pieces
-    per snapshot: "w12" (||grad_xi v||_{W^{1,2}}) and "weighted_n" (the
-    weighted pair). The wrap guard is relaxed by default because square-root
-    kernels sit on a sqrt(eps) rounding floor.
+    with n = QUANTUM_WEIGHT_N and the 3 +- eps pair QUANTUM_PAIR combined
+    by max. ``extras`` holds the two pieces per snapshot: "w12"
+    (||grad_xi v||_{W^{1,2}}) and "weighted_n" (the weighted pair).
     """
-    if not (0 < eps < 1):
-        raise ConfigurationError("eps must lie in (0, 1)")
     times = np.asarray(times)
     lam = np.empty(len(times))
     w12s, weighted = [], []
     for idx, v in enumerate(v_snapshots):
-        grad = quantum_gradient_xi(v, wrap_tol)
-        w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=wrap_tol)
-        pair = max(weighted_schatten_norms(grad, (3.0 - eps, 3.0 + eps), n))
+        grad = quantum_gradient_xi(v, SQRT_WRAP_TOL)
+        w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=SQRT_WRAP_TOL)
+        pair = max(weighted_schatten_norms(grad, QUANTUM_PAIR, QUANTUM_WEIGHT_N))
         lam[idx] = w12 * np.sqrt(rho_sup[idx]) + np.sqrt(C_inf) * pair
         w12s.append(w12)
         weighted.append(pair)
     return GronwallBudget(times, lam, C_inf,
-                          extras={"w12": w12s, "weighted_n": weighted, "n": n, "eps": eps})
+                          extras={"w12": w12s, "weighted_n": weighted})
 
 
 def fit_c_star(times, left, Lambda) -> float:

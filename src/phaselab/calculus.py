@@ -115,9 +115,9 @@ def position_weight_apply(op: DensityOperator, n: int, side: str = "both") -> De
 
 
 def spatial_density(op: DensityOperator) -> np.ndarray:
-    """rho(x) = h^d op(x, x): scaled kernel diagonal, real for Hermitian op."""
+    """rho(x) = h op(x, x): scaled kernel diagonal, real for Hermitian op."""
     g = op.grid
-    rho = np.diag(op.kernel) * g.h**g.d
+    rho = np.diag(op.kernel) * g.h
     if op.hermitian:
         return rho.real.copy()
     return rho.copy()
@@ -134,14 +134,14 @@ def _kinetic_circulant(grid: PhaseGrid) -> np.ndarray:
 
 
 def kinetic_energy(op: DensityOperator) -> float:
-    """h^d Re Tr((-hbar^2 Delta / 2) op) for the Fourier multiplier |xi|^2 / 2.
+    """h Re Tr((-hbar^2 Delta / 2) op) for the Fourier multiplier |xi|^2 / 2.
 
     The trace of a circulant times the kernel is the elementwise sum of the
     kernel against the transposed circulant: O(N^2), no FFT pass.
     """
     g = op.grid
     tr = np.einsum("ij,ij->", op.kernel.real, _kinetic_circulant(g))
-    return float(tr * g.dx**g.d * g.h**g.d)
+    return float(tr * g.dx * g.h)
 
 
 def operator_sqrt(op: DensityOperator, tol: float = 1e-8) -> DensityOperator:
@@ -153,7 +153,7 @@ def operator_sqrt(op: DensityOperator, tol: float = 1e-8) -> DensityOperator:
     ev, U = require_positive(op, tol=tol)
     g = op.grid
     ev_clamped = np.clip(ev, 0.0, None)
-    # matrix eigenvalue of sqrt is sqrt(lambda_op) / dx^d so that S o S = op
-    w = np.sqrt(ev_clamped) / g.dx**g.d
+    # matrix eigenvalue of sqrt is sqrt(lambda_op) / dx so that S o S = op
+    w = np.sqrt(ev_clamped) / g.dx
     K = (U * w[None, :]) @ U.conj().T
     return DensityOperator(g, K, hermitian=True, positive=True)

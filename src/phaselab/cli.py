@@ -29,7 +29,7 @@ from .reports import ProbeReport
 from .spectral import shift
 from .stability import classical_stability_experiment, quantum_stability_experiment
 from .sweeps import sweep_reports
-from .trajectory import resolve_steps
+from .trajectory import Trajectory, resolve_steps
 from .vlasov import evolve_vlasov
 
 EXIT_OK = 0
@@ -79,54 +79,69 @@ def _load(args) -> SimConfig:
     return config
 
 
-def _twin_fields(config: SimConfig, grid):
-    f1 = sample_field(grid, config["profile"])
-    delta = config["twin_shift_cells"] * grid.dx
-    f2 = f1.copy_with(shift(f1.values, grid.L_x, delta, axis=0))
-    return f1, f2
+def _twin_fields(config: SimConfig, f1):
+    delta = config["twin_shift_cells"] * f1.grid.dx
+    return f1, f1.copy_with(shift(f1.values, f1.grid.L_x, delta, axis=0))
+
+
+def _run_vlasov(config: SimConfig, f0, dt: float) -> Trajectory:
+    return evolve_vlasov(f0, config["T"], dt, config["sign"],
+                         snapshot_stride=config["snapshot_stride"])
+
+
+def _run_hartree(config: SimConfig, f0, dt: float) -> Trajectory:
+    _, op0 = wick_square_datum(f0)
+    return evolve_hartree(op0, config["T"], dt, config["sign"],
+                          snapshot_stride=config["snapshot_stride"], log_spectrum=True)
+
+
+def _run_linear_hartree(config: SimConfig, f0, dt: float) -> Trajectory:
+    ftraj = evolve_vlasov(f0, config["T"], dt, config["sign"])
+    _, op0 = wick_square_datum(f0)
+    return evolve_linear_hartree(op0, ftraj.fields, config["T"], dt,
+                                 snapshot_stride=config["snapshot_stride"], log_spectrum=True)
+
+
+def _run_twin_classical(config: SimConfig, f0, dt: float) -> ProbeReport:
+    f1, f2 = _twin_fields(config, f0)
+    return classical_stability_experiment(f1, f2, config["T"], dt, config["sign"])
+
+
+def _run_twin_quantum(config: SimConfig, f0, dt: float) -> ProbeReport:
+    f1, f2 = _twin_fields(config, f0)
+    (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
+    return quantum_stability_experiment(op1, op2, config["T"], dt, config["sign"])
+
+
+# experiment -> function of (config, sampled profile, dt), in the order of
+# config.EXPERIMENTS: a flow returns its Trajectory, a twin experiment its ProbeReport
+RUNS = {
+    "vlasov": _run_vlasov,
+    "hartree": _run_hartree,
+    "linear-hartree": _run_linear_hartree,
+    "twin-classical": _run_twin_classical,
+    "twin-quantum": _run_twin_quantum,
+}
 
 
 def cmd_run(config: SimConfig) -> int:
-    grid = make_grid(1, config["N"], config["L_x"], config["L_xi"])
+    """Run one experiment. A flow writes <experiment>_trajectory.csv and,
+    under dump_snapshots, its final state as the raw dump <experiment>_final;
+    a twin experiment writes <probe>.json and exits 1 when it fails."""
+    grid = make_grid(config["N"], config["L_x"], config["L_xi"])
+    _, dt = resolve_steps(config["T"], config["dt"])
+    result = RUNS[config["experiment"]](config, sample_field(grid, config["profile"]), dt)
     out_dir = Path(config["out_dir"])
-    experiment = config["experiment"]
-    T, sign = config["T"], config["sign"]
-    _, dt = resolve_steps(T, config["dt"])
-    stride = config["snapshot_stride"]
-    if experiment == "vlasov":
-        f0 = sample_field(grid, config["profile"])
-        traj = evolve_vlasov(f0, T, dt, sign, snapshot_stride=stride)
-        trajectory_csv(out_dir / "vlasov_trajectory.csv", traj)
-        if config["dump_snapshots"]:
-            dump_raw_array(out_dir / "vlasov_final", traj.final().values, grid, "f(T)")
-    elif experiment == "hartree":
-        _, op0 = wick_square_datum(sample_field(grid, config["profile"]))
-        traj = evolve_hartree(op0, T, dt, sign, snapshot_stride=stride, log_spectrum=True)
-        trajectory_csv(out_dir / "hartree_trajectory.csv", traj)
-        if config["dump_snapshots"]:
-            dump_raw_array(out_dir / "hartree_final", traj.final().kernel, grid, "op(T)")
-    elif experiment == "linear-hartree":
-        f0 = sample_field(grid, config["profile"])
-        ftraj = evolve_vlasov(f0, T, dt, sign)
-        _, op0 = wick_square_datum(f0)
-        traj = evolve_linear_hartree(op0, ftraj.fields, T, dt,
-                                     snapshot_stride=stride, log_spectrum=True)
-        trajectory_csv(out_dir / "linear_hartree_trajectory.csv", traj)
-    elif experiment == "twin-classical":
-        f1, f2 = _twin_fields(config, grid)
-        rep = classical_stability_experiment(f1, f2, T, dt, sign)
-        (out_dir / "classical_stability.json").parent.mkdir(parents=True, exist_ok=True)
-        (out_dir / "classical_stability.json").write_text(rep.to_json() + "\n")
-        if not rep.passed:
-            return EXIT_PROBE_FAIL
-    elif experiment == "twin-quantum":
-        f1, f2 = _twin_fields(config, grid)
-        (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
-        rep = quantum_stability_experiment(op1, op2, T, dt, sign)
-        (out_dir / "quantum_stability.json").parent.mkdir(parents=True, exist_ok=True)
-        (out_dir / "quantum_stability.json").write_text(rep.to_json() + "\n")
-        if not rep.passed:
-            return EXIT_PROBE_FAIL
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if isinstance(result, ProbeReport):
+        (out_dir / f"{result.probe}.json").write_text(result.to_json() + "\n")
+        return EXIT_OK if result.passed else EXIT_PROBE_FAIL
+    name = config["experiment"].replace("-", "_")
+    trajectory_csv(out_dir / f"{name}_trajectory.csv", result)
+    if config["dump_snapshots"]:
+        final = result.final()
+        arr, label = (final.values, "f(T)") if result.kind == "field" else (final.kernel, "op(T)")
+        dump_raw_array(out_dir / f"{name}_final", arr, grid, label)
     return EXIT_OK
 
 
@@ -177,7 +192,7 @@ def cmd_probe(config: SimConfig, name: str, jobs: int) -> int:
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "norms":
-        f = sample_field(make_grid(1, config["N"], config["L_x"], config["L_xi"]),
+        f = sample_field(make_grid(config["N"], config["L_x"], config["L_xi"]),
                          config["profile"])
         rows = [
             ["L1", lebesgue_norm(f, 1)],

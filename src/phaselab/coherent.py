@@ -2,7 +2,7 @@
 Gaussian smoothing that links it to the Weyl quantization.
 
 psi_z is the minimal-uncertainty wave packet at the phase-space point
-z = (x0, xi0), wrapped periodically; op_z = h^{-d} |psi_z><psi_z| and
+z = (x0, xi0), wrapped periodically; op_z = h^{-1} |psi_z><psi_z| and
 Wick quantization averages these projectors against a symbol. Numerically
 the Wick operator is produced through the exact identity
 wick(f) = weyl(g_h * f), with g_h the phase-space Gaussian kernel; a direct
@@ -39,23 +39,23 @@ class CoherentState:
         return (self.x0, self.xi0)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx**self.grid.d))
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
 
     def projector(self) -> DensityOperator:
-        """op_z = h^{-d} |psi_z><psi_z|."""
+        """op_z = h^{-1} |psi_z><psi_z|."""
         g = self.grid
-        return outer_projector(g, self.values, scale=g.h ** (-g.d))
+        return outer_projector(g, self.values, scale=g.h**-1)
 
 
 def _wave_packet_values(grid: PhaseGrid, x0: float, xi0: float) -> np.ndarray:
-    """(pi hbar)^{-d/4} exp(-|y-x0|^2/(2 hbar)) exp(i y xi0 / hbar), wrapped."""
+    """(pi hbar)^{-1/4} exp(-|y-x0|^2/(2 hbar)) exp(i y xi0 / hbar), wrapped."""
     hbar = grid.hbar
     y = grid.x
     psi = np.zeros(grid.N, dtype=complex)
     for n in range(-3, 4):
         yy = y + n * grid.L_x
         psi += np.exp(-((yy - x0) ** 2) / (2 * hbar)) * np.exp(1j * yy * xi0 / hbar)
-    return (math.pi * hbar) ** (-grid.d / 4.0) * psi
+    return (math.pi * hbar) ** -0.25 * psi
 
 
 def coherent_state(z: tuple[float, float], grid: PhaseGrid) -> CoherentState:
@@ -87,7 +87,7 @@ def coherent_overlap(z: tuple[float, float], zp: tuple[float, float], grid: Phas
     if mode == "quadrature":
         a = coherent_state(z, grid)
         b = coherent_state(zp, grid)
-        return complex(np.vdot(a.values, b.values) * grid.dx**grid.d)
+        return complex(np.vdot(a.values, b.values) * grid.dx)
     if mode != "closed":
         raise ConfigurationError(f"unknown overlap mode {mode!r}")
     hbar = grid.hbar
@@ -151,7 +151,7 @@ def wick_square_datum(f0: PhaseField) -> tuple[DensityOperator, DensityOperator]
 
 
 def wick_sum_oracle(f: PhaseField, points_per_sqrt_hbar: int = 4) -> DensityOperator:
-    """Brute-force Wick quantization: h^{-d} sum_z f(z) |psi_z><psi_z| dz.
+    """Brute-force Wick quantization: h^{-1} sum_z f(z) |psi_z><psi_z| dz.
 
     Quadrature over a phase-space sub-lattice with at least
     ``points_per_sqrt_hbar`` nodes per sqrt(hbar) per axis; f is sampled on
@@ -174,7 +174,7 @@ def wick_sum_oracle(f: PhaseField, points_per_sqrt_hbar: int = 4) -> DensityOper
         for a, xi0 in enumerate(xis):
             psis[a] = _wave_packet_values(g, x0, xi0)
         K += (psis.T * fine[u]) @ psis.conj()
-    K *= dz * g.h ** (-g.d)
+    K *= dz * g.h**-1
     op = DensityOperator(g, K)
     op.check_hermitian(1e-8)
     return op

@@ -118,6 +118,8 @@ def validate(data: dict) -> SimConfig:
     for p in merged["probes"]:
         if p not in PROBES:
             raise ConfigurationError(f"unknown probe {p!r}; known: {PROBES}")
+    if len(set(merged["probes"])) != len(merged["probes"]):
+        raise ConfigurationError("probes must not list a probe twice")
     if "name" not in merged["profile"]:
         raise ConfigurationError("profile needs a 'name' field")
     return SimConfig(merged)

@@ -1,10 +1,8 @@
 """Phase-space grids and sampled fields.
 
-The one-particle phase space is the periodic box [0, L_x)^d x [-L_xi/2, L_xi/2)^d.
+The one-particle phase space is the periodic box [0, L_x) x [-L_xi/2, L_xi/2).
 The momentum lattice is slaved to the spatial grid so that every plane wave
 exp(i x xi_k / hbar) is periodic on the box: hbar = L_x * L_xi / (2 pi N).
-Only d = 1 is exercised; formulas are written with the dimension generic
-where it costs nothing.
 """
 
 from __future__ import annotations
@@ -23,13 +21,11 @@ class PhaseGrid:
 
     Attributes
     ----------
-    d : spatial dimension (tests exercise d = 1 only)
     N : points per axis, even
     L_x : spatial box length
     L_xi : momentum box length
     """
 
-    d: int
     N: int
     L_x: float
     L_xi: float
@@ -76,8 +72,8 @@ class PhaseGrid:
 
     @property
     def cell(self) -> float:
-        """Phase-space cell measure dx^d * dxi^d."""
-        return (self.dx * self.dxi) ** self.d
+        """Phase-space cell measure dx * dxi."""
+        return self.dx * self.dxi
 
     def meshgrid(self):
         """(X, XI) arrays indexed [x-index, xi-index]."""
@@ -87,8 +83,6 @@ class PhaseGrid:
         return self.L_x == self.L_xi
 
     def __post_init__(self):
-        if self.d != 1:
-            raise ConfigurationError(f"only d=1 is supported at desk scale, got d={self.d}")
         if self.N % 2 != 0:
             raise ConfigurationError(f"N must be even, got N={self.N}")
         if self.N < 8:
@@ -97,9 +91,9 @@ class PhaseGrid:
             raise ConfigurationError("box lengths must be positive")
 
 
-def make_grid(d: int, N: int, L_x: float, L_xi: float) -> PhaseGrid:
+def make_grid(N: int, L_x: float, L_xi: float) -> PhaseGrid:
     """Build a PhaseGrid; hbar = L_x * L_xi / (2 pi N) falls out of the box."""
-    return PhaseGrid(d=d, N=int(N), L_x=float(L_x), L_xi=float(L_xi))
+    return PhaseGrid(N=int(N), L_x=float(L_x), L_xi=float(L_xi))
 
 
 REAL_IMAG_TOL = 1e-12
@@ -236,7 +230,7 @@ def sample_field(grid: PhaseGrid, profile: str | dict, tail_tol: float = 1e-10) 
 
 
 def gaussian_phase_kernel(grid: PhaseGrid) -> PhaseField:
-    """Periodic wrapped Gaussian g_h(z) = (pi hbar)^{-d} exp(-|z|^2/hbar), unit mass.
+    """Periodic wrapped Gaussian g_h(z) = (pi hbar)^{-1} exp(-|z|^2/hbar), unit mass.
 
     The coherent-state smoothing kernel: Wick quantization is Weyl quantization
     of the convolution g_h * f. Requires the grid to resolve the kernel
@@ -257,6 +251,6 @@ def gaussian_phase_kernel(grid: PhaseGrid) -> PhaseField:
     for n in range(-3, 4):
         gx += np.exp(-((x + n * grid.L_x) ** 2) / hbar)
         gxi += np.exp(-((xi + n * grid.L_xi) ** 2) / hbar)
-    vals = (math.pi * hbar) ** (-grid.d) * np.outer(gx, gxi)
+    vals = (math.pi * hbar) ** -1 * np.outer(gx, gxi)
     mass = vals.sum() * grid.cell
     return PhaseField(grid, vals / mass, real=True)

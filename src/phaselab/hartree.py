@@ -106,7 +106,7 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
             _conjugate_kinetic(M, kin)
         # Re diag M = diag op for Hermitian op and root, and a kick keeps the
         # diagonal: this is the exact density at t_n
-        rho = M.diagonal().real * g.h**g.d
+        rho = M.diagonal().real * g.h
         fld = field(n, rho)
         pot = np.exp(-0.5j * dt * fld.V / g.hbar)
         if n > 0:
@@ -123,10 +123,10 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
         # imaginary part of the root is antisymmetric, so it drops out
         # against the symmetric kinetic circulant
         traj.add_time(t)
-        traj.log("trace", float(np.trace(M).real * g.dx**g.d))
-        hs = np.sqrt(0.5 * (np.vdot(M, M).real + np.einsum("ij,ji->", M, M).real)) * g.dx**g.d
-        traj.log("l2_norm", float(g.h ** (g.d / 2.0) * hs))
-        potential_energy = 0.5 * float(np.sum(rho * fld.V) * g.dx**g.d)
+        traj.log("trace", float(np.trace(M).real * g.dx))
+        hs = np.sqrt(0.5 * (np.vdot(M, M).real + np.einsum("ij,ji->", M, M).real)) * g.dx
+        traj.log("l2_norm", float(g.h ** 0.5 * hs))
+        potential_energy = 0.5 * float(np.sum(rho * fld.V) * g.dx)
         traj.log("energy", kinetic_energy(DensityOperator(g, M)) + potential_energy)
         if log_spectrum:
             traj.log("min_eigenvalue", float(op.eigenvalues()[0]))

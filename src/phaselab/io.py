@@ -71,7 +71,7 @@ def dump_raw_array(path_base: str | Path, arr: np.ndarray, grid: PhaseGrid,
         "shape": list(arr.shape),
         "dtype": "complex128-interleaved" if complex_data else "float64",
         "byte_order": "little-endian",
-        "grid": {"d": grid.d, "N": grid.N, "L_x": grid.L_x, "L_xi": grid.L_xi,
+        "grid": {"d": 1, "N": grid.N, "L_x": grid.L_x, "L_xi": grid.L_xi,
                  "hbar": grid.hbar},
     }
     json_path = path_base.with_suffix(".json")
@@ -87,16 +87,3 @@ def load_raw_array(path_base: str | Path) -> np.ndarray:
     if sidecar["dtype"] == "complex128-interleaved":
         return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
     return flat.reshape(shape)
-
-
-def matrix_csv(path: str | Path, arr: np.ndarray) -> Path:
-    """Matrix export: complex entries as re+imj strings, reals bare."""
-    arr = np.asarray(arr)
-    rows = []
-    for r in arr:
-        if np.iscomplexobj(arr):
-            rows.append([f"{fmt(v.real)}{'+' if v.imag >= 0 else '-'}{fmt(abs(v.imag))}j"
-                         for v in r])
-        else:
-            rows.append([fmt(v) for v in r])
-    return write_csv(path, [f"c{i}" for i in range(arr.shape[1])], rows)

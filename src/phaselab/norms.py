@@ -2,7 +2,7 @@
 Sobolev norms.
 
 Phase-space norms are cell-sum quadrature norms; p = inf is the grid max.
-Schatten norms are rescaled by h^(d/p) so they stay order one in the
+Schatten norms are rescaled by h^(1/p) so they stay order one in the
 semiclassical limit; the operator norm (p = inf) carries no h factor.
 """
 
@@ -41,10 +41,10 @@ def mixed_norm(f: PhaseField, p: float, q: float) -> float:
     if math.isinf(q):
         inner = v.max(axis=1)
     else:
-        inner = (np.sum(v**q, axis=1) * g.dxi**g.d) ** (1.0 / q)
+        inner = (np.sum(v**q, axis=1) * g.dxi) ** (1.0 / q)
     if math.isinf(p):
         return float(inner.max())
-    return float((np.sum(inner**p) * g.dx**g.d) ** (1.0 / p))
+    return float((np.sum(inner**p) * g.dx) ** (1.0 / p))
 
 
 def _phase_derivative(f: PhaseField, ax: int, axi: int, spec: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ def h_half_norm(f: PhaseField) -> float:
     ax = 2 * np.pi * np.fft.fftfreq(g.N, d=1.0 / g.N) / g.L_x
     axi = 2 * np.pi * np.fft.fftfreq(g.N, d=1.0 / g.N) / g.L_xi
     w = (1.0 + ax[:, None] ** 2 + axi[None, :] ** 2) ** 0.5
-    vol = (g.L_x * g.L_xi) ** g.d
+    vol = g.L_x * g.L_xi
     return float(math.sqrt(np.sum(w * np.abs(spec) ** 2) * vol))
 
 
@@ -146,20 +146,20 @@ def _gram_singular_values(op: DensityOperator) -> np.ndarray:
     """
     K = op.kernel
     ev = np.linalg.eigvalsh(K.conj().T @ K)[::-1]
-    return np.sqrt(np.clip(ev, 0.0, None)) * op.dx**op.grid.d
+    return np.sqrt(np.clip(ev, 0.0, None)) * op.dx
 
 
 def _hilbert_schmidt(K: np.ndarray, g) -> float:
-    """Rescaled Hilbert-Schmidt norm h^{d/2} dx^d ||K||_F: needs no singular values."""
-    hs = math.sqrt(float(np.sum(np.abs(K) ** 2))) * g.dx**g.d
-    return float(g.h ** (g.d / 2.0) * hs)
+    """Rescaled Hilbert-Schmidt norm h^{1/2} dx ||K||_F: needs no singular values."""
+    hs = math.sqrt(float(np.sum(np.abs(K) ** 2))) * g.dx
+    return float(g.h ** 0.5 * hs)
 
 
 def schatten_norms(op: DensityOperator, ps) -> list[float]:
-    """Rescaled Schatten norms ||op||_{L^p} = h^{d/p} (sum sigma_i^p)^{1/p},
+    """Rescaled Schatten norms ||op||_{L^p} = h^{1/p} (sum sigma_i^p)^{1/p},
     one per index in ``ps``, from a single set of singular values.
 
-    Operator singular values are dx^d times the kernel-matrix ones; p = inf
+    Operator singular values are dx times the kernel-matrix ones; p = inf
     returns the largest singular value with no h factor, p = 2 needs no
     singular values. For p > 2 they come from the Gram matrix (one Hermitian
     eigvalsh), for p < 2 from an SVD; each route runs at most once per call,
@@ -181,7 +181,7 @@ def schatten_norms(op: DensityOperator, ps) -> list[float]:
         if math.isinf(p):
             out.append(float(sv[0]) if len(sv) else 0.0)
         else:
-            out.append(float(g.h ** (g.d / p) * np.sum(sv**p) ** (1.0 / p)))
+            out.append(float(g.h ** (1.0 / p) * np.sum(sv**p) ** (1.0 / p)))
     return out
 
 

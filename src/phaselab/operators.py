@@ -2,7 +2,7 @@
 
 An operator is represented by its integral kernel K sampled on the spatial
 grid, K[i, j] ~ op(x_i, x_j). The operator acts on a wavefunction vector as
-(K @ psi) * dx^d, so operator singular values and eigenvalues are dx^d times
+(K @ psi) * dx, so operator singular values and eigenvalues are dx times
 the matrix ones, and compositions carry one quadrature weight per contraction.
 """
 
@@ -43,12 +43,12 @@ class DensityOperator:
         return self.grid.dx
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Operator action (K psi) dx^d."""
-        return self.kernel @ psi * self.dx**self.grid.d
+        """Operator action (K psi) dx."""
+        return self.kernel @ psi * self.dx
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         _same_grid(self, other)
-        return DensityOperator(self.grid, self.kernel @ other.kernel * self.dx**self.grid.d)
+        return DensityOperator(self.grid, self.kernel @ other.kernel * self.dx)
 
     def __matmul__(self, other: "DensityOperator") -> "DensityOperator":
         return self.compose(other)
@@ -74,16 +74,16 @@ class DensityOperator:
     __rmul__ = __mul__
 
     def trace(self) -> complex:
-        """Operator trace: sum of the kernel diagonal times dx^d."""
-        return complex(np.trace(self.kernel) * self.dx**self.grid.d)
+        """Operator trace: sum of the kernel diagonal times dx."""
+        return complex(np.trace(self.kernel) * self.dx)
 
     def singular_values(self) -> np.ndarray:
-        """Operator singular values, descending: dx^d * matrix singular values."""
-        return np.linalg.svd(self.kernel, compute_uv=False) * self.dx**self.grid.d
+        """Operator singular values, descending: dx * matrix singular values."""
+        return np.linalg.svd(self.kernel, compute_uv=False) * self.dx
 
     def eigenvalues(self) -> np.ndarray:
         """Operator eigenvalues (Hermitian path), ascending."""
-        return np.linalg.eigvalsh(self.kernel) * self.dx**self.grid.d
+        return np.linalg.eigvalsh(self.kernel) * self.dx
 
     # -- flags ----------------------------------------------------------------
 
@@ -114,8 +114,8 @@ def _same_grid(a: DensityOperator, b: DensityOperator):
 
 
 def identity_operator(grid: PhaseGrid) -> DensityOperator:
-    """Identity operator: kernel = I / dx^d."""
-    K = np.eye(grid.N, dtype=complex) / grid.dx**grid.d
+    """Identity operator: kernel = I / dx."""
+    K = np.eye(grid.N, dtype=complex) / grid.dx
     return DensityOperator(grid, K, hermitian=True, positive=True)
 
 
@@ -128,7 +128,7 @@ def outer_projector(grid: PhaseGrid, psi: np.ndarray, scale: float = 1.0) -> Den
 def require_positive(op: DensityOperator, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition guard: raise unless min eigenvalue >= -tol * scale."""
     ev, U = np.linalg.eigh(op.kernel)
-    ev = ev * op.dx**op.grid.d
+    ev = ev * op.dx
     scale = max(abs(ev[0]), abs(ev[-1])) or 1.0
     if ev[0] < -tol * scale:
         raise NotPositiveError(

@@ -102,7 +102,7 @@ def commutator_probe(op_src: DensityOperator, mu: DensityOperator) -> dict:
     rho = spatial_density(op_src).real
     snap = solve_poisson(grid, rho, +1)
     lhs = schatten_norm(potential_commutator(mu, snap.V), 2) / grid.hbar
-    budget = spatial_lebesgue_norm(rho, grid.dx**grid.d, 2) * quantum_sobolev_norm(
+    budget = spatial_lebesgue_norm(rho, grid.dx, 2) * quantum_sobolev_norm(
         quantum_gradient_xi(mu), 1, 2, 0)
     return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
 
@@ -111,15 +111,12 @@ def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
     """B-remainder size: (1/hbar)||B_f(op_f)||_L2 vs
     hbar ||grad E_f||_inf ||grad_xi^2 f||_L2 (the paper's two-sided content)."""
     grid = f.grid
-    rho = f.values.sum(axis=1) * grid.dxi**grid.d
+    rho = f.values.sum(axis=1) * grid.dxi
     snap = solve_poisson(grid, rho, sign)
     op = weyl_quantize(f)
     B = b_remainder(op, snap.V)
     lhs = schatten_norm(B, 2) / grid.hbar
-    gradE = derivative(snap.E.astype(complex), grid.L_x, axis=0).real
-    d2f = derivative(f.values.astype(complex), grid.L_xi, axis=1, order=2)
-    budget = grid.hbar * np.max(np.abs(gradE)) * lebesgue_norm(
-        f.copy_with(d2f, real=False), 2)
+    budget = grid.hbar * grad_e_sup(grid, snap.E) * hessian_xi_norm(f)
     return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
 
 

@@ -107,7 +107,7 @@ class DynamicsBundle:
 
     def __init__(self, args: dict):
         self.args = {**MEMBER_DEFAULTS, **args}
-        self.grid = make_grid(1, args["N"], BOX, BOX)
+        self.grid = make_grid(args["N"], BOX, BOX)
 
     @cached_property
     def f0(self) -> PhaseField:
@@ -271,7 +271,7 @@ def defect_metric(b: DynamicsBundle) -> dict:
                                                     ftraj.snapshot_fields(), b.weyl_terms):
         left_pos.append(gap)
         rho_diff = spatial_density(op_til).real - rho_f
-        left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx**grid.d, 2))
+        left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx, 2))
         rate.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap))
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
     integral = cumulative_trapezoid(rate, times)
@@ -453,7 +453,7 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
         "N": grid.N, "hbar": grid.hbar,
         "gap_op": gap_op, "gap_field": gap_field,
         "gap_equality_error": abs(gap_op - gap_field),
-        "hbar_budget": grid.hbar * grid.d * hess_norm,
+        "hbar_budget": grid.hbar * hess_norm,
         "identity_gap": identity_gap,
         "contraction": contraction,
         "min_eig": float(ev[0]), "max_eig": float(ev[-1]),
@@ -631,56 +631,3 @@ def sweep_reports(probes, N_list=DEFAULT_N_LIST, jobs: int = 1,
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)
                                         for N in sorted(N_list)], jobs)
     return {p: PROBE_TABLE[p][1]([m[p] for m in members]) for p in probes}
-
-
-def _only(probe: str, N_list, jobs: int, **settings) -> list[ProbeReport]:
-    return sweep_reports([probe], N_list, jobs, **settings)[probe]
-
-
-def convergence_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                      dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    """Headline rate: slope of ||f_op(T) - f(T)||_L2 and ||op - op_f||_L2 vs hbar."""
-    return _only("convergence", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt)[0]
-
-
-def defect_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                 dt: float | None = None, jobs: int = 1) -> tuple[ProbeReport, ProbeReport]:
-    """Sweep the positivity defect (final time) and the diagonal drift."""
-    pos, diag = _only("positivity_defect", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt)
-    return pos, diag
-
-
-def regularity_sweep(profile: dict, T: float, N_list=DEFAULT_N_LIST, sign: int = 1,
-                     k: int = 1, q: float = 2, n: int = 1,
-                     dt: float | None = None, jobs: int = 1) -> ProbeReport:
-    """Propagation of regularity: W^k(m) norms of the evolved square root stay
-    within the fitted exponential envelope (slack factor 2); the initial norm
-    is hbar-uniform (refinement stability)."""
-    return _only("regularity", N_list, jobs, profile=profile, T=T, sign=sign, dt=dt,
-                 k=k, q=q, n=n)[0]
-
-
-def wick_structure_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
-    return _only("wick_structure", N_list, jobs)[0]
-
-
-def wick_square_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
-    return _only("wick_square", N_list, jobs)[0]
-
-
-def weight_remainder_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
-    return _only("weight_remainder", N_list, jobs)[0]
-
-
-def commutator_sweep(N_list=DEFAULT_N_LIST, pairs: int = 10, seed: int = 0,
-                     jobs: int = 1) -> ProbeReport:
-    return _only("commutator", N_list, jobs, pairs=pairs, seed=seed)[0]
-
-
-def b_bound_sweep(profile: dict, N_list=DEFAULT_N_LIST, sign: int = 1,
-                  jobs: int = 1) -> ProbeReport:
-    return _only("b_remainder", N_list, jobs, profile=profile, sign=sign)[0]
-
-
-def init_diff_sweep(N_list=DEFAULT_N_LIST, jobs: int = 1) -> ProbeReport:
-    return _only("init_diff", N_list, jobs)[0]

@@ -60,7 +60,7 @@ def _chord_indices(N: int) -> dict:
     # kernel entries within one cell of the antipodal cut, for the wrap guard
     wrap_band = np.flatnonzero(np.abs(np.abs(c) - half) <= 1)
     tables = dict(c=c, col=col, weyl_flat=weyl_flat, anti_pos=anti_pos, anti_src=anti_src,
-                  diag_flat=diag_flat, col_even=codd[0] == 0, wrap_band=wrap_band)
+                  diag_flat=diag_flat, wrap_band=wrap_band)
     for a in tables.values():
         a.flags.writeable = False
     return tables
@@ -112,11 +112,11 @@ def scatter_chords(grid: PhaseGrid, Dmat: np.ndarray) -> np.ndarray:
 def wigner_transform(op: DensityOperator) -> PhaseField:
     """Wigner transform: exact inverse of weyl_quantize on the grid."""
     grid = op.grid
-    N = grid.N
-    idx = _chord_indices(N)
     B = chord_matrix(op)
-    odd = ~idx["col_even"]
-    B[:, odd] = half_shift(B[:, odd], axis=0, direction=-1)
+    # column col holds a chord of its own parity: the odd columns were sampled
+    # at half-integer midpoints, so shift them back in place
+    odd = B[:, 1::2]
+    half_shift(odd, axis=0, direction=-1, out=odd)
     vals = np.fft.fftshift(np.fft.fft(B, axis=1), axes=(1,)) * grid.dx
     if op.hermitian:
         imag = np.max(np.abs(vals.imag))

@@ -40,7 +40,7 @@ def _field_logs(traj: Trajectory, t: float, f: PhaseField, snap):
     l2 = np.sqrt(np.sum(v * v) * g.cell)
     momentum = float((v @ xi).sum() * g.cell)
     kinetic = float((v @ (xi**2 / 2.0)).sum() * g.cell)
-    potential = 0.5 * float(np.sum(snap.rho * snap.V) * g.dx**g.d)
+    potential = 0.5 * float(np.sum(snap.rho * snap.V) * g.dx)
     traj.add_time(t)
     traj.log("mass", mass)
     traj.log("l1_norm", l1)
@@ -70,7 +70,7 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
 
     def record(t, fv, boundary):
         fld = PhaseField(g, fv, real=True)
-        rho = fv.sum(axis=1) * g.dxi**g.d
+        rho = fv.sum(axis=1) * g.dxi
         snap = solve_poisson(g, rho, sign, time=t)
         traj.fields.append(snap)
         _field_logs(traj, t, fld, snap)
@@ -82,7 +82,7 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
     for n in range(steps):
         t_next = (n + 1) * dt
         f = apply_shift(f, transport, axis=0)                 # half transport
-        rho_mid = f.sum(axis=1) * g.dxi**g.d
+        rho_mid = f.sum(axis=1) * g.dxi
         snap_mid = solve_poisson(g, rho_mid, sign, time=n * dt + dt / 2)
         f = shift(f, g.L_xi, snap_mid.E * dt, axis=1)         # full acceleration
         f = apply_shift(f, transport, axis=0)                 # half transport

@@ -6,12 +6,12 @@ from phaselab import make_grid
 
 @pytest.fixture
 def grid32():
-    return make_grid(1, 32, 2 * np.pi, 2 * np.pi)
+    return make_grid(32, 2 * np.pi, 2 * np.pi)
 
 
 @pytest.fixture
 def grid64():
-    return make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    return make_grid(64, 2 * np.pi, 2 * np.pi)
 
 
 @pytest.fixture

@@ -25,16 +25,7 @@ from phaselab.stability import (
     powers_stormer_check,
     quantum_stability_experiment,
 )
-from phaselab.sweeps import (
-    b_bound_sweep,
-    commutator_sweep,
-    convergence_sweep,
-    defect_sweep,
-    regularity_sweep,
-    weight_remainder_sweep,
-    wick_square_sweep,
-    wick_structure_sweep,
-)
+from phaselab.sweeps import sweep_reports
 from phaselab.vlasov import evolve_vlasov
 
 SWEEP_N = (64, 96, 128, 192, 256)
@@ -50,7 +41,7 @@ def test_01_transform_exactness():
     worst_round, worst_iso, worst_trace = 0.0, 0.0, 0.0
     rng = np.random.default_rng(1)
     for N in (64, 128):
-        grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(N, 2 * np.pi, 2 * np.pi)
         for _ in range(10):
             f = PhaseField(grid, band_limited_field(N, rng, max_mode=N // 4))
             op = weyl_quantize(f)
@@ -66,14 +57,14 @@ def test_01_transform_exactness():
 
 
 def test_02_wick_structure():
-    rep = wick_structure_sweep(N_list=SWEEP_N)
+    rep = sweep_reports(["wick_structure"], SWEEP_N)["wick_structure"][0]
     detail = (f"slope={rep.slope:.3f} "
               + " ".join(f"{k}={v['ok']}" for k, v in rep.tolerance.items()))
     _verdict(2, "Wick structure", rep.passed, detail)
 
 
 def test_03_coherent_overlap():
-    grid = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(64, 2 * np.pi, 2 * np.pi)
     rng = np.random.default_rng(3)
     hbar = grid.hbar
     worst_rel, worst_mod = 0.0, 0.0
@@ -97,20 +88,20 @@ def test_03_coherent_overlap():
 
 
 def test_04_wick_square():
-    rep = wick_square_sweep(N_list=SWEEP_N)
+    rep = sweep_reports(["wick_square"], SWEEP_N)["wick_square"][0]
     ratios = {k: v["observed"] for k, v in rep.tolerance.items() if "ratio" in k}
     _verdict(4, "Wick square lemma", rep.passed,
              f"slope={rep.slope:.3f} ratios={ratios}")
 
 
 def test_05_weight_remainders():
-    rep = weight_remainder_sweep(N_list=SWEEP_N)
+    rep = sweep_reports(["weight_remainder"], SWEEP_N)["weight_remainder"][0]
     _verdict(5, "weight remainder lemmas", rep.passed,
              " ".join(f"{k}={v['observed']:.3g}" for k, v in rep.tolerance.items()))
 
 
 def test_06_conservation():
-    grid = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(64, 2 * np.pi, 2 * np.pi)
     f0 = sample_field(grid, PROFILE)
     vt = wick_quantize(sqrt_field(f0))
     op0 = vt @ vt
@@ -127,7 +118,7 @@ def test_06_conservation():
     h_l2 = per_step(htraj, "l2_norm")
     h_en = htraj.relative_drift("energy")
 
-    gridv = make_grid(1, 128, 2 * np.pi, 2 * np.pi)
+    gridv = make_grid(128, 2 * np.pi, 2 * np.pi)
     fv = sample_field(gridv, PROFILE)
     vtraj = evolve_vlasov(fv, 0.5, 1e-3, +1)
     v_mass = vtraj.relative_drift("mass")
@@ -141,7 +132,7 @@ def test_06_conservation():
 
 
 def test_07_b_remainder():
-    grid = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(64, 2 * np.pi, 2 * np.pi)
     f = sample_field(grid, {"name": "gaussian", "x0": np.pi, "sigma_x": 0.5,
                             "sigma_xi": 0.5}, tail_tol=1e-6)
     op = weyl_quantize(f)
@@ -150,7 +141,7 @@ def test_07_b_remainder():
     B = b_remainder(op, 0.5 * xc**2 + 0.1 * xc, grad_v_half=xhalf + 0.1)
     quad_max = float(np.max(np.abs(B.kernel)))
 
-    rep = b_bound_sweep(PROFILE, N_list=SWEEP_N)
+    rep = sweep_reports(["b_remainder"], SWEEP_N, profile=PROFILE)["b_remainder"][0]
 
     f0 = sample_field(grid, PROFILE)
     res = {}
@@ -165,19 +156,19 @@ def test_07_b_remainder():
 
 
 def test_08_commutator_estimate():
-    rep = commutator_sweep(N_list=SWEEP_N, pairs=10)
+    rep = sweep_reports(["commutator"], SWEEP_N, pairs=10)["commutator"][0]
     _verdict(8, "commutator estimate", rep.passed,
              f"ratio_slope={rep.tolerance['ratio_slope_flat']['observed']:.3f}")
 
 
 def test_09_stability():
-    grid = make_grid(1, 96, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(96, 2 * np.pi, 2 * np.pi)
     f1 = sample_field(grid, PROFILE)
     f2 = f1.copy_with(shift(f1.values, grid.L_x, 3 * grid.dx, axis=0))
     rep_c = classical_stability_experiment(f1, f2, T=0.5, dt=2e-3, sign=1)
     rep_c0 = classical_stability_experiment(f1, f1, T=0.2, dt=2e-3, sign=1)
 
-    gq = make_grid(1, 48, 2 * np.pi, 2 * np.pi)
+    gq = make_grid(48, 2 * np.pi, 2 * np.pi)
     g1 = sample_field(gq, PROFILE)
     g2 = g1.copy_with(shift(g1.values, gq.L_x, 3 * gq.dx, axis=0))
     ops = []
@@ -191,7 +182,7 @@ def test_09_stability():
     rep_q0 = quantum_stability_experiment(ops[0], ops[0], T=0.2, dt=gq.hbar / 10, sign=1)
 
     rng = np.random.default_rng(9)
-    ps = powers_stormer_check(make_grid(1, 32, 2 * np.pi, 2 * np.pi), rng, pairs=100)
+    ps = powers_stormer_check(make_grid(32, 2 * np.pi, 2 * np.pi), rng, pairs=100)
     ok = (rep_c.passed and rep_c0.passed and rep_q.passed and rep_q0.passed
           and ps <= 1.0 + 1e-10)
     _verdict(9, "stability experiments", ok,
@@ -200,7 +191,7 @@ def test_09_stability():
 
 
 def test_10_headline_rate():
-    rep = convergence_sweep(PROFILE, T=0.5, N_list=SWEEP_N, sign=1)
+    rep = sweep_reports(["convergence"], SWEEP_N, profile=PROFILE, T=0.5, sign=1)["convergence"][0]
     wig = rep.tolerance["wigner_slope"]["observed"]
     wey = rep.tolerance["weyl_slope"]["observed"]
     _verdict(10, "headline O(hbar) rate", rep.passed,
@@ -209,14 +200,16 @@ def test_10_headline_rate():
 
 
 def test_11_positivity_defect_and_diag_drift():
-    pos, diag = defect_sweep(PROFILE, T=0.5, N_list=SWEEP_N)
+    pos, diag = sweep_reports(["positivity_defect"], SWEEP_N, profile=PROFILE,
+                              T=0.5)["positivity_defect"]
     ok = pos.passed and diag.passed
     _verdict(11, "positivity defect / diag drift", ok,
              f"defect_slope={pos.slope:.3f} diag_slope={diag.slope:.3f}")
 
 
 def test_12_regularity_propagation():
-    rep = regularity_sweep(PROFILE, T=0.5, N_list=SWEEP_N, k=1, q=2, n=1)
+    rep = sweep_reports(["regularity"], SWEEP_N, profile=PROFILE, T=0.5,
+                        k=1, q=2, n=1)["regularity"][0]
     env = rep.tolerance["within_exponential_envelope"]["observed"]
     refine = rep.tolerance["init_norm_refinement_stable"]["observed"]
     _verdict(12, "propagation of regularity", rep.passed,

@@ -126,7 +126,7 @@ class TestHusimi:
         hess2 = (np.abs(derivative(v, grid64.L_x, 0, 2)) ** 2
                  + 2 * np.abs(derivative(derivative(v, grid64.L_x, 0), grid64.L_xi, 1)) ** 2
                  + np.abs(derivative(v, grid64.L_xi, 1, 2)) ** 2)
-        budget = grid64.hbar * grid64.d * np.sqrt(np.sum(hess2) * grid64.cell)
+        budget = grid64.hbar * np.sqrt(np.sum(hess2) * grid64.cell)
         assert lhs <= budget
 
 
@@ -143,7 +143,7 @@ class TestWick:
         assert ev[0] >= -1e-10 * schatten_norm(op, np.inf)
 
     def test_wigner_of_projector_is_gaussian(self):
-        grid = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(64, 2 * np.pi, 2 * np.pi)
         z0 = (np.pi, 0.0)
         op = coherent_state(z0, grid).projector()
         w = wigner_transform(op)
@@ -190,7 +190,7 @@ class TestHusimiRoutes:
         assert np.max(np.abs(real.values - full.values)) <= 1e-14 * scale
 
     def test_unresolved_grid_raises_every_time(self):
-        coarse = make_grid(1, 8, 2 * np.pi, 32 * np.pi)   # dxi >> sqrt(hbar)
+        coarse = make_grid(8, 2 * np.pi, 32 * np.pi)   # dxi >> sqrt(hbar)
         f = PhaseField(coarse, np.ones((8, 8)))
         for _ in range(2):
             with pytest.raises(ConfigurationError):

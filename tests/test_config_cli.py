@@ -8,7 +8,7 @@ import pytest
 from phaselab.cli import main
 from phaselab.config import apply_overrides, load_config, validate
 from phaselab.errors import ConfigurationError
-from phaselab.io import dump_raw_array, load_raw_array, matrix_csv, trajectory_csv
+from phaselab.io import dump_raw_array, load_raw_array
 
 
 @pytest.fixture
@@ -92,6 +92,10 @@ class TestCli:
         assert main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64]"]) == 2
 
+    def test_repeated_probe_exits_2(self, config_file):
+        assert main(["sweep", "--config", str(config_file),
+                     "--set", 'probes=["init_diff","init_diff"]']) == 2
+
     def test_empty_probes_exits_2(self, config_file):
         assert main(["sweep", "--config", str(config_file),
                      "--set", "probes=[]"]) == 2
@@ -152,6 +156,24 @@ class TestCli:
         ja = (tmp_path / "a" / "wick_square.json").read_bytes()
         jb = (tmp_path / "b" / "wick_square.json").read_bytes()
         assert ja == jb
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize("experiment, written", [
+        ("vlasov", {"vlasov_trajectory.csv"}),
+        ("hartree", {"hartree_trajectory.csv"}),
+        ("linear-hartree", {"linear_hartree_trajectory.csv"}),
+        ("twin-classical", {"classical_stability.json"}),
+        ("twin-quantum", {"quantum_stability.json"}),
+    ])
+    def test_run_writes_exactly(self, config_file, tmp_path, experiment, written, dump):
+        code = main(["run", "--config", str(config_file), "--set", f"experiment={experiment}",
+                     "--set", "N=32", "--set", "T=0.02",
+                     "--set", f"dump_snapshots={json.dumps(dump)}"])
+        assert code == 0
+        if dump and not experiment.startswith("twin"):
+            stem = experiment.replace("-", "_") + "_final"
+            written = written | {stem + ".bin", stem + ".json"}
+        assert {p.name for p in (tmp_path / "out").iterdir()} == written
 
     def test_twin_experiments_run(self, config_file, tmp_path):
         code = main(["run", "--config", str(config_file),
@@ -215,6 +237,12 @@ class TestCli:
 
         assert tuple(sweeps.PROBE_TABLE) == PROBES
 
+    def test_run_table_covers_every_experiment(self):
+        from phaselab import cli
+        from phaselab.config import EXPERIMENTS
+
+        assert tuple(cli.RUNS) == EXPERIMENTS
+
     def test_shared_dynamics_pass_matches_single_probes(self, config_file, tmp_path):
         from phaselab.config import PROBES
 
@@ -251,9 +279,3 @@ class TestIo:
         dump_raw_array(tmp_path / "real", arr, grid32)
         back = load_raw_array(tmp_path / "real")
         np.testing.assert_array_equal(back, arr)
-
-    def test_matrix_csv(self, tmp_path):
-        arr = np.array([[1.5, -2.0], [0.25, 3.0]])
-        path = matrix_csv(tmp_path / "m.csv", arr)
-        lines = path.read_text().splitlines()
-        assert lines[1].startswith("1.5,")

@@ -108,7 +108,7 @@ class TestVlasov:
         assert traj.relative_drift("energy") < 1e-6
 
     def test_support_escape_guard(self):
-        grid = make_grid(1, 32, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(32, 2 * np.pi, 2 * np.pi)
         X, XI = grid.meshgrid()
         # broad momentum support that free-streams into the boundary rows
         vals = np.exp(-((X - np.pi) ** 2)) * np.exp(-(XI**2) / (0.9 * grid.L_xi / 2) ** 2)

@@ -102,7 +102,7 @@ class TestQuantumBudget:
     def test_reports_n1_comparison(self, grid32):
         f0 = sample_field(grid32, PROFILE)
         vt = wick_quantize(sqrt_field(f0))
-        budget = quantum_lambda([vt], [0.0], [1.0], C_inf=1.0, n=3)
+        budget = quantum_lambda([vt], [0.0], [1.0], C_inf=1.0)
         weighted_n1 = max(weighted_schatten_norms(quantum_gradient_xi(vt, SQRT_WRAP_TOL),
                                                   (2.5, 3.5), 1))
         assert budget.extras["weighted_n"][0] >= weighted_n1 > 0
@@ -152,7 +152,7 @@ class TestStability:
         assert len(rep.details["times"]) > 2
 
     def test_translated_quantum_under_envelope(self):
-        grid = make_grid(1, 48, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(48, 2 * np.pi, 2 * np.pi)
         f1 = sample_field(grid, PROFILE)
         f2 = f1.copy_with(shift(f1.values, grid.L_x, 3 * grid.dx, axis=0))
         ops = []

@@ -17,21 +17,19 @@ from phaselab import (
 
 def test_hbar_from_box():
     # hbar = L_x L_xi / (2 pi N); at (64, 2pi, 2pi) that is pi/32
-    g = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    g = make_grid(64, 2 * np.pi, 2 * np.pi)
     assert g.hbar == pytest.approx(np.pi / 32, rel=1e-15)
-    g2 = make_grid(1, 128, 2 * np.pi, 2 * np.pi)
+    g2 = make_grid(128, 2 * np.pi, 2 * np.pi)
     assert g2.hbar == pytest.approx(g.hbar / 2, rel=1e-15)
 
 
 def test_odd_or_tiny_n_rejected():
     with pytest.raises(ConfigurationError):
-        make_grid(1, 63, 2 * np.pi, 2 * np.pi)
+        make_grid(63, 2 * np.pi, 2 * np.pi)
     with pytest.raises(ConfigurationError):
-        make_grid(1, 4, 2 * np.pi, 2 * np.pi)
+        make_grid(4, 2 * np.pi, 2 * np.pi)
     with pytest.raises(ConfigurationError):
-        make_grid(1, 64, -1.0, 2 * np.pi)
-    with pytest.raises(ConfigurationError):
-        make_grid(2, 64, 2 * np.pi, 2 * np.pi)
+        make_grid(64, -1.0, 2 * np.pi)
 
 
 @given(
@@ -42,7 +40,7 @@ def test_odd_or_tiny_n_rejected():
 @settings(max_examples=100, deadline=None)
 def test_grid_hbar_coupling_exact(N, L_x, L_xi):
     # h N = L_x L_xi as a floating-point identity up to 1 ulp
-    g = make_grid(1, N, L_x, L_xi)
+    g = make_grid(N, L_x, L_xi)
     prod = L_x * L_xi
     assert abs(g.h * N - prod) <= math.ulp(prod)
 
@@ -53,13 +51,13 @@ def test_grid_hbar_coupling_exact(N, L_x, L_xi):
 )
 @settings(max_examples=50, deadline=None)
 def test_unit_quadrature_fills_box(N, L):
-    g = make_grid(1, N, L, L)
+    g = make_grid(N, L, L)
     total = N * N * g.cell
     assert total == pytest.approx(L * L, rel=4e-16)
 
 
 def test_momentum_lattice():
-    g = make_grid(1, 16, 2 * np.pi, 4.0)
+    g = make_grid(16, 2 * np.pi, 4.0)
     assert g.xi[0] == pytest.approx(-2.0)
     assert g.xi[g.N // 2] == 0.0
     np.testing.assert_allclose(np.diff(g.xi), g.dxi)
@@ -112,17 +110,17 @@ class TestGaussianPhaseKernel:
         assert abs(peak - expected) / expected < 1e-12
 
     def test_second_moment(self, grid32):
-        # int |z|^2 g_h = d_phase hbar / 2 with d_phase = 2 d
+        # int |z|^2 g_h = hbar: hbar / 2 from each of the two phase-space axes
         gh = gaussian_phase_kernel(grid32)
         x = grid32.x_centered
         xi = grid32.xi
         z2 = x[:, None] ** 2 + xi[None, :] ** 2
         moment = np.sum(z2 * gh.values) * grid32.cell
-        assert moment == pytest.approx(grid32.d * grid32.hbar, rel=1e-8)
+        assert moment == pytest.approx(grid32.hbar, rel=1e-8)
 
     def test_unresolved_grid_rejected(self):
         # strongly rectangular box: dxi >> sqrt(hbar)
-        g = make_grid(1, 8, 2 * np.pi, 32 * np.pi)
+        g = make_grid(8, 2 * np.pi, 32 * np.pi)
         with pytest.raises(ConfigurationError):
             gaussian_phase_kernel(g)
 
@@ -134,7 +132,7 @@ def test_field_algebra(grid32, rng):
     np.testing.assert_allclose(s.values, a.values + b.values)
     d = (a - b) * 2.0
     np.testing.assert_allclose(d.values, 2 * (a.values - b.values))
-    other = make_grid(1, 16, 2 * np.pi, 2 * np.pi)
+    other = make_grid(16, 2 * np.pi, 2 * np.pi)
     c = PhaseField(other, np.zeros((16, 16)))
     with pytest.raises(ConfigurationError):
         _ = a + c

@@ -38,7 +38,7 @@ def test_mixed_reduces_to_lebesgue(grid32, rng):
 
 def test_gaussian_h1_analytic():
     # frozen analytic H^1 norm of a e^{-(x-x0)^2/sx^2 - xi^2/sxi^2}
-    grid = make_grid(1, 128, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(128, 2 * np.pi, 2 * np.pi)
     a, sx, sxi = 1.3, 0.7, 0.6
     X, XI = grid.meshgrid()
     f = PhaseField(grid, a * np.exp(-((X - np.pi) ** 2) / sx**2 - XI**2 / sxi**2))

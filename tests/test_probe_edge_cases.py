@@ -48,7 +48,7 @@ def test_quantum_lambda_refinement_stability():
     # lambda(0) with the Wick square-root initial datum is hbar-uniform
     values = {}
     for N in (64, 128):
-        grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(N, 2 * np.pi, 2 * np.pi)
         f0 = sample_field(grid, PROFILE)
         vt = wick_quantize(sqrt_field(f0))
         rho_sup = float(np.max(f0.values.sum(axis=1) * grid.dxi))
@@ -65,7 +65,7 @@ def test_quantum_lambda_uniform_over_sweep():
 
     maxima = []
     for N in (48, 64, 96, 128):
-        grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(N, 2 * np.pi, 2 * np.pi)
         f0 = sample_field(grid, PROFILE)
         dt = grid.hbar / 10
         steps = max(1, round(0.25 / dt))

@@ -7,18 +7,9 @@ from phaselab.config import load_config
 from phaselab.errors import ConfigurationError, SupportEscapeError
 from phaselab.sweeps import (
     SERIES_PROBES,
-    b_bound_sweep,
-    commutator_sweep,
-    convergence_sweep,
-    defect_sweep,
     grid_member,
-    init_diff_sweep,
-    regularity_sweep,
     run_members,
     sweep_reports,
-    weight_remainder_sweep,
-    wick_square_sweep,
-    wick_structure_sweep,
 )
 from phaselab.trajectory import DEFAULT_DT
 
@@ -28,7 +19,7 @@ SMALL = (48, 64, 96, 128)
 
 def test_convergence_needs_four_points():
     with pytest.raises(ConfigurationError):
-        convergence_sweep(PROFILE, 0.1, N_list=(48, 64, 96))
+        sweep_reports(["convergence"], (48, 64, 96), profile=PROFILE, T=0.1)
 
 
 def test_headline_member_t_zero():
@@ -40,7 +31,7 @@ def test_headline_member_t_zero():
 
 
 def test_t_zero_slope_is_first_order():
-    rep = convergence_sweep(PROFILE, 0.0, N_list=SMALL)
+    rep = sweep_reports(["convergence"], SMALL, profile=PROFILE, T=0.0)["convergence"][0]
     assert 0.85 <= rep.slope <= 1.15
 
 
@@ -53,7 +44,7 @@ def test_interaction_off_error_constant():
 
 
 def test_convergence_sweep_small_window():
-    rep = convergence_sweep(PROFILE, 0.2, N_list=SMALL)
+    rep = sweep_reports(["convergence"], SMALL, profile=PROFILE, T=0.2)["convergence"][0]
     assert rep.passed
     assert 0.85 <= rep.slope <= 1.15
     assert rep.tolerance["triangle_decomposition"]["ok"]
@@ -69,38 +60,39 @@ def test_parallel_members_match_serial():
 
 
 def test_wick_structure_sweep():
-    rep = wick_structure_sweep(N_list=SMALL)
+    rep = sweep_reports(["wick_structure"], SMALL)["wick_structure"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_wick_square_sweep():
-    rep = wick_square_sweep(N_list=(64, 96, 128, 192))
+    rep = sweep_reports(["wick_square"], (64, 96, 128, 192))["wick_square"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_weight_remainder_sweep():
-    rep = weight_remainder_sweep(N_list=(64, 96, 128, 192))
+    rep = sweep_reports(["weight_remainder"], (64, 96, 128, 192))["weight_remainder"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_commutator_sweep():
-    rep = commutator_sweep(N_list=SMALL, pairs=4)
+    rep = sweep_reports(["commutator"], SMALL, pairs=4)["commutator"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_b_bound_sweep():
-    rep = b_bound_sweep(PROFILE, N_list=SMALL)
+    rep = sweep_reports(["b_remainder"], SMALL, profile=PROFILE)["b_remainder"][0]
     assert rep.passed, rep.tolerance
     assert 1.8 <= rep.slope <= 2.2
 
 
 def test_init_diff_sweep():
-    rep = init_diff_sweep(N_list=SMALL)
+    rep = sweep_reports(["init_diff"], SMALL)["init_diff"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_defect_sweep():
-    pos, diag = defect_sweep(PROFILE, 0.25, N_list=SMALL)
+    pos, diag = sweep_reports(["positivity_defect"], SMALL, profile=PROFILE,
+                              T=0.25)["positivity_defect"]
     assert pos.passed, pos.tolerance
     assert diag.passed, diag.tolerance
     assert all(r <= 1.0 for r in pos.ratio)
@@ -118,7 +110,7 @@ def test_regularity_free_flow_oracle():
     from phaselab.norms import quantum_sobolev_norm
     from phaselab.spectral import derivative
 
-    grid = make_grid(1, 64, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(64, 2 * np.pi, 2 * np.pi)
     f0 = sample_field(grid, PROFILE)
     vt = wick_quantize(sqrt_field(f0))
     t = 0.25
@@ -135,12 +127,14 @@ def test_regularity_free_flow_oracle():
 
 
 def test_regularity_sweep_small():
-    rep = regularity_sweep(PROFILE, 0.25, N_list=(48, 64, 96, 128), k=1, q=2, n=1)
+    rep = sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.25,
+                        k=1, q=2, n=1)["regularity"][0]
     assert rep.passed, rep.tolerance
 
 
 def test_regularity_fractional_schatten_indices():
-    rep = regularity_sweep(PROFILE, 0.1, N_list=(48, 64, 96, 128), k=1, q=2.5, n=1)
+    rep = sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.1,
+                        k=1, q=2.5, n=1)["regularity"][0]
     assert rep.passed, rep.tolerance
 
 
@@ -152,7 +146,7 @@ def test_homogeneous_norms_constant():
     from phaselab.norms import quantum_sobolev_norm
     from phaselab.vlasov import evolve_vlasov
 
-    grid = make_grid(1, 48, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(48, 2 * np.pi, 2 * np.pi)
     f0 = sample_field(grid, {"name": "maxwellian", "perturbation": 0.0, "sigma_xi": 0.35})
     ftraj = evolve_vlasov(f0, 0.2, 0.02, +1, snapshot_stride=5)
     vt = wick_quantize(sqrt_field(f0))
@@ -195,7 +189,7 @@ def test_positivity_defect_alone_carries_the_root(monkeypatch):
 
 def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     trajectories = _count_evolves(monkeypatch)
-    convergence_sweep(PROFILE, 0.1, N_list=SMALL)
+    sweep_reports(["convergence"], SMALL, profile=PROFILE, T=0.1)
     assert len(trajectories) == 3 * len(SMALL)
     assert all(len(t.snapshots) == 2 for t in trajectories)
     # both Hartree flows carry the root, the Vlasov flow none
@@ -259,8 +253,8 @@ def test_member_order_does_not_follow_the_request(monkeypatch):
         assert np.array_equal(reordered["positivity_defect"][key], value), key
 
 
-@pytest.mark.parametrize("sweep", [weight_remainder_sweep, init_diff_sweep])
-def test_static_sweeps_honour_jobs(sweep, monkeypatch):
+@pytest.mark.parametrize("probe", ["weight_remainder", "init_diff"], ids=lambda p: p + "_sweep")
+def test_static_sweeps_honour_jobs(probe, monkeypatch):
     from phaselab import sweeps
 
     pool_sizes = []
@@ -270,9 +264,9 @@ def test_static_sweeps_honour_jobs(sweep, monkeypatch):
         return run_members(fn, arg_list, jobs)
 
     ladder = (48, 64, 96, 128)
-    serial = sweep(N_list=ladder, jobs=1).to_json()
+    serial = sweep_reports([probe], ladder, 1)[probe][0].to_json()
     monkeypatch.setattr(sweeps, "run_members", spy)
-    assert sweep(N_list=ladder, jobs=2).to_json() == serial
+    assert sweep_reports([probe], ladder, 2)[probe][0].to_json() == serial
     assert pool_sizes == [2]
 
 

@@ -28,7 +28,7 @@ def wrapped_gaussian(grid, x0, xi0, sx, sxi):
 class TestRoundTrip:
     @pytest.mark.parametrize("N", [64, 128])
     def test_wigner_weyl_identity(self, N, rng):
-        grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+        grid = make_grid(N, 2 * np.pi, 2 * np.pi)
         for _ in range(5):
             f = PhaseField(grid, band_limited_field(N, rng, max_mode=N // 4))
             back = wigner_transform(weyl_quantize(f))
@@ -70,7 +70,7 @@ def test_linear_symbol_is_momentum_operator(grid32):
 
 def test_weyl_against_quadrature_oracle():
     # direct quadrature of the defining integral with an analytic symbol
-    grid = make_grid(1, 32, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(32, 2 * np.pi, 2 * np.pi)
     N = grid.N
     sx, sxi = 0.9, 0.7
     vals = wrapped_gaussian(grid, np.pi, 0.0, sx, sxi)
@@ -130,7 +130,7 @@ class TestExchange:
                 schatten_norm(op, p), rel=1e-10)
 
     def test_rectangular_box_rejected(self, rng):
-        g = make_grid(1, 32, 2 * np.pi, 4 * np.pi)
+        g = make_grid(32, 2 * np.pi, 4 * np.pi)
         op = weyl_quantize(PhaseField(g, band_limited_field(32, rng, max_mode=6)))
         with pytest.raises(IncompatibleGridError):
             exchange(op)
@@ -217,7 +217,7 @@ def _oracle_wigner(op):
 def test_flat_gathers_match_fancy_index_oracles(N, real, rng):
     from phaselab.transforms import chord_matrix, scatter_chords
 
-    grid = make_grid(1, N, 2 * np.pi, 2 * np.pi)
+    grid = make_grid(N, 2 * np.pi, 2 * np.pi)
     # full-band data: the Nyquist modes and the antipodal chord carry mass
     f = PhaseField(grid, band_limited_field(N, rng, max_mode=N // 2, real=real), real=real)
     op = weyl_quantize(f)
