@@ -34,10 +34,6 @@ class CoherentState:
     values: np.ndarray
     snap_distance: float = 0.0
 
-    @property
-    def z(self) -> tuple[float, float]:
-        return (self.x0, self.xi0)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
 
@@ -128,12 +124,12 @@ def husimi_convolve(f: PhaseField, kernel: PhaseField | None = None) -> PhaseFie
     return PhaseField(g, conv, real=False)
 
 
-def wick_quantize(f: PhaseField, kernel: PhaseField | None = None) -> DensityOperator:
+def wick_quantize(f: PhaseField) -> DensityOperator:
     """Wick quantization via the Gaussian-convolution identity wick(f) = weyl(g_h * f).
 
     Positive whenever f >= 0; the positive flag is set from the sign of f.
     """
-    smoothed = husimi_convolve(f, kernel)
+    smoothed = husimi_convolve(f)
     op = weyl_quantize(smoothed)
     if f.real and np.all(f.values >= 0):
         op.positive = True

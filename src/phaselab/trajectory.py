@@ -41,7 +41,6 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     fields: list = field(default_factory=list)   # FieldSnapshot history
     root_snapshots: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     dt: float = 0.0
 
     def log(self, name: str, value: float):

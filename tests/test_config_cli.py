@@ -65,6 +65,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             apply_overrides(cfg, ["notakeyvalue"])
 
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+        ids=lambda path: path.name)
+    def test_shipped_config_validates(self, path):
+        load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.json")

@@ -110,10 +110,11 @@ class TestVlasov:
     def test_support_escape_guard(self):
         grid = make_grid(32, 2 * np.pi, 2 * np.pi)
         X, XI = grid.meshgrid()
-        # broad momentum support that free-streams into the boundary rows
+        # broad momentum support that already reaches the boundary columns:
+        # the guard runs at every step time, so it trips before the first step
         vals = np.exp(-((X - np.pi) ** 2)) * np.exp(-(XI**2) / (0.9 * grid.L_xi / 2) ** 2)
         f0 = PhaseField(grid, vals)
-        with pytest.raises(SupportEscapeError):
+        with pytest.raises(SupportEscapeError, match="at t=0$"):
             evolve_vlasov(f0, 1.0, 0.05, +1)
 
     def test_boundary_fraction_logged(self, grid64):
@@ -131,6 +132,20 @@ class TestVlasov:
         assert isinstance(traj.fields[0], FieldSnapshot)
         np.testing.assert_allclose(traj.fields[0].rho,
                                    f0.values.sum(axis=1) * grid64.dxi)
+
+    def test_one_poisson_solve_per_step_time(self, grid64, count_ffts):
+        # three real N x N shifts per step, and one Poisson solve (three 1-d
+        # transforms of the density) per step time, whose field is the one
+        # recorded: the Poisson field of the snapshot's own density
+        f0 = sample_field(grid64, PROFILE)
+        calls = count_ffts()
+        traj = evolve_vlasov(f0, 0.5, DEFAULT_DT, +1, snapshot_stride=6)
+        steps = len(traj.times) - 1
+        assert sum(len(shape) == 1 for shape in calls) == 3 * len(traj.times)
+        assert sum(len(shape) == 2 for shape in calls) == 6 * steps
+        for f, fld in zip(traj.snapshots, traj.snapshot_fields()):
+            expected = solve_poisson(grid64, f.values.sum(axis=1) * grid64.dxi, +1).V
+            assert np.max(np.abs(fld.V - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestHartree:
@@ -368,6 +383,20 @@ class TestTemporalOrder:
         _, op0 = wick_square_datum(sample_field(grid64, profile))
         finals = [evolve_hartree(op0, 0.5, 0.05 / 2**k, sign).final().kernel for k in range(3)]
         assert 3.5 <= self._ratio(finals) <= 4.5
+
+    def test_one_splitting_in_the_limit(self):
+        # the Hartree scheme's semiclassical limit is the Vlasov scheme, so
+        # with well-prepared data (the Vlasov flow of Re W[op0]) the error
+        # ||W[op(T)] - f(T)||_L2 holds no O(dt^2) splitting mismatch
+        grid = make_grid(128, 2 * np.pi, 2 * np.pi)
+        _, op0 = wick_square_datum(sample_field(grid, PROFILE))
+        w0 = wigner_transform(op0)
+        errs = []
+        for dt in (0.01, 0.005):
+            wT = wigner_transform(evolve_hartree(op0, 0.5, dt, +1).final()).values
+            fT = evolve_vlasov(w0, 0.5, dt, +1).final().values
+            errs.append(np.sqrt(np.sum((wT - fT) ** 2) * grid.cell))
+        assert abs(errs[0] / errs[1] - 1) <= 1e-3
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("profile", [PROFILE, TWO_STREAM], ids=["maxwellian", "two_stream"])
