@@ -35,7 +35,6 @@ class GronwallBudget:
 
     times: np.ndarray
     lam: np.ndarray
-    C_inf: float
     extras: dict = field(default_factory=dict)
 
     def Lambda(self) -> np.ndarray:
@@ -73,7 +72,7 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
         l31 = lorentz_norm(w, g.dx, 3, 1)
         rho_inf = float(np.max(np.abs(snap.rho)))
         lam[idx] = np.sqrt(rho_inf) * m32 + np.sqrt(C_inf) * l31
-    return GronwallBudget(times, lam, C_inf)
+    return GronwallBudget(times, lam)
 
 
 # the wrap guard for square-root kernels, which sit on a sqrt(eps) rounding floor
@@ -103,8 +102,7 @@ def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[floa
         lam[idx] = w12 * np.sqrt(rho_sup[idx]) + np.sqrt(C_inf) * pair
         w12s.append(w12)
         weighted.append(pair)
-    return GronwallBudget(times, lam, C_inf,
-                          extras={"w12": w12s, "weighted_n": weighted})
+    return GronwallBudget(times, lam, extras={"w12": w12s, "weighted_n": weighted})
 
 
 def fit_c_star(times, left, Lambda) -> float:

@@ -19,7 +19,7 @@ import traceback
 from pathlib import Path
 
 from .coherent import wick_square_datum
-from .config import PROBES, SimConfig, apply_overrides, load_config
+from .config import PROBES, apply_overrides, load_config, validate
 from .errors import ConfigurationError, PhaselabError
 from .grids import make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
@@ -57,7 +57,7 @@ def _parser() -> argparse.ArgumentParser:
     common(run_p)
     sweep_p = sub.add_parser("sweep", help="run the configured hbar-sweep probes")
     common(sweep_p)
-    probe_p = sub.add_parser("probe", help="run one probe at the config's single grid")
+    probe_p = sub.add_parser("probe", help="run one probe as a one-probe sweep, or norms")
     common(probe_p)
     probe_p.add_argument("--name", required=True,
                          help=f"probe name: norms or one of {', '.join(PROBES)}")
@@ -67,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args) -> SimConfig:
+def _load(args) -> dict:
     config = load_config(args.config)
     overrides = list(args.set)
     if args.out is not None:
@@ -79,35 +79,32 @@ def _load(args) -> SimConfig:
     return config
 
 
-def _twin_fields(config: SimConfig, f1):
+def _twin_fields(config: dict, f1):
     delta = config["twin_shift_cells"] * f1.grid.dx
     return f1, f1.copy_with(shift(f1.values, f1.grid.L_x, delta, axis=0))
 
 
-def _run_vlasov(config: SimConfig, f0, dt: float) -> Trajectory:
-    return evolve_vlasov(f0, config["T"], dt, config["sign"],
-                         snapshot_stride=config["snapshot_stride"])
+def _run_vlasov(config: dict, f0, dt: float) -> Trajectory:
+    return evolve_vlasov(f0, config["T"], dt, config["sign"])
 
 
-def _run_hartree(config: SimConfig, f0, dt: float) -> Trajectory:
+def _run_hartree(config: dict, f0, dt: float) -> Trajectory:
     _, op0 = wick_square_datum(f0)
-    return evolve_hartree(op0, config["T"], dt, config["sign"],
-                          snapshot_stride=config["snapshot_stride"], log_spectrum=True)
+    return evolve_hartree(op0, config["T"], dt, config["sign"], log_spectrum=True)
 
 
-def _run_linear_hartree(config: SimConfig, f0, dt: float) -> Trajectory:
+def _run_linear_hartree(config: dict, f0, dt: float) -> Trajectory:
     ftraj = evolve_vlasov(f0, config["T"], dt, config["sign"])
     _, op0 = wick_square_datum(f0)
-    return evolve_linear_hartree(op0, ftraj.fields, config["T"], dt,
-                                 snapshot_stride=config["snapshot_stride"], log_spectrum=True)
+    return evolve_linear_hartree(op0, ftraj.fields, config["T"], dt, log_spectrum=True)
 
 
-def _run_twin_classical(config: SimConfig, f0, dt: float) -> ProbeReport:
+def _run_twin_classical(config: dict, f0, dt: float) -> ProbeReport:
     f1, f2 = _twin_fields(config, f0)
     return classical_stability_experiment(f1, f2, config["T"], dt, config["sign"])
 
 
-def _run_twin_quantum(config: SimConfig, f0, dt: float) -> ProbeReport:
+def _run_twin_quantum(config: dict, f0, dt: float) -> ProbeReport:
     f1, f2 = _twin_fields(config, f0)
     (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
     return quantum_stability_experiment(op1, op2, config["T"], dt, config["sign"])
@@ -124,7 +121,7 @@ RUNS = {
 }
 
 
-def cmd_run(config: SimConfig) -> int:
+def cmd_run(config: dict) -> int:
     """Run one experiment. A flow writes <experiment>_trajectory.csv and,
     under dump_snapshots, its final state as the raw dump <experiment>_final;
     a twin experiment writes <probe>.json and exits 1 when it fails."""
@@ -145,21 +142,14 @@ def cmd_run(config: SimConfig) -> int:
     return EXIT_OK
 
 
-def _probe_reports(config: SimConfig, probes: list[str], jobs: int) -> list[ProbeReport]:
-    """Reports of the probes, in the given order, from one sweep pass."""
-    by_probe = sweep_reports(probes, config["sweep_N"], jobs,
-                             profile=config["profile"], T=config["T"], sign=config["sign"],
-                             dt=config["dt"], seed=config["seed"])
-    return [rep for name in probes for rep in by_probe[name]]
-
-
-def _write_reports(reports: list[ProbeReport], out_dir: Path, line) -> int:
-    """Write each report's JSON and print line(report, flag); under a FAIL
+def _write_reports(reports: list[ProbeReport], out_dir: Path) -> int:
+    """Write each report's JSON and print its slope and verdict; under a FAIL
     line, every failing tolerance entry with its observed value and bound."""
     all_pass = True
     for rep in reports:
         (out_dir / f"{rep.probe}.json").write_text(rep.to_json() + "\n")
-        print(line(rep, "pass" if rep.passed else "FAIL"))
+        slope = "" if rep.slope is None else f"{rep.slope:+.4f}"
+        print(f"{rep.probe:24s} slope={slope:>8s}  {'pass' if rep.passed else 'FAIL'}")
         for name, tol in rep.tolerance.items():
             if not tol["ok"]:
                 print(f"  {name}: observed={tol['observed']} bound={tol['bound']}")
@@ -167,20 +157,17 @@ def _write_reports(reports: list[ProbeReport], out_dir: Path, line) -> int:
     return EXIT_OK if all_pass else EXIT_PROBE_FAIL
 
 
-def _sweep_line(rep: ProbeReport, flag: str) -> str:
-    slope = "" if rep.slope is None else f"{rep.slope:+.4f}"
-    return f"{rep.probe:24s} slope={slope:>8s}  {flag}"
-
-
-def cmd_sweep(config: SimConfig, jobs: int) -> int:
+def cmd_sweep(config: dict, jobs: int) -> int:
     if len(config["sweep_N"]) < 4:
         raise ConfigurationError("sweep needs at least 4 grid sizes in sweep_N")
     if not config["probes"]:
         raise ConfigurationError("sweep needs a nonempty probe list")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _probe_reports(config, config["probes"], jobs)
-    code = _write_reports(reports, out_dir, _sweep_line)
+    settings = {key: config[key] for key in ("profile", "T", "sign", "dt", "seed", "L_x", "L_xi")}
+    by_probe = sweep_reports(config["probes"], config["sweep_N"], jobs, **settings)
+    reports = [rep for name in config["probes"] for rep in by_probe[name]]
+    code = _write_reports(reports, out_dir)
     write_csv(out_dir / "sweep_summary.csv",
               ["probe", "hbar", "lhs", "budget", "ratio", "slope", "pass"],
               [[r["probe"], r["hbar"], r["lhs"], r["budget"], r["ratio"],
@@ -188,31 +175,30 @@ def cmd_sweep(config: SimConfig, jobs: int) -> int:
     return code
 
 
-def cmd_probe(config: SimConfig, name: str, jobs: int) -> int:
+def cmd_probe(config: dict, name: str, jobs: int) -> int:
+    """The norms of the config's profile on its N x N grid, or a sweep of the
+    one named probe."""
+    if name != "norms":
+        return cmd_sweep(validate({**config, "probes": [name]}), jobs)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if name == "norms":
-        f = sample_field(make_grid(config["N"], config["L_x"], config["L_xi"]),
-                         config["profile"])
-        rows = [
-            ["L1", lebesgue_norm(f, 1)],
-            ["L2", lebesgue_norm(f, 2)],
-            ["Linf", lebesgue_norm(f, math.inf)],
-            ["L2xL2xi", mixed_norm(f, 2, 2)],
-            ["L3xL2xi", mixed_norm(f, 3, 2)],
-            ["H1", weighted_sobolev_norm(f, 1, 2, 0)],
-            ["H2", weighted_sobolev_norm(f, 2, 2, 0)],
-            ["W1inf", weighted_sobolev_norm(f, 1, math.inf, 0)],
-            ["H2_2", weighted_sobolev_norm(f, 2, 2, 2)],
-        ]
-        write_csv(out_dir / "norms.csv", ["spec", "value"], rows)
-        for spec, value in rows:
-            print(f"{spec:10s} {fmt(value)}")
-        return EXIT_OK
-    if name not in PROBES:
-        raise ConfigurationError(f"unknown probe {name!r}")
-    reports = _probe_reports(config, [name], jobs)
-    return _write_reports(reports, out_dir, lambda rep, flag: f"{rep.probe:24s} {flag}")
+    f = sample_field(make_grid(config["N"], config["L_x"], config["L_xi"]),
+                     config["profile"])
+    rows = [
+        ["L1", lebesgue_norm(f, 1)],
+        ["L2", lebesgue_norm(f, 2)],
+        ["Linf", lebesgue_norm(f, math.inf)],
+        ["L2xL2xi", mixed_norm(f, 2, 2)],
+        ["L3xL2xi", mixed_norm(f, 3, 2)],
+        ["H1", weighted_sobolev_norm(f, 1, 2, 0)],
+        ["H2", weighted_sobolev_norm(f, 2, 2, 0)],
+        ["W1inf", weighted_sobolev_norm(f, 1, math.inf, 0)],
+        ["H2_2", weighted_sobolev_norm(f, 2, 2, 2)],
+    ]
+    write_csv(out_dir / "norms.csv", ["spec", "value"], rows)
+    for spec, value in rows:
+        print(f"{spec:10s} {fmt(value)}")
+    return EXIT_OK
 
 
 def cmd_report(results_dir: str, out: str | None) -> int:

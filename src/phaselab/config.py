@@ -8,7 +8,6 @@ any computation starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -40,12 +39,11 @@ _SCHEMA = {
     "probes": list,
     "out_dir": str,
     "seed": int,
-    "snapshot_stride": (int, type(None)),
     "twin_shift_cells": int,
     "dump_snapshots": bool,
 }
 
-_DEFAULTS = {
+DEFAULTS = {
     "experiment": "vlasov",
     "N": 64,
     "L_x": 6.283185307179586,
@@ -58,26 +56,9 @@ _DEFAULTS = {
     "probes": ["convergence"],
     "out_dir": "results",
     "seed": 0,
-    "snapshot_stride": None,
     "twin_shift_cells": 3,
     "dump_snapshots": False,
 }
-
-
-@dataclass
-class SimConfig:
-    """Validated experiment configuration."""
-
-    data: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
 
 
 def _check_types(data: dict):
@@ -93,8 +74,10 @@ def _check_types(data: dict):
             raise ConfigurationError(f"config field {key!r} must be an integer")
 
 
-def validate(data: dict) -> SimConfig:
-    merged = dict(_DEFAULTS)
+def validate(data: dict) -> dict:
+    """The config with DEFAULTS filled in; raises ConfigurationError on an
+    unknown field, a wrong type or a broken invariant."""
+    merged = dict(DEFAULTS)
     merged.update(data)
     _check_types(merged)
     if merged["experiment"] not in EXPERIMENTS:
@@ -122,10 +105,10 @@ def validate(data: dict) -> SimConfig:
         raise ConfigurationError("probes must not list a probe twice")
     if "name" not in merged["profile"]:
         raise ConfigurationError("profile needs a 'name' field")
-    return SimConfig(merged)
+    return merged
 
 
-def load_config(path: str | Path) -> SimConfig:
+def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -137,13 +120,13 @@ def load_config(path: str | Path) -> SimConfig:
     return validate(raw)
 
 
-def apply_overrides(config: SimConfig, overrides: list[str]) -> SimConfig:
+def apply_overrides(config: dict, overrides: list[str]) -> dict:
     """Apply repeatable --set key=value flags with dotted paths.
 
     Values parse as JSON when possible (numbers, booleans, null, lists),
     falling back to bare strings.
     """
-    data = json.loads(json.dumps(config.data))  # deep copy
+    data = json.loads(json.dumps(config))  # deep copy
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not of the form key=value")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, TruncationError
+from .spectral import modes
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class PhaseGrid:
     @property
     def fourier_momenta(self) -> np.ndarray:
         """Momenta hbar 2 pi a / L_x of the kernel Fourier modes a, in fft order."""
-        a = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        return self.hbar * 2.0 * np.pi * a / self.L_x
+        return self.hbar * 2.0 * np.pi * modes(self.N) / self.L_x
 
     @property
     def cell(self) -> float:

@@ -22,7 +22,7 @@ from .calculus import (
 from .errors import ConfigurationError
 from .grids import PhaseField
 from .operators import DensityOperator
-from .spectral import derivative, derivative_multiplier
+from .spectral import derivative, derivative_multiplier, modes
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,8 @@ def h_half_norm(f: PhaseField) -> float:
     """Fourier-multiplier H^{1/2} norm of a phase-space field (comparison only)."""
     g = f.grid
     spec = np.fft.fft2(f.values) / g.N**2
-    ax = 2 * np.pi * np.fft.fftfreq(g.N, d=1.0 / g.N) / g.L_x
-    axi = 2 * np.pi * np.fft.fftfreq(g.N, d=1.0 / g.N) / g.L_xi
+    ax = 2 * np.pi * modes(g.N) / g.L_x
+    axi = 2 * np.pi * modes(g.N) / g.L_xi
     w = (1.0 + ax[:, None] ** 2 + axi[None, :] ** 2) ** 0.5
     vol = g.L_x * g.L_xi
     return float(math.sqrt(np.sum(w * np.abs(spec) ** 2) * vol))

@@ -28,12 +28,7 @@ def derivative_multiplier(N: int, L: float, order: int) -> np.ndarray:
 
 def derivative(values: np.ndarray, L: float, axis: int, order: int = 1) -> np.ndarray:
     """Spectral derivative along one axis of periodic samples."""
-    N = values.shape[axis]
-    shape = [1] * values.ndim
-    shape[axis] = N
-    out = np.fft.fft(values, axis=axis)
-    out *= derivative_multiplier(N, L, order).reshape(shape)
-    np.fft.ifft(out, axis=axis, out=out)
+    out = fourier_multiplier(values, derivative_multiplier(values.shape[axis], L, order), axis)
     if not np.iscomplexobj(values):
         return out.real
     return out
@@ -100,21 +95,20 @@ def half_shift(values: np.ndarray, axis: int, direction: int = +1,
     no Nyquist content.
     """
     N = values.shape[axis]
-    a = modes(N)
-    phase = np.exp(1j * np.pi * a * direction / N)
+    phase = np.exp(1j * np.pi * modes(N) * direction / N)
     phase[N // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = N
-    spec = np.fft.fft(values, axis=axis)
-    spec *= phase.reshape(shape)
-    return np.fft.ifft(spec, axis=axis, out=spec if out is None else out)
+    return fourier_multiplier(values, phase, axis, out)
 
 
-def fourier_multiplier(values: np.ndarray, mult: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a diagonal-in-Fourier multiplier (indexed in fft order) along an axis."""
+def fourier_multiplier(values: np.ndarray, mult: np.ndarray, axis: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a diagonal-in-Fourier multiplier (indexed in fft order) along an
+    axis, into ``out`` when given."""
     shape = [1] * values.ndim
     shape[axis] = values.shape[axis]
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * np.asarray(mult).reshape(shape), axis=axis)
+    spec = np.fft.fft(values, axis=axis)
+    spec *= np.asarray(mult).reshape(shape)
+    return np.fft.ifft(spec, axis=axis, out=spec if out is None else out)
 
 
 def random_mode_block(rng: np.random.Generator, max_mode: int, real: bool = True) -> np.ndarray:

@@ -31,6 +31,7 @@ from .budgets import (
 )
 from .calculus import operator_sqrt, spatial_density
 from .coherent import husimi_convolve, wick_quantize, wick_square_datum
+from .config import DEFAULTS
 from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
@@ -59,15 +60,14 @@ from .trajectory import resolve_steps
 from .transforms import weyl_quantize, wigner_transform
 from .vlasov import evolve_vlasov
 
-DEFAULT_N_LIST = (64, 96, 128, 192, 256)
 SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
 # the probes that read the snapshot series
 SERIES_PROBES = frozenset({"positivity_defect", "sqrt_comparison", "regularity"})
 # the probes that read a flow; a member evaluates the others first
 FLOW_PROBES = SERIES_PROBES | {"convergence"}
-BOX = 2 * math.pi        # sweeps run on the square box of side 2 pi
 # member settings a sweep need not pass; profile and T have no default
-MEMBER_DEFAULTS = {"sign": 1, "dt": None, "seed": 0, "pairs": 10, "k": 1, "q": 2, "n": 1}
+MEMBER_DEFAULTS = {**{key: DEFAULTS[key] for key in ("sign", "dt", "seed", "L_x", "L_xi")},
+                   "pairs": 10, "k": 1, "q": 2, "n": 1}
 
 
 def run_members(fn, arg_list, jobs: int = 1):
@@ -107,7 +107,7 @@ class DynamicsBundle:
 
     def __init__(self, args: dict):
         self.args = {**MEMBER_DEFAULTS, **args}
-        self.grid = make_grid(args["N"], BOX, BOX)
+        self.grid = make_grid(args["N"], self.args["L_x"], self.args["L_xi"])
 
     @cached_property
     def f0(self) -> PhaseField:
@@ -166,28 +166,18 @@ class DynamicsBundle:
                                      root=self.wick_datum[0])
 
     @cached_property
-    def weyl_ends(self) -> tuple:
-        """(op_{f0}, op_{f(T)}): the Weyl quantizations of the first and last
-        Vlasov snapshots, which the headline and weyl_terms both read.
-        weyl_terms, the later reader in PROBE_TABLE order, releases them."""
-        return weyl_quantize(self.f0), weyl_quantize(self.vlasov.final())
-
-    @cached_property
     def weyl_terms(self) -> list[tuple]:
         """Per Vlasov snapshot f, with op_f = weyl_quantize(f) and op_til the
         linear Hartree snapshot: (||op_til - op_f||_L2, the density of op_f,
         ||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}).
 
         op_f is not kept: holding every snapshot's operator until the member
-        ends would raise its peak memory by about 9 MiB at N=256, and even the
-        two weyl_ends by about 2 MiB, so they are released here.
+        ends would raise its peak memory by about 9 MiB at N=256.
         """
         out = []
-        ends = {0: self.weyl_ends[0], len(self.vlasov.snapshots) - 1: self.weyl_ends[1]}
-        del self.weyl_ends
-        for i, (f, op_til, snap) in enumerate(zip(self.vlasov.snapshots, self.linear.snapshots,
-                                                  self.vlasov.snapshot_fields())):
-            op_f = ends.pop(i) if i in ends else weyl_quantize(f)
+        for f, op_til, snap in zip(self.vlasov.snapshots, self.linear.snapshots,
+                                   self.vlasov.snapshot_fields()):
+            op_f = weyl_quantize(f)
             out.append((schatten_norm(op_til - op_f, 2), spatial_density(op_f).real,
                         spatial_sobolev_norm(snap.rho, self.grid.L_x, 1, np.inf)
                         * quantum_sobolev_norm(op_f, 2, 2, 2)))
@@ -220,7 +210,7 @@ def headline_metric(b: DynamicsBundle) -> dict:
     fT = b.vlasov.final()
     opT = b.hartree.final()
     tilT = b.linear.final()
-    op_f0, opfT = b.weyl_ends
+    op_f0, opfT = weyl_quantize(b.f0), weyl_quantize(fT)
     wT = wigner_transform(opT)
     diff = wT.values - fT.values
     err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell))
@@ -605,9 +595,8 @@ def grid_member(args: dict) -> dict:
 
     The static probes run first, then the flow probes, each in PROBE_TABLE
     order whatever the requested order: the flows are not yet held while the
-    static metrics churn the heap, and weyl_terms reads weyl_ends after the
-    headline, as the release of weyl_ends assumes. A PhaselabError is
-    re-raised as the same class, with the probe and N in front of its message.
+    static metrics churn the heap. A PhaselabError is re-raised as the same
+    class, with the probe and N in front of its message.
     """
     bundle = DynamicsBundle(args)
     order = list(PROBE_TABLE)
@@ -621,8 +610,7 @@ def grid_member(args: dict) -> dict:
     return metrics
 
 
-def sweep_reports(probes, N_list=DEFAULT_N_LIST, jobs: int = 1,
-                  **settings) -> dict[str, list[ProbeReport]]:
+def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[ProbeReport]]:
     """Reports of the requested probes from one member pass over the grid
     ladder; ``settings`` go to every member (see MEMBER_DEFAULTS)."""
     probes = tuple(probes)

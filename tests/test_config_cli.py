@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phaselab.cli import main
-from phaselab.config import apply_overrides, load_config, validate
+from phaselab.config import DEFAULTS, apply_overrides, load_config, validate
 from phaselab.errors import ConfigurationError
 from phaselab.io import dump_raw_array, load_raw_array
 
@@ -75,6 +75,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.json")
 
+    def test_snapshot_stride_is_not_a_field(self):
+        with pytest.raises(ConfigurationError, match="unknown config field 'snapshot_stride'"):
+            validate({"snapshot_stride": 3})
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert {name for row in rows for name in row.split("`")[1::2]} == set(DEFAULTS)
+
 
 class TestCli:
     def test_run_vlasov_writes_log(self, config_file, tmp_path):
@@ -126,6 +136,32 @@ class TestCli:
         assert merged[0] == "run,probe,hbar,lhs,budget,ratio,slope,pass"
         assert len(merged) == 5
         assert (out / "plot_b_remainder.csv").exists()
+
+    def test_sweep_honours_the_configured_box(self, config_file, tmp_path):
+        common = ["sweep", "--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",
+                  "--set", 'probes=["b_remainder"]', "--jobs", "1"]
+        main([*common, "--set", f"out_dir={tmp_path / 'default'}"])
+        main([*common, "--set", "L_x=3.0", "--set", f"out_dir={tmp_path / 'box'}"])
+        report = json.loads((tmp_path / "box" / "b_remainder.json").read_text())
+        # hbar = L_x L_xi / (2 pi N) with L_xi = 2 pi: 3 / N, so 0.0625 at N=48
+        assert report["hbar"] == pytest.approx([3.0 / N for N in (48, 64, 96, 128)], rel=1e-12)
+        assert ((tmp_path / "box" / "b_remainder.json").read_bytes()
+                != (tmp_path / "default" / "b_remainder.json").read_bytes())
+
+    def test_probe_is_a_one_probe_sweep(self, config_file, tmp_path, capsys):
+        common = ["--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",
+                  "--jobs", "1"]
+        assert main(["probe", *common, "--name", "b_remainder",
+                     "--set", f"out_dir={tmp_path / 'probe'}"]) == 0
+        probe_out = capsys.readouterr().out
+        assert main(["sweep", *common, "--set", 'probes=["b_remainder"]',
+                     "--set", f"out_dir={tmp_path / 'sweep'}"]) == 0
+        assert capsys.readouterr().out == probe_out
+        for name in ("b_remainder.json", "sweep_summary.csv"):
+            assert (tmp_path / "probe" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
+
+    def test_unknown_probe_name_exits_2(self, config_file):
+        assert main(["probe", "--config", str(config_file), "--name", "nope"]) == 2
 
     def test_report_empty_dir_exits_2(self, tmp_path):
         empty = tmp_path / "empty"

@@ -220,8 +220,9 @@ def test_sqrt_comparison_dense_kernel_count(monkeypatch):
 
 
 def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):
-    """With the headline and a series probe on one grid, f0 and f(T) are
-    quantized once each, and the headline reads the same bits as alone."""
+    """With the headline and a series probe on one grid, each Vlasov snapshot
+    is quantized once for the series and f0 and f(T) once more for the
+    headline, which reads the same bits as alone."""
     from phaselab import sweeps
 
     args = dict(N=64, profile=PROFILE, T=0.5)
@@ -230,14 +231,15 @@ def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):
     quantize = sweeps.weyl_quantize
     monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
     both = grid_member(dict(args, probes=("convergence", "positivity_defect")))
-    # one per Vlasov snapshot: t = 0, every sixth of the 50 steps, and T
-    assert len(calls) == 10
+    # one per Vlasov snapshot (t = 0, every sixth of the 50 steps, and T),
+    # plus f0 and f(T) for the headline
+    assert len(calls) == 12
     assert both["convergence"] == alone["convergence"]
 
 
 def test_member_order_does_not_follow_the_request(monkeypatch):
-    """Requested flow-probes-first or headline-last, a member still runs the
-    headline before weyl_terms, so f0 and f(T) are quantized once each."""
+    """Requested flow-probes-first or headline-last, a member runs the same
+    quantizations and reads the same bits."""
     from phaselab import sweeps
 
     args = dict(N=64, profile=PROFILE, T=0.5)
@@ -245,7 +247,7 @@ def test_member_order_does_not_follow_the_request(monkeypatch):
     quantize = sweeps.weyl_quantize
     monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
     reordered = grid_member(dict(args, probes=("positivity_defect", "convergence")))
-    assert len(calls) == 10
+    assert len(calls) == 12
     monkeypatch.setattr(sweeps, "weyl_quantize", quantize)
     ordered = grid_member(dict(args, probes=("convergence", "positivity_defect")))
     assert reordered["convergence"] == ordered["convergence"]
