@@ -79,6 +79,7 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
 SQRT_WRAP_TOL = 1e-5
 QUANTUM_WEIGHT_N = 3          # the momentum weight <p>^n of the quantum rate
 QUANTUM_PAIR = (2.5, 3.5)     # its Schatten pair 3 +- eps, eps = 1/2
+ENVELOPE_SLACK_FACTOR = 2.0   # structural slack of the fitted twin and regularity envelopes
 
 
 def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[float],

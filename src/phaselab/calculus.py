@@ -144,16 +144,16 @@ def kinetic_energy(op: DensityOperator) -> float:
     return float(tr * g.dx * g.h)
 
 
-def operator_sqrt(op: DensityOperator, tol: float = 1e-8) -> DensityOperator:
+def operator_sqrt(op: DensityOperator) -> DensityOperator:
     """Hermitian square root via eigendecomposition.
 
-    Eigenvalues in [-tol * scale, 0) are discretization noise and clamp to 0;
-    anything below raises NotPositiveError.
+    Eigenvalues in [-1e-8 * scale, 0) are discretization noise and clamp to 0;
+    anything below raises NotPositiveError (require_positive).
     """
-    ev, U = require_positive(op, tol=tol)
+    ev, U = require_positive(op)
     g = op.grid
     ev_clamped = np.clip(ev, 0.0, None)
     # matrix eigenvalue of sqrt is sqrt(lambda_op) / dx so that S o S = op
     w = np.sqrt(ev_clamped) / g.dx
     K = (U * w[None, :]) @ U.conj().T
-    return DensityOperator(g, K, hermitian=True, positive=True)
+    return DensityOperator(g, K, hermitian=True)

@@ -25,7 +25,7 @@ from .grids import make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
 from .io import dump_raw_array, fmt, trajectory_csv, write_csv
 from .norms import lebesgue_norm, mixed_norm, weighted_sobolev_norm
-from .reports import ProbeReport
+from .reports import CSV_COLUMNS, ProbeReport
 from .spectral import shift
 from .stability import classical_stability_experiment, quantum_stability_experiment
 from .sweeps import sweep_reports
@@ -37,6 +37,7 @@ EXIT_PROBE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
+TWIN_SHIFT_CELLS = 3  # spatial offset of the twin datum, in grid cells
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -80,7 +81,7 @@ def _load(args) -> dict:
 
 
 def _twin_fields(config: dict, f1):
-    delta = config["twin_shift_cells"] * f1.grid.dx
+    delta = TWIN_SHIFT_CELLS * f1.grid.dx
     return f1, f1.copy_with(shift(f1.values, f1.grid.L_x, delta, axis=0))
 
 
@@ -168,10 +169,8 @@ def cmd_sweep(config: dict, jobs: int) -> int:
     by_probe = sweep_reports(config["probes"], config["sweep_N"], jobs, **settings)
     reports = [rep for name in config["probes"] for rep in by_probe[name]]
     code = _write_reports(reports, out_dir)
-    write_csv(out_dir / "sweep_summary.csv",
-              ["probe", "hbar", "lhs", "budget", "ratio", "slope", "pass"],
-              [[r["probe"], r["hbar"], r["lhs"], r["budget"], r["ratio"],
-                r["slope"], r["pass"]] for rep in reports for r in rep.csv_rows()])
+    write_csv(out_dir / "sweep_summary.csv", CSV_COLUMNS,
+              [[r[c] for c in CSV_COLUMNS] for rep in reports for r in rep.csv_rows()])
     return code
 
 
@@ -222,24 +221,16 @@ def cmd_report(results_dir: str, out: str | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = []
     for run_id, data in reports:
-        for i, hb in enumerate(data["hbar"]):
-            merged.append([
-                run_id, data["probe"], hb, data["lhs"][i],
-                data["budget"][i] if i < len(data.get("budget", [])) else "",
-                data["ratio"][i] if i < len(data.get("ratio", [])) else "",
-                data.get("slope", ""), data.get("passed", ""),
-            ])
-        if len(data["hbar"]) >= 2:
-            plot_rows = [[math.log(h), math.log(l)]
-                         for h, l in zip(data["hbar"], data["lhs"]) if h > 0 and l > 0]
+        rows = ProbeReport.from_dict(data).csv_rows()
+        merged += [[run_id, *(r[c] for c in CSV_COLUMNS)] for r in rows]
+        if len(rows) >= 2:
+            plot_rows = [[math.log(r["hbar"]), math.log(r["lhs"])]
+                         for r in rows if r["hbar"] > 0 and r["lhs"] > 0]
             write_csv(out_dir / f"plot_{run_id}.csv", ["log_hbar", "log_lhs"], plot_rows)
         if data["probe"] == "convergence_rate":
-            write_csv(out_dir / "main_rate.csv",
-                      ["hbar", "l2_error", "fitted_slope"],
-                      [[h, l, data.get("slope", "")]
-                       for h, l in zip(data["hbar"], data["lhs"])])
-    write_csv(out_dir / "merged_reports.csv",
-              ["run", "probe", "hbar", "lhs", "budget", "ratio", "slope", "pass"], merged)
+            write_csv(out_dir / "main_rate.csv", ["hbar", "l2_error", "fitted_slope"],
+                      [[r["hbar"], r["lhs"], r["slope"]] for r in rows])
+    write_csv(out_dir / "merged_reports.csv", ["run", *CSV_COLUMNS], merged)
     print(f"merged {len(reports)} report(s) into {out_dir}")
     return EXIT_OK
 

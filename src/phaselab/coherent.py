@@ -127,13 +127,9 @@ def husimi_convolve(f: PhaseField, kernel: PhaseField | None = None) -> PhaseFie
 def wick_quantize(f: PhaseField) -> DensityOperator:
     """Wick quantization via the Gaussian-convolution identity wick(f) = weyl(g_h * f).
 
-    Positive whenever f >= 0; the positive flag is set from the sign of f.
+    Positive whenever f >= 0.
     """
-    smoothed = husimi_convolve(f)
-    op = weyl_quantize(smoothed)
-    if f.real and np.all(f.values >= 0):
-        op.positive = True
-    return op
+    return weyl_quantize(husimi_convolve(f))
 
 
 def wick_square_datum(f0: PhaseField) -> tuple[DensityOperator, DensityOperator]:
@@ -142,22 +138,21 @@ def wick_square_datum(f0: PhaseField) -> tuple[DensityOperator, DensityOperator]
     vt = wick_quantize(sqrt_field(f0))
     op0 = vt @ vt
     op0.hermitian = True
-    op0.positive = True
     return vt, op0
 
 
-def wick_sum_oracle(f: PhaseField, points_per_sqrt_hbar: int = 4) -> DensityOperator:
+def wick_sum_oracle(f: PhaseField) -> DensityOperator:
     """Brute-force Wick quantization: h^{-1} sum_z f(z) |psi_z><psi_z| dz.
 
-    Quadrature over a phase-space sub-lattice with at least
-    ``points_per_sqrt_hbar`` nodes per sqrt(hbar) per axis; f is sampled on
-    the sub-lattice by zero-padded spectral refinement. Centers are not
-    snapped (on grid points every packet is periodic in xi0 with period
-    L_xi, so the rectangle rule applies). Affordable only at small N; used
-    to cross-check the convolution route.
+    Quadrature over a phase-space sub-lattice with at least four nodes per
+    sqrt(hbar) per axis; f is sampled on the sub-lattice by zero-padded
+    spectral refinement. Centers are not snapped (on grid points every
+    packet is periodic in xi0 with period L_xi, so the rectangle rule
+    applies). Affordable only at small N; used to cross-check the
+    convolution route.
     """
     g = f.grid
-    step = math.sqrt(g.hbar) / points_per_sqrt_hbar
+    step = math.sqrt(g.hbar) / 4
     nx = max(g.N, int(math.ceil(g.L_x / step)))
     nxi = max(g.N, int(math.ceil(g.L_xi / step)))
     fine = _spectral_refine(f.values, nx, nxi)

@@ -39,7 +39,6 @@ _SCHEMA = {
     "probes": list,
     "out_dir": str,
     "seed": int,
-    "twin_shift_cells": int,
     "dump_snapshots": bool,
 }
 
@@ -56,7 +55,6 @@ DEFAULTS = {
     "probes": ["convergence"],
     "out_dir": "results",
     "seed": 0,
-    "twin_shift_cells": 3,
     "dump_snapshots": False,
 }
 
@@ -93,6 +91,8 @@ def validate(data: dict) -> dict:
         raise ConfigurationError("T must be nonnegative")
     if merged["dt"] is not None and merged["dt"] <= 0:
         raise ConfigurationError("dt must be positive when given")
+    if merged["seed"] < 0:
+        raise ConfigurationError("seed must be nonnegative")
     sweep = merged["sweep_N"]
     if not all(isinstance(n, int) and n % 2 == 0 for n in sweep):
         raise ConfigurationError("sweep_N entries must be even integers")

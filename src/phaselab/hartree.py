@@ -117,8 +117,8 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
             op, vt = op0, root
         elif due or log_spectrum:
             A, R = _split_packed(M)
-            op = DensityOperator(g, A, hermitian=True, positive=op0.positive)
-            vt = None if root is None else DensityOperator(g, R, hermitian=True, positive=True)
+            op = DensityOperator(g, A, hermitian=True)
+            vt = None if root is None else DensityOperator(g, R, hermitian=True)
         # Re tr M = tr op, ||M||_F^2 + Re tr(M M) = 2 ||op||_F^2, and the
         # imaginary part of the root is antisymmetric, so it drops out
         # against the symmetric kinetic circulant
@@ -194,4 +194,4 @@ def free_schroedinger(op0: DensityOperator, t: float) -> DensityOperator:
     """Exact free conjugation exp(-i t |p|^2 / (2 hbar)) op exp(+i ...)."""
     g = op0.grid
     K = _conjugate_kinetic(op0.kernel.astype(complex), _kinetic_phase(g, t))
-    return DensityOperator(g, K, hermitian=op0.hermitian, positive=op0.positive)
+    return DensityOperator(g, K, hermitian=op0.hermitian)

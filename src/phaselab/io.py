@@ -41,7 +41,8 @@ def trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
         if "min_eigenvalue" in traj.logs:
             cols.append("min_eigenvalue")
     else:
-        cols = ["time", "mass", "l2_norm", "energy", "min_value", "l1_norm", "momentum"]
+        cols = ["time", "mass", "l2_norm", "energy", "min_value", "l1_norm", "momentum",
+                "boundary_fraction"]
     rows = []
     for i, t in enumerate(traj.times):
         rows.append([t] + [traj.logs[c][i] for c in cols[1:]])

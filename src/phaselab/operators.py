@@ -21,12 +21,11 @@ POSITIVE_TOL = 1e-10
 
 @dataclass
 class DensityOperator:
-    """Kernel-matrix operator on the spatial grid with advisory flags."""
+    """Kernel-matrix operator on the spatial grid with an advisory Hermitian flag."""
 
     grid: PhaseGrid
     kernel: np.ndarray
     hermitian: bool = field(default=False)
-    positive: bool = field(default=False)
 
     def __post_init__(self):
         self.kernel = np.asarray(self.kernel, dtype=np.complex128)
@@ -54,8 +53,7 @@ class DensityOperator:
         return self.compose(other)
 
     def adjoint(self) -> "DensityOperator":
-        return DensityOperator(self.grid, self.kernel.conj().T,
-                               hermitian=self.hermitian, positive=self.positive)
+        return DensityOperator(self.grid, self.kernel.conj().T, hermitian=self.hermitian)
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         _same_grid(self, other)
@@ -97,15 +95,12 @@ class DensityOperator:
         return ok
 
     def check_positive(self, tol: float = POSITIVE_TOL) -> bool:
-        """Positivity check: smallest eigenvalue >= -tol * largest. Idempotent."""
+        """Positivity check: Hermitian, and smallest eigenvalue >= -tol * largest."""
         if not self.hermitian and not self.check_hermitian(1e-10):
-            self.positive = False
             return False
         ev = self.eigenvalues()
         top = max(ev[-1], 0.0) or 1.0
-        ok = ev[0] >= -tol * top
-        self.positive = bool(ok)
-        return ok
+        return bool(ev[0] >= -tol * top)
 
 
 def _same_grid(a: DensityOperator, b: DensityOperator):
@@ -116,13 +111,13 @@ def _same_grid(a: DensityOperator, b: DensityOperator):
 def identity_operator(grid: PhaseGrid) -> DensityOperator:
     """Identity operator: kernel = I / dx."""
     K = np.eye(grid.N, dtype=complex) / grid.dx
-    return DensityOperator(grid, K, hermitian=True, positive=True)
+    return DensityOperator(grid, K, hermitian=True)
 
 
 def outer_projector(grid: PhaseGrid, psi: np.ndarray, scale: float = 1.0) -> DensityOperator:
     """Rank-one operator scale * |psi><psi| with kernel psi(x) conj(psi(y))."""
     K = scale * np.outer(psi, psi.conj())
-    return DensityOperator(grid, K, hermitian=True, positive=scale >= 0)
+    return DensityOperator(grid, K, hermitian=True)
 
 
 def require_positive(op: DensityOperator, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import PhaseGrid
+from .trajectory import FieldSnapshot
 
 
 @lru_cache(maxsize=16)
@@ -37,8 +38,6 @@ def solve_poisson(grid: PhaseGrid, rho: np.ndarray, sign: int, time: float = 0.0
     Returns a FieldSnapshot with V-hat(a) = sign * rho-hat(a) / |2 pi a / L|^2
     for a != 0, V-hat(0) = 0, and E = -dV/dx.
     """
-    from .trajectory import FieldSnapshot
-
     if sign not in (-1, 0, 1):
         raise ConfigurationError(f"interaction sign must be -1, 0, or +1, got {sign}")
     rho = np.asarray(rho, dtype=float)

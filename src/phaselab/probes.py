@@ -82,16 +82,16 @@ def weight_remainder_probe(f: PhaseField) -> dict:
             "lhs2": lhs2, "budget2": budget2}
 
 
-def gaussian_commutator_probe(f: PhaseField, p: float = 2) -> dict:
-    """Weight vs Gaussian smoothing: ||<xi>(g_h*f) - g_h*(<xi> f)||_{L^p}
-    against hbar ||f||_{W^{1,p}}."""
+def gaussian_commutator_probe(f: PhaseField) -> dict:
+    """Weight vs Gaussian smoothing: ||<xi>(g_h*f) - g_h*(<xi> f)||_{L^2}
+    against hbar ||f||_{H^1}."""
     grid = f.grid
     xi_w = np.sqrt(1.0 + grid.xi**2)
     conv = husimi_convolve(f)
     lhs_field = conv.copy_with(conv.values * xi_w[None, :]) - husimi_convolve(
         f.copy_with(f.values * xi_w[None, :]))
-    lhs = lebesgue_norm(lhs_field, p)
-    budget = grid.hbar * weighted_sobolev_norm(f, 1, p, 0)
+    lhs = lebesgue_norm(lhs_field, 2)
+    budget = grid.hbar * weighted_sobolev_norm(f, 1, 2, 0)
     return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import WRAP_GUARD_TOL, require_unwrapped
+from .calculus import require_unwrapped
 from .errors import ConfigurationError
 from .grids import PhaseGrid
 from .norms import schatten_norm
@@ -36,8 +36,7 @@ def grad_on_half_lattice(grid: PhaseGrid, V: np.ndarray) -> np.ndarray:
 
 
 def b_remainder(op: DensityOperator, V: np.ndarray,
-                grad_v_half: np.ndarray | None = None,
-                wrap_tol: float = WRAP_GUARD_TOL) -> DensityOperator:
+                grad_v_half: np.ndarray | None = None) -> DensityOperator:
     """B_f(op): kernel delta2V(x, y) op(x, y).
 
     The chord x - y uses its minimal image and the midpoint the matching
@@ -49,7 +48,7 @@ def b_remainder(op: DensityOperator, V: np.ndarray,
     N = g.N
     if V.shape != (N,):
         raise ConfigurationError("potential shape does not match the grid")
-    require_unwrapped(op, wrap_tol)
+    require_unwrapped(op)
     if grad_v_half is None:
         grad_v_half = grad_on_half_lattice(g, V)
     if grad_v_half.shape != (2 * N,):
@@ -82,20 +81,19 @@ def hamiltonian_commutator(op: DensityOperator, V: np.ndarray) -> DensityOperato
     return kinetic_commutator(op) + potential_commutator(op, V)
 
 
-def weyl_vlasov_residual(f_traj: Trajectory, dt: float | None = None,
+def weyl_vlasov_residual(f_traj: Trajectory,
                          include_b: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Residual of i hbar d_t op_f = [H_f, op_f] - B_f(op_f) along a trajectory.
 
-    Time derivatives are central differences at interior snapshot times; the
-    trajectory must carry consecutive snapshots (stride 1). Returns
-    (interior times, residual L^2 Schatten norms).
+    Time derivatives are central differences over the trajectory's dt at
+    interior snapshot times; the trajectory must carry consecutive snapshots
+    (stride 1). Returns (interior times, residual L^2 Schatten norms).
     """
     if f_traj.kind != "field":
         raise ConfigurationError("residual needs a Vlasov (field) trajectory")
     if len(f_traj.snapshot_times) != len(f_traj.times):
         raise ConfigurationError("residual needs snapshots at every step (stride 1)")
-    if dt is None:
-        dt = f_traj.dt
+    dt = f_traj.dt
     g = f_traj.snapshots[0].grid
     hbar = g.hbar
     ops = [weyl_quantize(f) for f in f_traj.snapshots]

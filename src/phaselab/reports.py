@@ -10,6 +10,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# the keys of ProbeReport.csv_rows, in the column order of the summary files
+CSV_COLUMNS = ["probe", "hbar", "lhs", "budget", "ratio", "slope", "pass"]
+
 
 def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope of log y vs log x with its standard error.
@@ -78,6 +81,13 @@ class ProbeReport:
             "passed": self.passed,
             "details": _jsonable(self.details),
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ProbeReport":
+        """A report read back from its JSON; a missing verdict stays blank."""
+        return cls(probe=data["probe"], hbar=data["hbar"], lhs=data["lhs"],
+                   budget=data.get("budget", []), ratio=data.get("ratio", []),
+                   slope=data.get("slope"), passed=data.get("passed", ""))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .budgets import (
+    ENVELOPE_SLACK_FACTOR,
     classical_lambda,
     fit_c_star_window,
     quantum_lambda,
@@ -31,7 +32,6 @@ from .transforms import wigner_transform
 from .vlasov import evolve_vlasov
 
 ENVELOPE_SLACK = 1e-9
-ENVELOPE_SLACK_FACTOR = 2.0  # same structural slack the regularity envelope uses
 TWIN_SNAPSHOT_STRIDE = 5     # every twin flow stores every fifth step
 
 
@@ -111,7 +111,7 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, v2)])
     left_l2 = np.array([schatten_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)])
     budget = quantum_lambda(v2, times, rho_sup_series(tr2), C_inf)
-    # optional comparison column: H^(1/2) norm of the Wigner of grad_xi v2
+    # comparison entry: H^(1/2) norm of the Wigner transform of the initial root v2(0)
     h_half = [h_half_norm(wigner_transform(op)) for op in v2[:1]]
     return _twin_report("quantum_stability", op1_0.grid.hbar, times, left, left_l2, budget,
                         C_inf, lambda: schatten_norm(op1_0 - op2_0, 1),
@@ -131,8 +131,8 @@ def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100) -> fl
     for _ in range(pairs):
         X = band_limited_field(N, rng, max_mode=N // 3, real=False)
         Y = band_limited_field(N, rng, max_mode=N // 3, real=False)
-        A = DensityOperator(grid, X @ X.conj().T * grid.dx, hermitian=True, positive=True)
-        B = DensityOperator(grid, Y @ Y.conj().T * grid.dx, hermitian=True, positive=True)
+        A = DensityOperator(grid, X @ X.conj().T * grid.dx, hermitian=True)
+        B = DensityOperator(grid, Y @ Y.conj().T * grid.dx, hermitian=True)
         num = schatten_norm(operator_sqrt(A) - operator_sqrt(B), 2) ** 2
         den = schatten_norm(A - B, 1)
         if den > 0:

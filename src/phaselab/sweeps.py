@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .budgets import (
+    ENVELOPE_SLACK_FACTOR,
     SQRT_WRAP_TOL,
     cumulative_trapezoid,
     fit_c_star,
@@ -334,8 +335,7 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
         seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
         env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     return {
-        "N": grid.N, "hbar": grid.hbar, "times": times, "left": left,
-        "env0": env0, "Lambda": Lambda, "c_series": c_series,
+        "N": grid.N, "hbar": grid.hbar, "times": times, "left": left, "env0": env0,
         "sqrt_two_routes_gap": max(
             schatten_norm(operator_sqrt(b.linear.final()) - vtil[-1], 2),
             schatten_norm(operator_sqrt(b.hartree.final()) - b.hartree.root_snapshots[-1], 2)),
@@ -394,13 +394,13 @@ def regularity_metric(b: DynamicsBundle) -> dict:
 def regularity_report(members: list) -> ProbeReport:
     report = _report("regularity_tracking", members,
                      [float(np.max(m["norms"])) for m in members],
-                     [2.0 * m["init_norm"] for m in members])
+                     [ENVELOPE_SLACK_FACTOR * m["init_norm"] for m in members])
     ok_env = True
     worst = 0.0
     for m in members:
         norms, integral = m["norms"], m["integral"]
         c_star = fit_c_star(m["times"], norms, integral)
-        env = 2.0 * norms[0] * np.exp(c_star * integral)
+        env = ENVELOPE_SLACK_FACTOR * norms[0] * np.exp(c_star * integral)
         worst = max(worst, float(np.max(norms / env)))
         if np.any(norms > env):
             ok_env = False
@@ -492,7 +492,7 @@ def wick_square_report(members: list) -> ProbeReport:
 
 def weight_remainder_metric(b: DynamicsBundle) -> dict:
     out = {"N": b.grid.N, **weight_remainder_probe(b.gaussian)}
-    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(b.gaussian, p=2).items()})
+    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(b.gaussian).items()})
     return out
 
 
@@ -614,6 +614,12 @@ def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[P
     """Reports of the requested probes from one member pass over the grid
     ladder; ``settings`` go to every member (see MEMBER_DEFAULTS)."""
     probes = tuple(probes)
+    unknown = sorted(set(settings) - set(MEMBER_DEFAULTS) - {"profile", "T"})
+    if unknown:
+        raise ConfigurationError(f"unknown sweep settings {unknown}")
+    unknown = [p for p in probes if p not in PROBE_TABLE]
+    if unknown:
+        raise ConfigurationError(f"unknown probes {unknown}; known: {tuple(PROBE_TABLE)}")
     if "convergence" in probes and len(N_list) < 4:
         raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)

@@ -157,4 +157,4 @@ def exchange(op: DensityOperator) -> DensityOperator:
     if not grid.is_square():
         raise IncompatibleGridError("exchange needs a square box L_x == L_xi")
     K = np.fft.ifft(np.fft.fft(op.kernel.T, axis=1), axis=0)
-    return DensityOperator(grid, K, hermitian=op.hermitian, positive=op.positive)
+    return DensityOperator(grid, K, hermitian=op.hermitian)

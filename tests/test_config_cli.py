@@ -9,6 +9,7 @@ from phaselab.cli import main
 from phaselab.config import DEFAULTS, apply_overrides, load_config, validate
 from phaselab.errors import ConfigurationError
 from phaselab.io import dump_raw_array, load_raw_array
+from phaselab.vlasov import BOUNDARY_TOL
 
 
 @pytest.fixture
@@ -97,6 +98,21 @@ class TestCli:
         last = float(lines[-1].split(",")[1])
         assert first == pytest.approx(last, rel=1e-12)
 
+    def test_run_vlasov_logs_the_guard_margin(self, config_file, tmp_path):
+        # the last column shows how close the support-escape guard came to tripping
+        assert main(["run", "--config", str(config_file)]) == 0
+        lines = (tmp_path / "out" / "vlasov_trajectory.csv").read_text().splitlines()
+        assert lines[0].endswith(",momentum,boundary_fraction")
+        margins = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert len(margins) == 11
+        assert all(0.0 <= m <= BOUNDARY_TOL for m in margins)
+
+    def test_negative_seed_exits_2(self, config_file, capsys):
+        assert main(["sweep", "--config", str(config_file), "--seed", "-1",
+                     "--set", "sweep_N=[48,64,96,128]",
+                     "--set", 'probes=["commutator"]', "--jobs", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config-error: seed")
+
     def test_odd_n_exits_2(self, config_file):
         assert main(["run", "--config", str(config_file), "--set", "N=63"]) == 2
 
@@ -136,6 +152,18 @@ class TestCli:
         assert merged[0] == "run,probe,hbar,lhs,budget,ratio,slope,pass"
         assert len(merged) == 5
         assert (out / "plot_b_remainder.csv").exists()
+
+    def test_report_rows_are_the_summary_rows(self, config_file, tmp_path):
+        # weight_remainder fits no slope: its slope cells are empty in both files
+        # (on this short ladder it fails a check, which the rows carry as pass=false)
+        main(["sweep", "--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",
+              "--set", 'probes=["weight_remainder","b_remainder"]', "--jobs", "1"])
+        out = tmp_path / "out"
+        assert main(["report", str(out), "--out", str(tmp_path / "merged")]) == 0
+        merged = (tmp_path / "merged" / "merged_reports.csv").read_text().splitlines()
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert merged[0] == "run," + summary[0]
+        assert sorted(row.split(",", 1)[1] for row in merged[1:]) == sorted(summary[1:])
 
     def test_sweep_honours_the_configured_box(self, config_file, tmp_path):
         common = ["sweep", "--config", str(config_file), "--set", "sweep_N=[48,64,96,128]",

@@ -198,7 +198,7 @@ class TestHartree:
         fwd = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, root=vt)
 
         def conj(op):
-            return DensityOperator(grid64, op.kernel.conj(), hermitian=True, positive=True)
+            return DensityOperator(grid64, op.kernel.conj(), hermitian=True)
 
         back = evolve_hartree(conj(fwd.final()), 0.5, DEFAULT_DT, sign,
                               root=conj(fwd.root_snapshots[-1]))

@@ -11,6 +11,7 @@ from phaselab.budgets import (
 )
 from phaselab.calculus import quantum_gradient_xi
 from phaselab.coherent import wick_quantize, wick_square_datum
+from phaselab.errors import ConfigurationError
 from phaselab.norms import lebesgue_norm, weighted_schatten_norms
 from phaselab.operators import DensityOperator
 from phaselab.reports import ProbeReport, fit_loglog
@@ -139,6 +140,12 @@ class TestStability:
         op.positive = True
         rep = quantum_stability_experiment(op, op, T=0.1, dt=grid32.hbar / 10, sign=1)
         assert rep.passed
+
+    def test_quantum_twin_rejects_a_non_positive_datum(self, grid32):
+        # positivity is checked where the roots are taken, not read from a flag
+        _, op = wick_square_datum(sample_field(grid32, PROFILE))
+        with pytest.raises(ConfigurationError, match="positive initial operators"):
+            quantum_stability_experiment(op, op * -1.0, T=0.1, dt=grid32.hbar / 10, sign=1)
 
     def test_twin_quantum_roots_ride_the_flows(self, grid32, monkeypatch):
         """One eigh per twin at t = 0; the flows carry the square roots."""

@@ -196,6 +196,15 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
 
 
+def test_sweep_rejects_unknown_settings_and_probes():
+    # a misspelled setting is not dropped in silence, and an unknown probe is
+    # a configuration error, not a ValueError from inside a member
+    with pytest.raises(ConfigurationError, match="unknown sweep settings \\['pair'\\]"):
+        sweep_reports(["commutator"], SMALL, profile=PROFILE, T=0.1, pair=2)
+    with pytest.raises(ConfigurationError, match="unknown probes \\['nosuch'\\]"):
+        sweep_reports(["nosuch"], SMALL, profile=PROFILE, T=0.1)
+
+
 def test_member_error_names_probe_and_n(monkeypatch):
     # a solver error keeps its class and gains the probe and grid in front
     from phaselab import vlasov
