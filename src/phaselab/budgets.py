@@ -58,7 +58,7 @@ def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
     lambda = ||rho_2||_inf^(1/2) ||grad_xi sqrt(f2)||_{L^3_x L^2_xi}
            + C_inf^(1/2) ||grad_xi sqrt(f2)||_{L^{3,1}_x L^1_xi}.
     """
-    if f2_traj.kind != "field":
+    if not isinstance(f2_traj.final(), PhaseField):
         raise ConfigurationError("classical budget needs a field trajectory")
     times = np.asarray(f2_traj.snapshot_times)
     lam = np.empty(len(times))

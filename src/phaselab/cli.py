@@ -21,7 +21,7 @@ from pathlib import Path
 from .coherent import wick_square_datum
 from .config import PROBES, apply_overrides, load_config, validate
 from .errors import ConfigurationError, PhaselabError
-from .grids import make_grid, sample_field
+from .grids import PhaseField, make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
 from .io import dump_raw_array, fmt, trajectory_csv, write_csv
 from .norms import lebesgue_norm, mixed_norm, weighted_sobolev_norm
@@ -80,7 +80,7 @@ def _load(args) -> dict:
     return config
 
 
-def _twin_fields(config: dict, f1):
+def _twin_fields(f1):
     delta = TWIN_SHIFT_CELLS * f1.grid.dx
     return f1, f1.copy_with(shift(f1.values, f1.grid.L_x, delta, axis=0))
 
@@ -101,12 +101,12 @@ def _run_linear_hartree(config: dict, f0, dt: float) -> Trajectory:
 
 
 def _run_twin_classical(config: dict, f0, dt: float) -> ProbeReport:
-    f1, f2 = _twin_fields(config, f0)
+    f1, f2 = _twin_fields(f0)
     return classical_stability_experiment(f1, f2, config["T"], dt, config["sign"])
 
 
 def _run_twin_quantum(config: dict, f0, dt: float) -> ProbeReport:
-    f1, f2 = _twin_fields(config, f0)
+    f1, f2 = _twin_fields(f0)
     (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
     return quantum_stability_experiment(op1, op2, config["T"], dt, config["sign"])
 
@@ -138,7 +138,10 @@ def cmd_run(config: dict) -> int:
     trajectory_csv(out_dir / f"{name}_trajectory.csv", result)
     if config["dump_snapshots"]:
         final = result.final()
-        arr, label = (final.values, "f(T)") if result.kind == "field" else (final.kernel, "op(T)")
+        if isinstance(final, PhaseField):
+            arr, label = final.values, "f(T)"
+        else:
+            arr, label = final.kernel, "op(T)"
         dump_raw_array(out_dir / f"{name}_final", arr, grid, label)
     return EXIT_OK
 

@@ -165,34 +165,35 @@ def _wrapped_offsets(coord: np.ndarray, center: float, period: float):
 
 
 def _profile_values(grid: PhaseGrid, name: str, params: dict) -> np.ndarray:
+    """The named profile on the grid; pops each parameter it reads from ``params``."""
     X, XI = grid.meshgrid()
     L = grid.L_x
     if name == "constant":
-        return np.full((grid.N, grid.N), float(params.get("a", 1.0)))
+        return np.full((grid.N, grid.N), float(params.pop("a", 1.0)))
     if name == "gaussian":
-        a = float(params.get("a", 1.0))
-        x0 = float(params.get("x0", L / 2))
-        xi0 = float(params.get("xi0", 0.0))
-        sx = float(params.get("sigma_x", L / 8))
-        sxi = float(params.get("sigma_xi", grid.L_xi / 16))
+        a = float(params.pop("a", 1.0))
+        x0 = float(params.pop("x0", L / 2))
+        xi0 = float(params.pop("xi0", 0.0))
+        sx = float(params.pop("sigma_x", L / 8))
+        sxi = float(params.pop("sigma_xi", grid.L_xi / 16))
         out = np.zeros_like(X)
         for dxs in _wrapped_offsets(X, x0, L):
             out += np.exp(-(dxs**2) / sx**2 - (XI - xi0) ** 2 / sxi**2)
         return a * out
     if name == "maxwellian":
         # spatially perturbed Maxwellian, the classic Landau-type initial datum
-        a = float(params.get("a", 1.0))
-        amp = float(params.get("perturbation", 0.1))
-        mode = int(params.get("mode", 1))
-        sxi = float(params.get("sigma_xi", 0.3 * grid.L_xi / (2 * math.pi)))
+        a = float(params.pop("a", 1.0))
+        amp = float(params.pop("perturbation", 0.1))
+        mode = int(params.pop("mode", 1))
+        sxi = float(params.pop("sigma_xi", 0.3 * grid.L_xi / (2 * math.pi)))
         dens = 1.0 + amp * np.cos(2 * math.pi * mode * X / L)
         return a * dens * np.exp(-(XI**2) / (2 * sxi**2))
     if name == "two_stream":
-        a = float(params.get("a", 1.0))
-        amp = float(params.get("perturbation", 0.05))
-        mode = int(params.get("mode", 1))
-        v0 = float(params.get("v0", grid.L_xi / 8))
-        sxi = float(params.get("sigma_xi", grid.L_xi / 16))
+        a = float(params.pop("a", 1.0))
+        amp = float(params.pop("perturbation", 0.05))
+        mode = int(params.pop("mode", 1))
+        v0 = float(params.pop("v0", grid.L_xi / 8))
+        sxi = float(params.pop("sigma_xi", grid.L_xi / 16))
         dens = 1.0 + amp * np.cos(2 * math.pi * mode * X / L)
         beams = np.exp(-((XI - v0) ** 2) / (2 * sxi**2)) + np.exp(-((XI + v0) ** 2) / (2 * sxi**2))
         return a * dens * beams
@@ -211,7 +212,8 @@ def boundary_amplitude(values: np.ndarray) -> float:
 def sample_field(grid: PhaseGrid, profile: str | dict, tail_tol: float = 1e-10) -> PhaseField:
     """Sample a named analytic profile on the grid.
 
-    ``profile`` is either a name or {"name": ..., <params>}. The profile must
+    ``profile`` is either a name or {"name": ..., <params>}; a parameter the
+    profile does not read is a ConfigurationError. The profile must
     be supported numerically inside the momentum box: fields whose relative
     amplitude on the boundary momentum rows exceeds ``tail_tol`` are rejected.
     """
@@ -221,6 +223,8 @@ def sample_field(grid: PhaseGrid, profile: str | dict, tail_tol: float = 1e-10) 
         params = dict(profile)
         name = params.pop("name")
     values = _profile_values(grid, name, params)
+    if params:
+        raise ConfigurationError(f"profile {name!r} has unknown parameters {sorted(params)}")
     if name != "constant" and boundary_amplitude(values) > tail_tol:
         raise TruncationError(
             f"profile {name!r} has boundary momentum amplitude "

@@ -93,7 +93,7 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
     if root is not None and not root.hermitian and not root.check_hermitian(1e-10):
         raise ConfigurationError("the carried square root must be Hermitian")
     g = op0.grid
-    traj = Trajectory(kind="operator", dt=dt)
+    traj = Trajectory(dt=dt)
     if root is None:
         M = op0.kernel.copy()
     else:
@@ -122,14 +122,16 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
         # Re tr M = tr op, ||M||_F^2 + Re tr(M M) = 2 ||op||_F^2, and the
         # imaginary part of the root is antisymmetric, so it drops out
         # against the symmetric kinetic circulant
-        traj.add_time(t)
-        traj.log("trace", float(np.trace(M).real * g.dx))
         hs = np.sqrt(0.5 * (np.vdot(M, M).real + np.einsum("ij,ji->", M, M).real)) * g.dx
-        traj.log("l2_norm", float(g.h ** 0.5 * hs))
         potential_energy = 0.5 * float(np.sum(rho * fld.V) * g.dx)
-        traj.log("energy", kinetic_energy(DensityOperator(g, M)) + potential_energy)
-        if log_spectrum:
-            traj.log("min_eigenvalue", float(op.eigenvalues()[0]))
+        spectrum = {"min_eigenvalue": op.eigenvalues()[0]} if log_spectrum else {}
+        traj.record(
+            t,
+            trace=np.trace(M).real * g.dx,
+            l2_norm=g.h ** 0.5 * hs,
+            energy=kinetic_energy(DensityOperator(g, M)) + potential_energy,
+            **spectrum,
+        )
         if due:
             traj.add_snapshot(t, op)
             if root is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -35,18 +36,8 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> Path:
 
 
 def trajectory_csv(path: str | Path, traj: Trajectory) -> Path:
-    """Trajectory log: time, mass/trace, l2_norm, energy, min column, extras."""
-    if traj.kind == "operator":
-        cols = ["time", "trace", "l2_norm", "energy"]
-        if "min_eigenvalue" in traj.logs:
-            cols.append("min_eigenvalue")
-    else:
-        cols = ["time", "mass", "l2_norm", "energy", "min_value", "l1_norm", "momentum",
-                "boundary_fraction"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([t] + [traj.logs[c][i] for c in cols[1:]])
-    return write_csv(path, cols, rows)
+    """Trajectory log: time, then each logged quantity in record order."""
+    return write_csv(path, ["time", *traj.logs], zip(traj.times, *traj.logs.values()))
 
 
 def dump_raw_array(path_base: str | Path, arr: np.ndarray, grid: PhaseGrid,

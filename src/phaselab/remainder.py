@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import require_unwrapped
 from .errors import ConfigurationError
-from .grids import PhaseGrid
+from .grids import PhaseField, PhaseGrid
 from .norms import schatten_norm
 from .operators import DensityOperator
 from .spectral import derivative, fourier_multiplier, half_shift
@@ -89,7 +89,7 @@ def weyl_vlasov_residual(f_traj: Trajectory,
     interior snapshot times; the trajectory must carry consecutive snapshots
     (stride 1). Returns (interior times, residual L^2 Schatten norms).
     """
-    if f_traj.kind != "field":
+    if not isinstance(f_traj.final(), PhaseField):
         raise ConfigurationError("residual needs a Vlasov (field) trajectory")
     if len(f_traj.snapshot_times) != len(f_traj.times):
         raise ConfigurationError("residual needs snapshots at every step (stride 1)")

@@ -34,7 +34,7 @@ from .calculus import operator_sqrt, spatial_density
 from .coherent import husimi_convolve, wick_quantize, wick_square_datum
 from .config import DEFAULTS
 from .errors import ConfigurationError, PhaselabError
-from .grids import PhaseField, make_grid, sample_field
+from .grids import PhaseField, gaussian_phase_kernel, make_grid, sample_field
 from .hartree import evolve_hartree, evolve_linear_hartree
 from .norms import (
     lebesgue_norm,
@@ -422,8 +422,8 @@ def regularity_report(members: list) -> ProbeReport:
 def wick_structure_metric(b: DynamicsBundle) -> dict:
     f, grid = b.gaussian, b.grid
     op_f = weyl_quantize(f)
-    op_wick = wick_quantize(f)
     smoothed = husimi_convolve(f)
+    op_wick = weyl_quantize(smoothed)   # wick_quantize(f), from the one smoothing
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
     hess = np.sqrt(
@@ -433,7 +433,9 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
         + np.abs(derivative(f.values.astype(complex), grid.L_xi, axis=1, order=2)) ** 2
     )
     hess_norm = float(np.sqrt(np.sum(hess**2) * grid.cell))
-    identity_gap = schatten_norm(op_wick - weyl_quantize(smoothed), 2)
+    # the complex-transform route with the kernel sampled afresh
+    reference = husimi_convolve(f, kernel=gaussian_phase_kernel(grid))
+    identity_gap = schatten_norm(op_wick - weyl_quantize(reference), 2)
     contraction = {}
     for p in (1, 2, np.inf):
         key = "inf" if np.isinf(p) else str(int(p))
@@ -452,7 +454,8 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
 
 
 def wick_structure_report(members: list) -> ProbeReport:
-    """Wick-quantization structure: positivity, convolution identity, Schatten
+    """Wick-quantization structure: positivity, convolution identity (the
+    real-transform smoothing against the complex-transform one), Schatten
     contraction, and the O(hbar) Wick-Weyl gap."""
     report = _report("wick_structure", members, [m["gap_op"] for m in members],
                      [m["hbar_budget"] for m in members])

@@ -34,7 +34,6 @@ class Trajectory:
     ``root_snapshots``, when a flow carries a square root, at the same times.
     """
 
-    kind: str                      # "field" | "operator"
     times: list = field(default_factory=list)
     logs: dict = field(default_factory=dict)
     snapshot_times: list = field(default_factory=list)
@@ -43,13 +42,17 @@ class Trajectory:
     root_snapshots: list = field(default_factory=list)
     dt: float = 0.0
 
-    def log(self, name: str, value: float):
-        self.logs.setdefault(name, []).append(float(value))
-
-    def add_time(self, t: float):
+    def record(self, t: float, **values: float):
+        """Log each quantity at step time t, one call per step time. Times
+        increase strictly, and every call names the quantities of the first in
+        the same order, which is the column order of the trajectory CSV."""
         if self.times and t <= self.times[-1]:
             raise ConfigurationError("trajectory times must increase strictly")
+        if self.times and list(values) != list(self.logs):
+            raise ConfigurationError(f"record names {list(values)}, not {list(self.logs)}")
         self.times.append(float(t))
+        for name, value in values.items():
+            self.logs.setdefault(name, []).append(float(value))
 
     def add_snapshot(self, t: float, snap):
         self.snapshot_times.append(float(t))

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SupportEscapeError
-from .grids import PhaseField, PhaseGrid
+from .grids import PhaseField
 from .poisson import solve_poisson
 from .spectral import apply_shift, shift, shift_phase
-from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
+from .trajectory import Trajectory, resolve_steps, snapshot_due
 
 BOUNDARY_TOL = 1e-8
 
@@ -33,23 +33,6 @@ def _boundary_fraction(values: np.ndarray, cell: float) -> float:
         return 0.0
     edge = np.sum(np.abs(values[:, [0, 1, -2, -1]])) * cell
     return float(edge / total)
-
-
-def _field_logs(traj: Trajectory, g: PhaseGrid, v: np.ndarray, snap: FieldSnapshot):
-    xi = g.xi
-    mass = v.sum() * g.cell
-    l1 = np.sum(np.abs(v)) * g.cell
-    l2 = np.sqrt(np.sum(v * v) * g.cell)
-    momentum = float((v @ xi).sum() * g.cell)
-    kinetic = float((v @ (xi**2 / 2.0)).sum() * g.cell)
-    potential = 0.5 * float(np.sum(snap.rho * snap.V) * g.dx)
-    traj.add_time(snap.time)
-    traj.log("mass", mass)
-    traj.log("l1_norm", l1)
-    traj.log("l2_norm", l2)
-    traj.log("momentum", momentum)
-    traj.log("energy", kinetic + potential)
-    traj.log("min_value", float(v.min()))
 
 
 def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
@@ -66,7 +49,7 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
     """
     g = f0.grid
     steps, dt = resolve_steps(T, dt)
-    traj = Trajectory(kind="field", dt=dt)
+    traj = Trajectory(dt=dt)
     f = f0.values.astype(float)
     transport = shift_phase(g.N, g.L_x, g.xi * dt, axis=0)
     for n in range(steps + 1):
@@ -86,8 +69,18 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
                 f"exceeds {BOUNDARY_TOL:.1e} at t={t:.4g}"
             )
         traj.fields.append(snap)
-        _field_logs(traj, g, f, snap)
-        traj.log("boundary_fraction", boundary)
+        kinetic = float((f @ (g.xi**2 / 2.0)).sum() * g.cell)
+        potential = 0.5 * float(np.sum(snap.rho * snap.V) * g.dx)
+        traj.record(
+            t,
+            mass=f.sum() * g.cell,
+            l2_norm=np.sqrt(np.sum(f * f) * g.cell),
+            energy=kinetic + potential,
+            min_value=f.min(),
+            l1_norm=np.sum(np.abs(f)) * g.cell,
+            momentum=(f @ g.xi).sum() * g.cell,
+            boundary_fraction=boundary,
+        )
         if snapshot_due(n, steps, snapshot_stride):
             traj.add_snapshot(t, PhaseField(g, f, real=True))
     return traj

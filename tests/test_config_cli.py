@@ -107,6 +107,27 @@ class TestCli:
         assert len(margins) == 11
         assert all(0.0 <= m <= BOUNDARY_TOL for m in margins)
 
+    @pytest.mark.parametrize("experiment, header", [
+        ("vlasov", "time,mass,l2_norm,energy,min_value,l1_norm,momentum,boundary_fraction"),
+        ("hartree", "time,trace,l2_norm,energy,min_eigenvalue"),
+        ("linear-hartree", "time,trace,l2_norm,energy,min_eigenvalue"),
+    ])
+    def test_run_csv_header_is_the_flow_record_order(self, config_file, tmp_path,
+                                                      experiment, header):
+        assert main(["run", "--config", str(config_file),
+                     "--set", f"experiment={experiment}"]) == 0
+        name = experiment.replace("-", "_")
+        lines = (tmp_path / "out" / f"{name}_trajectory.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 12
+
+    def test_misspelled_profile_key_exits_2(self, config_file, capsys):
+        assert main(["probe", "--config", str(config_file), "--name", "norms",
+                     "--set", "profile.sigma=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: profile 'maxwellian'")
+        assert "'sigma'" in err
+
     def test_negative_seed_exits_2(self, config_file, capsys):
         assert main(["sweep", "--config", str(config_file), "--seed", "-1",
                      "--set", "sweep_N=[48,64,96,128]",

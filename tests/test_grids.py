@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ def test_two_stream_profile(grid64):
 def test_unknown_profile(grid32):
     with pytest.raises(ConfigurationError):
         sample_field(grid32, "nosuch")
+
+
+@pytest.mark.parametrize("profile, unknown", [
+    ({"name": "gaussian", "sigma": 0.3}, "['sigma']"),
+    ({"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42, "v0": 1.0}, "['v0']"),
+    ({"name": "constant", "a": 2.0, "b": 1.0, "c": 0.0}, "['b', 'c']"),
+])
+def test_unknown_profile_parameter_rejected(grid64, profile, unknown):
+    message = f"profile '{profile['name']}' has unknown parameters {unknown}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        sample_field(grid64, profile)
 
 
 class TestGaussianPhaseKernel:

@@ -64,6 +64,19 @@ def test_wick_structure_sweep():
     assert rep.passed, rep.tolerance
 
 
+def test_convolution_identity_compares_two_smoothing_routes(monkeypatch):
+    # perturbing the kernel of the reference route alone must fail the check
+    from phaselab import sweeps
+
+    kernel = sweeps.gaussian_phase_kernel
+    monkeypatch.setattr(sweeps, "gaussian_phase_kernel", lambda grid: kernel(grid) * (1 + 1e-6))
+    rep = sweep_reports(["wick_structure"], SMALL)["wick_structure"][0]
+    check = rep.tolerance["convolution_identity"]
+    assert not check["ok"] and check["observed"] > 1e-10
+    assert all(rep.tolerance[name]["ok"] for name in rep.tolerance
+               if name != "convolution_identity")
+
+
 def test_wick_square_sweep():
     rep = sweep_reports(["wick_square"], (64, 96, 128, 192))["wick_square"][0]
     assert rep.passed, rep.tolerance
