@@ -17,8 +17,8 @@ from .errors import (
     WrapAmbiguityError,
 )
 from .grids import PhaseField, PhaseGrid, gaussian_phase_kernel, make_grid, sample_field
-from .operators import DensityOperator, identity_operator, outer_projector
-from .transforms import exchange, swap_symbol, weyl_quantize, wigner_transform
+from .operators import DensityOperator
+from .transforms import weyl_quantize, wigner_transform
 
 __all__ = [
     "ConfigurationError",
@@ -31,13 +31,9 @@ __all__ = [
     "SupportEscapeError",
     "TruncationError",
     "WrapAmbiguityError",
-    "exchange",
     "gaussian_phase_kernel",
-    "identity_operator",
     "make_grid",
-    "outer_projector",
     "sample_field",
-    "swap_symbol",
     "weyl_quantize",
     "wigner_transform",
 ]

@@ -102,18 +102,6 @@ def momentum_weight_apply(op: DensityOperator, n: int, side: str = "both") -> De
     return DensityOperator(g, K, hermitian=herm)
 
 
-def position_weight_apply(op: DensityOperator, n: int, side: str = "both") -> DensityOperator:
-    """Multiplication by <x>^n with the centered minimal-image coordinate."""
-    g = op.grid
-    w = (1.0 + g.x_centered**2) ** (n / 2.0)
-    K = op.kernel
-    if side in ("left", "both"):
-        K = w[:, None] * K
-    if side in ("right", "both"):
-        K = K * w[None, :]
-    return DensityOperator(g, K, hermitian=op.hermitian and side == "both")
-
-
 def spatial_density(op: DensityOperator) -> np.ndarray:
     """rho(x) = h op(x, x): scaled kernel diagonal, real for Hermitian op."""
     g = op.grid

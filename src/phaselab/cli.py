@@ -203,6 +203,20 @@ def cmd_probe(config: dict, name: str, jobs: int) -> int:
     return EXIT_OK
 
 
+def _read_report(fp: Path) -> dict | None:
+    """The probe report in a JSON file, or None for other JSON. ValueError
+    when the file is not JSON, a report series is not a list of numbers, or
+    hbar and lhs differ in length."""
+    data = json.loads(fp.read_text())
+    if not (isinstance(data, dict) and {"probe", "hbar", "lhs"} <= set(data)):
+        return None
+    series = [data["hbar"], data["lhs"], data.get("budget", []), data.get("ratio", [])]
+    if not all(isinstance(s, list) and all(isinstance(v, (int, float)) for v in s)
+               for s in series) or len(data["hbar"]) != len(data["lhs"]):
+        raise ValueError(f"malformed report file {fp}")
+    return data
+
+
 def cmd_report(results_dir: str, out: str | None) -> int:
     rdir = Path(results_dir)
     if not rdir.is_dir():
@@ -211,11 +225,11 @@ def cmd_report(results_dir: str, out: str | None) -> int:
     reports = []
     for fp in files:
         try:
-            data = json.loads(fp.read_text())
-        except json.JSONDecodeError:
+            data = _read_report(fp)
+        except ValueError:
             print(f"io-error: malformed report file {fp}", file=sys.stderr)
             return EXIT_CONFIG
-        if isinstance(data, dict) and {"probe", "hbar", "lhs"} <= set(data):
+        if data is not None:
             reports.append((fp.stem, data))
     if not reports:
         print(f"io-error: no probe reports found in {results_dir}", file=sys.stderr)

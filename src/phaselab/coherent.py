@@ -5,8 +5,9 @@ psi_z is the minimal-uncertainty wave packet at the phase-space point
 z = (x0, xi0), wrapped periodically; op_z = h^{-1} |psi_z><psi_z| and
 Wick quantization averages these projectors against a symbol. Numerically
 the Wick operator is produced through the exact identity
-wick(f) = weyl(g_h * f), with g_h the phase-space Gaussian kernel; a direct
-coherent-state summation is kept as a brute-force cross-check oracle.
+wick(f) = weyl(g_h * f), with g_h the phase-space Gaussian kernel. The
+tests cross-check it against a direct coherent-state summation, kept with
+the other test references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .budgets import sqrt_field
 from .errors import ConfigurationError
 from .grids import PhaseField, PhaseGrid, gaussian_phase_kernel
-from .operators import DensityOperator, outer_projector
+from .operators import DensityOperator
 from .transforms import weyl_quantize
 
 
@@ -33,14 +34,6 @@ class CoherentState:
     xi0: float
     values: np.ndarray
     snap_distance: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
-
-    def projector(self) -> DensityOperator:
-        """op_z = h^{-1} |psi_z><psi_z|."""
-        g = self.grid
-        return outer_projector(g, self.values, scale=g.h**-1)
 
 
 def _wave_packet_values(grid: PhaseGrid, x0: float, xi0: float) -> np.ndarray:
@@ -139,46 +132,3 @@ def wick_square_datum(f0: PhaseField) -> tuple[DensityOperator, DensityOperator]
     op0 = vt @ vt
     op0.hermitian = True
     return vt, op0
-
-
-def wick_sum_oracle(f: PhaseField) -> DensityOperator:
-    """Brute-force Wick quantization: h^{-1} sum_z f(z) |psi_z><psi_z| dz.
-
-    Quadrature over a phase-space sub-lattice with at least four nodes per
-    sqrt(hbar) per axis; f is sampled on the sub-lattice by zero-padded
-    spectral refinement. Centers are not snapped (on grid points every
-    packet is periodic in xi0 with period L_xi, so the rectangle rule
-    applies). Affordable only at small N; used to cross-check the
-    convolution route.
-    """
-    g = f.grid
-    step = math.sqrt(g.hbar) / 4
-    nx = max(g.N, int(math.ceil(g.L_x / step)))
-    nxi = max(g.N, int(math.ceil(g.L_xi / step)))
-    fine = _spectral_refine(f.values, nx, nxi)
-    xs = np.arange(nx) * (g.L_x / nx)
-    xis = -g.L_xi / 2 + np.arange(nxi) * (g.L_xi / nxi)
-    dz = (g.L_x / nx) * (g.L_xi / nxi)
-    K = np.zeros((g.N, g.N), dtype=complex)
-    for u, x0 in enumerate(xs):
-        psis = np.empty((nxi, g.N), dtype=complex)
-        for a, xi0 in enumerate(xis):
-            psis[a] = _wave_packet_values(g, x0, xi0)
-        K += (psis.T * fine[u]) @ psis.conj()
-    K *= dz * g.h**-1
-    op = DensityOperator(g, K)
-    op.check_hermitian(1e-8)
-    return op
-
-
-def _spectral_refine(values: np.ndarray, nx: int, nxi: int) -> np.ndarray:
-    """Zero-padded FFT interpolation onto an (nx, nxi) grid with the same origin."""
-    N = values.shape[0]
-    spec = np.fft.fftshift(np.fft.fft2(values)) / N**2
-    out = np.zeros((nx, nxi), dtype=complex)
-    lo_x, lo_xi = nx // 2 - N // 2, nxi // 2 - N // 2
-    out[lo_x:lo_x + N, lo_xi:lo_xi + N] = spec
-    fine = np.fft.ifft2(np.fft.ifftshift(out)) * nx * nxi
-    if not np.iscomplexobj(values):
-        return fine.real
-    return fine

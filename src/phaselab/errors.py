@@ -26,4 +26,4 @@ class SupportEscapeError(PhaselabError):
 
 
 class IncompatibleGridError(PhaselabError):
-    """Operation requires matching or square grids."""
+    """Operation requires matching grids."""

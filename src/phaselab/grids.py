@@ -79,9 +79,6 @@ class PhaseGrid:
         """(X, XI) arrays indexed [x-index, xi-index]."""
         return np.meshgrid(self.x, self.xi, indexing="ij")
 
-    def is_square(self) -> bool:
-        return self.L_x == self.L_xi
-
     def __post_init__(self):
         if self.N % 2 != 0:
             raise ConfigurationError(f"N must be even, got N={self.N}")
@@ -213,18 +210,21 @@ def sample_field(grid: PhaseGrid, profile: str | dict, tail_tol: float = 1e-10) 
     """Sample a named analytic profile on the grid.
 
     ``profile`` is either a name or {"name": ..., <params>}; a parameter the
-    profile does not read is a ConfigurationError. The profile must
-    be supported numerically inside the momentum box: fields whose relative
-    amplitude on the boundary momentum rows exceeds ``tail_tol`` are rejected.
+    profile does not read, or a non-finite sample, is a ConfigurationError.
+    Profiles must be supported inside the momentum box: a field whose relative
+    amplitude on the boundary momentum rows exceeds ``tail_tol`` is rejected.
     """
     if isinstance(profile, str):
         name, params = profile, {}
     else:
         params = dict(profile)
         name = params.pop("name")
-    values = _profile_values(grid, name, params)
+    with np.errstate(all="ignore"):  # a non-finite sample is reported below, once
+        values = _profile_values(grid, name, params)
     if params:
         raise ConfigurationError(f"profile {name!r} has unknown parameters {sorted(params)}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"profile {name!r} has non-finite samples")
     if name != "constant" and boundary_amplitude(values) > tail_tol:
         raise TruncationError(
             f"profile {name!r} has boundary momentum amplitude "

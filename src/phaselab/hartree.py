@@ -36,14 +36,9 @@ import numpy as np
 
 from .calculus import kinetic_energy
 from .errors import ConfigurationError
-from .grids import PhaseGrid
 from .operators import DensityOperator
 from .poisson import solve_poisson
 from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
-
-
-def _kinetic_phase(grid: PhaseGrid, dt: float) -> np.ndarray:
-    return np.exp(-1j * dt * grid.fourier_momenta**2 / (2.0 * grid.hbar))
 
 
 def _conjugate_kinetic(K: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -99,7 +94,7 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
     else:
         M = 1j * root.kernel
         M += op0.kernel
-    kin = _kinetic_phase(g, dt)
+    kin = np.exp(-1j * dt * g.fourier_momenta**2 / (2.0 * g.hbar))
     for n in range(steps + 1):
         if n > 0:
             _kick(M, pot)
@@ -190,10 +185,3 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
             )
     return _evolve(op0, steps, dt, lambda n, rho: field_history[n],
                    snapshot_stride, log_spectrum, root)
-
-
-def free_schroedinger(op0: DensityOperator, t: float) -> DensityOperator:
-    """Exact free conjugation exp(-i t |p|^2 / (2 hbar)) op exp(+i ...)."""
-    g = op0.grid
-    K = _conjugate_kinetic(op0.kernel.astype(complex), _kinetic_phase(g, t))
-    return DensityOperator(g, K, hermitian=op0.hermitian)

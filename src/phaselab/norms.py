@@ -211,17 +211,6 @@ def weighted_schatten_norm(op: DensityOperator, p: float, n: int) -> float:
     return weighted_schatten_norms(op, (p,), n)[0]
 
 
-def apply_quantum_gradients(op: DensityOperator, ax: int, axi: int,
-                            wrap_tol: float | None = None) -> DensityOperator:
-    """grad_x^ax then grad_xi^axi of op, for one multi-index alone."""
-    out = op
-    for _ in range(ax):
-        out = quantum_gradient_x(out)
-    for _ in range(axi):
-        out = quantum_gradient_xi(out) if wrap_tol is None else quantum_gradient_xi(out, wrap_tol)
-    return out
-
-
 def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
                          wrap_tol: float | None = None) -> float:
     """Quantum Sobolev norm combining all |alpha| <= k quantum gradients.

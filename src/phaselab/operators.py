@@ -108,18 +108,6 @@ def _same_grid(a: DensityOperator, b: DensityOperator):
         raise IncompatibleGridError("operators live on different grids")
 
 
-def identity_operator(grid: PhaseGrid) -> DensityOperator:
-    """Identity operator: kernel = I / dx."""
-    K = np.eye(grid.N, dtype=complex) / grid.dx
-    return DensityOperator(grid, K, hermitian=True)
-
-
-def outer_projector(grid: PhaseGrid, psi: np.ndarray, scale: float = 1.0) -> DensityOperator:
-    """Rank-one operator scale * |psi><psi| with kernel psi(x) conj(psi(y))."""
-    K = scale * np.outer(psi, psi.conj())
-    return DensityOperator(grid, K, hermitian=True)
-
-
 def require_positive(op: DensityOperator, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition guard: raise unless min eigenvalue >= -tol * scale."""
     ev, U = np.linalg.eigh(op.kernel)

@@ -39,14 +39,19 @@ def phase_gradient_magnitude(f: PhaseField) -> PhaseField:
     return PhaseField(g, np.sqrt(np.abs(dx_) ** 2 + np.abs(dxi) ** 2), real=True)
 
 
+def _wick_square_gap(g_field: PhaseField) -> tuple[DensityOperator, PhaseField]:
+    """(wick(g^2) - wick(g)^2, g^2)."""
+    wg = wick_quantize(g_field)
+    g2 = g_field.copy_with(g_field.values**2)
+    return wick_quantize(g2) - (wg @ wg), g2
+
+
 def wick_square_probe(g_field: PhaseField) -> dict:
     """Lemma on Wick squares: ||wick(g^2) - wick(g)^2||_{L^p} vs hbar ||grad g||^2_{L^{2p}}
     for p = 1, 2, inf."""
     grid = g_field.grid
     hbar = grid.hbar
-    wg = wick_quantize(g_field)
-    wg2 = wick_quantize(g_field.copy_with(g_field.values**2))
-    diff = wg2 - (wg @ wg)
+    diff, _ = _wick_square_gap(g_field)
     gradmag = phase_gradient_magnitude(g_field)
     out = {"hbar": hbar}
     for p in (1, 2, np.inf):
@@ -122,13 +127,10 @@ def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
 
 def init_diff_probe(g_field: PhaseField) -> dict:
     """Weighted Wick-square gap:
-    ||<p>(wick(g)^2 - wick(g^2))<p>||_L2 vs hbar * C_init-style budget."""
+    ||<p>(wick(g^2) - wick(g)^2)<p>||_L2 vs hbar * C_init-style budget."""
     grid = g_field.grid
-    wg = wick_quantize(g_field)
-    wg2 = wick_quantize(g_field.copy_with(g_field.values**2))
-    diff = (wg @ wg) - wg2
-    lhs = schatten_norm(momentum_weight_apply(diff, 1, "both"), 2)
-    g2 = g_field.copy_with(g_field.values**2)
+    gap, g2 = _wick_square_gap(g_field)
+    lhs = schatten_norm(momentum_weight_apply(gap, 1, "both"), 2)
     piece_g = max(weighted_sobolev_norm(g_field, 1, 4, 1),
                   weighted_sobolev_norm(g_field, 3, 2, 0)) ** 2
     piece_g2 = max(weighted_sobolev_norm(g2, 1, 2, 1),

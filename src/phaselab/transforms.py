@@ -1,4 +1,4 @@
-"""Weyl quantization, Wigner transform, and the Fourier exchange operation.
+"""Weyl quantization and the Wigner transform.
 
 The pair is built from an exact factorization through chord space. Writing
 c = i - j for the (minimal-image) chord between two kernel sites and
@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IncompatibleGridError
 from .grids import PhaseField, PhaseGrid
 from .operators import DensityOperator
 from .spectral import half_shift
@@ -124,37 +123,3 @@ def wigner_transform(op: DensityOperator) -> PhaseField:
         if imag <= 1e-10 * scale:
             return PhaseField(grid, vals.real, real=True)
     return PhaseField(grid, vals, real=False)
-
-
-def swap_symbol(f: PhaseField) -> PhaseField:
-    """Exchange position and momentum of a symbol: f*(x, xi) = f(xi, x).
-
-    Requires a square box. Grid momenta map to grid positions modulo L and
-    vice versa, so the swap is a transpose composed with half-period rolls.
-    """
-    grid = f.grid
-    if not grid.is_square():
-        raise IncompatibleGridError("symbol swap needs L_x == L_xi")
-    N = grid.N
-    vals = np.roll(np.roll(f.values.T, -(N // 2), axis=0), -(N // 2), axis=1)
-    return PhaseField(grid, vals, real=f.real)
-
-
-def exchange(op: DensityOperator) -> DensityOperator:
-    """Exchange of position and momentum on the operator side: op_f* = op_{f*}.
-
-    Conjugation with the semiclassical Fourier transform alone implements a
-    90-degree rotation of the symbol (the reflection f(xi, x) is
-    antisymplectic, out of reach of any unitary conjugation); composing with
-    the kernel transpose, which flips the momentum sign and preserves all
-    singular values, realizes the exact reflection. The result is an
-    involution that preserves every Schatten norm to machine precision and
-    maps the weights <x>* = <p> and <p>* = <x>. Requires a square box so the
-    momentum grid coincides with the position grid modulo L; on such a box
-    the quadrature factors cancel exactly (dx^2 N / h == 1).
-    """
-    grid = op.grid
-    if not grid.is_square():
-        raise IncompatibleGridError("exchange needs a square box L_x == L_xi")
-    K = np.fft.ifft(np.fft.fft(op.kernel.T, axis=1), axis=0)
-    return DensityOperator(grid, K, hermitian=op.hermitian)

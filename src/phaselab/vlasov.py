@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SupportEscapeError
 from .grids import PhaseField
 from .poisson import solve_poisson
-from .spectral import apply_shift, shift, shift_phase
+from .spectral import apply_shift, shift_phase
 from .trajectory import Trajectory, resolve_steps, snapshot_due
 
 BOUNDARY_TOL = 1e-8
@@ -84,10 +84,3 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
         if snapshot_due(n, steps, snapshot_stride):
             traj.add_snapshot(t, PhaseField(g, f, real=True))
     return traj
-
-
-def free_transport(f0: PhaseField, t: float) -> PhaseField:
-    """Exact free flow f(t, x, xi) = f0(x - xi t, xi) by spectral shift."""
-    g = f0.grid
-    vals = shift(f0.values.astype(float), g.L_x, g.xi * t, axis=0)
-    return PhaseField(g, vals, real=f0.real)

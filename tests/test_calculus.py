@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import coherent_projector, identity_operator
 from phaselab import (
     NotPositiveError,
     PhaseField,
     WrapAmbiguityError,
-    identity_operator,
     make_grid,
     weyl_quantize,
     wigner_transform,
@@ -105,7 +105,7 @@ class TestSpatialDensity:
         from phaselab.coherent import coherent_state
 
         cs = coherent_state((2.0, 0.0), grid32)
-        rho = spatial_density(cs.projector())
+        rho = spatial_density(coherent_projector(cs))
         np.testing.assert_allclose(rho, np.abs(cs.values) ** 2, atol=1e-12)
         assert np.sum(rho) * grid32.dx == pytest.approx(1.0, abs=1e-10)
 

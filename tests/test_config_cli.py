@@ -128,6 +128,12 @@ class TestCli:
         assert err.startswith("config-error: profile 'maxwellian'")
         assert "'sigma'" in err
 
+    def test_non_finite_profile_exits_2(self, config_file, tmp_path, capsys):
+        assert main(["run", "--config", str(config_file), "--set", "profile.sigma_xi=0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config-error: profile 'maxwellian' has non-finite samples")
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_exits_2(self, config_file, capsys):
         assert main(["sweep", "--config", str(config_file), "--seed", "-1",
                      "--set", "sweep_N=[48,64,96,128]",
@@ -217,11 +223,22 @@ class TestCli:
         empty.mkdir()
         assert main(["report", str(empty)]) == 2
 
-    def test_report_malformed_exits_2(self, tmp_path):
+    def test_report_malformed_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "broken.json").write_text("{not json")
         assert main(["report", str(bad)]) == 2
+        # parsed reports whose series cannot be read: ragged, non-numeric, scalar
+        for name, text in [("ragged", '{"probe": "x", "hbar": [0.1, 0.2], "lhs": [1.0]}'),
+                           ("text", '{"probe": "x", "hbar": [0.1, 0.2], "lhs": [1.0, "a"]}'),
+                           ("scalar", '{"probe": "x", "hbar": 0.1, "lhs": [1.0]}')]:
+            capsys.readouterr()
+            rdir = tmp_path / name
+            rdir.mkdir()
+            (rdir / "report.json").write_text(text)
+            assert main(["report", str(rdir)]) == 2, name
+            assert capsys.readouterr().err == (
+                f"io-error: malformed report file {rdir / 'report.json'}\n"), name
 
     def test_main_rate_emitted(self, config_file, tmp_path):
         code = main(["sweep", "--config", str(config_file),

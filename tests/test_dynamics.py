@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import free_schroedinger, free_transport
 from phaselab import (
     ConfigurationError,
     PhaseField,
@@ -13,14 +14,14 @@ from phaselab import (
 from phaselab.budgets import sqrt_field
 from phaselab.calculus import operator_sqrt, spatial_density
 from phaselab.coherent import wick_quantize, wick_square_datum
-from phaselab.hartree import evolve_hartree, evolve_linear_hartree, free_schroedinger
+from phaselab.hartree import evolve_hartree, evolve_linear_hartree
 from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.poisson import solve_poisson
 from phaselab.spectral import modes, shift
 from phaselab.sweeps import grid_member
 from phaselab.trajectory import DEFAULT_DT, FieldSnapshot
-from phaselab.vlasov import BOUNDARY_TOL, _boundary_fraction, evolve_vlasov, free_transport
+from phaselab.vlasov import BOUNDARY_TOL, _boundary_fraction, evolve_vlasov
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 TWO_STREAM = {"name": "two_stream", "perturbation": 0.05, "sigma_xi": 0.3}

@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from phaselab import (
-    IncompatibleGridError,
-    PhaseField,
-    exchange,
-    identity_operator,
-    make_grid,
-    swap_symbol,
-    weyl_quantize,
-    wigner_transform,
-)
-from phaselab.calculus import momentum_weight_apply, position_weight_apply
+from oracles import identity_operator
+from phaselab import PhaseField, make_grid, weyl_quantize, wigner_transform
 from phaselab.norms import lebesgue_norm, schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.spectral import band_limited_field
@@ -100,42 +91,6 @@ def test_trace_rule_and_isometry(grid64, rng):
     op = weyl_quantize(f)
     assert abs(grid64.h * op.trace() - f.integral()) < 1e-10
     assert abs(schatten_norm(op, 2) - lebesgue_norm(f, 2)) < 1e-10
-
-
-class TestExchange:
-    def test_involution(self, grid32, rng):
-        f = PhaseField(grid32, band_limited_field(32, rng, max_mode=8))
-        op = weyl_quantize(f)
-        back = exchange(exchange(op))
-        assert np.max(np.abs(back.kernel - op.kernel)) < 1e-10
-
-    def test_symbol_swap(self, grid32, rng):
-        f = PhaseField(grid32, band_limited_field(32, rng, max_mode=8))
-        w = wigner_transform(exchange(weyl_quantize(f)))
-        assert np.max(np.abs(w.values - swap_symbol(f).values)) < 1e-8
-
-    def test_weight_exchange(self, grid32):
-        # <x>* = <p> and <p>* = <x>
-        iop = identity_operator(grid32)
-        mp = momentum_weight_apply(iop, 1, "left")
-        mx = position_weight_apply(iop, 1, "left")
-        assert np.max(np.abs(exchange(mx).kernel - mp.kernel)) < 1e-10
-        assert np.max(np.abs(exchange(mp).kernel - mx.kernel)) < 1e-10
-
-    def test_schatten_preserved(self, grid32, rng):
-        f = PhaseField(grid32, band_limited_field(32, rng, max_mode=8))
-        op = weyl_quantize(f)
-        for p in (1, 2, np.inf):
-            assert schatten_norm(exchange(op), p) == pytest.approx(
-                schatten_norm(op, p), rel=1e-10)
-
-    def test_rectangular_box_rejected(self, rng):
-        g = make_grid(32, 2 * np.pi, 4 * np.pi)
-        op = weyl_quantize(PhaseField(g, band_limited_field(32, rng, max_mode=6)))
-        with pytest.raises(IncompatibleGridError):
-            exchange(op)
-        with pytest.raises(IncompatibleGridError):
-            swap_symbol(PhaseField(g, np.ones((32, 32))))
 
 
 def test_positivity_check_idempotent(grid32, rng):
