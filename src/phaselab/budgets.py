@@ -82,28 +82,35 @@ QUANTUM_PAIR = (2.5, 3.5)     # its Schatten pair 3 +- eps, eps = 1/2
 ENVELOPE_SLACK_FACTOR = 2.0   # structural slack of the fitted twin and regularity envelopes
 
 
-def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[float],
-                   C_inf: float) -> GronwallBudget:
-    """Quantum stability rate along the square-root trajectory v(t):
+def quantum_rate(v: DensityOperator, rho_sup: float, C_inf: float) -> tuple[float, float, float]:
+    """The quantum stability rate at one square-root snapshot v:
 
     lambda = ||grad_xi v||_{W^{1,2}} ||rho||_inf^(1/2)
            + C_inf^(1/2) ||grad_xi v||_{L^{3 +- eps}(<p>^n)},
 
     with n = QUANTUM_WEIGHT_N and the 3 +- eps pair QUANTUM_PAIR combined
-    by max. ``extras`` holds the two pieces per snapshot: "w12"
+    by max. Returns (lambda, ||grad_xi v||_{W^{1,2}}, the weighted pair).
+    """
+    grad = quantum_gradient_xi(v, SQRT_WRAP_TOL)
+    w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=SQRT_WRAP_TOL)
+    pair = max(weighted_schatten_norms(grad, QUANTUM_PAIR, QUANTUM_WEIGHT_N))
+    return w12 * np.sqrt(rho_sup) + np.sqrt(C_inf) * pair, w12, pair
+
+
+def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[float],
+                   C_inf: float) -> GronwallBudget:
+    """The quantum_rate series along the square-root trajectory v(t).
+    ``extras`` holds its two pieces per snapshot: "w12"
     (||grad_xi v||_{W^{1,2}}) and "weighted_n" (the weighted pair).
     """
-    times = np.asarray(times)
-    lam = np.empty(len(times))
-    w12s, weighted = [], []
-    for idx, v in enumerate(v_snapshots):
-        grad = quantum_gradient_xi(v, SQRT_WRAP_TOL)
-        w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=SQRT_WRAP_TOL)
-        pair = max(weighted_schatten_norms(grad, QUANTUM_PAIR, QUANTUM_WEIGHT_N))
-        lam[idx] = w12 * np.sqrt(rho_sup[idx]) + np.sqrt(C_inf) * pair
+    lam, w12s, weighted = [], [], []
+    for v, rho in zip(v_snapshots, rho_sup):
+        rate, w12, pair = quantum_rate(v, rho, C_inf)
+        lam.append(rate)
         w12s.append(w12)
         weighted.append(pair)
-    return GronwallBudget(times, lam, extras={"w12": w12s, "weighted_n": weighted})
+    return GronwallBudget(np.asarray(times), np.array(lam, dtype=float),
+                          extras={"w12": w12s, "weighted_n": weighted})
 
 
 def fit_c_star(times, left, Lambda) -> float:

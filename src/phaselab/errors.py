@@ -1,8 +1,13 @@
 """Exception hierarchy for the laboratory."""
 
+from __future__ import annotations
+
 
 class PhaselabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. ``t`` is the snapshot time at which
+    a sweep member's flows raised it, when they did."""
+
+    t: float | None = None
 
 
 class ConfigurationError(PhaselabError):

@@ -28,9 +28,17 @@ Carrying the root thus costs no FFT pass. The density and the per-step logs
 read M as it is; M is split only at snapshots and for the spectrum log. The
 packed op kernel agrees with an unpacked one to rounding, about 5e-15
 relative in Hilbert-Schmidt norm.
+
+The loop is a generator (hartree_steps, linear_hartree_steps): it writes
+the per-step logs to the trajectory it is given and yields each due
+snapshot. evolve_hartree and evolve_linear_hartree store every snapshot; a
+sweep member steps both flows in lockstep, analyses each snapshot as it
+comes and keeps only the last.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -39,6 +47,9 @@ from .errors import ConfigurationError
 from .operators import DensityOperator
 from .poisson import solve_poisson
 from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
+
+# what a stepping generator yields at each due snapshot: (t, op, root or None)
+States = Iterator[tuple[float, DensityOperator, DensityOperator | None]]
 
 
 def _conjugate_kinetic(K: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -72,23 +83,25 @@ def _split_packed(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _evolve(op0: DensityOperator, steps: int, dt: float, field,
             snapshot_stride: int | None, log_spectrum: bool,
-            root: DensityOperator | None) -> Trajectory:
-    """The operator step loop both Hartree flows share: step, log trace,
-    Hilbert-Schmidt norm and energy, store the due snapshots.
+            root: DensityOperator | None,
+            traj: Trajectory) -> States:
+    """The operator step loop both Hartree flows share, as a generator: step,
+    log trace, Hilbert-Schmidt norm and energy to ``traj`` at every step time,
+    and yield ``(t, op, root)`` at each due snapshot.
 
     ``field(n, rho)`` is the field at step time t_n, given the density
     there; it is called once per step time, in order. Its potential kicks
     for half a step on both sides of t_n and enters the energy log.
-    ``root``, a Hermitian square root of op0, rides in M = op + i root; its
-    snapshots go to ``root_snapshots``, taken at the ``snapshot_times``. The
-    snapshots at t = 0 are op0 and root themselves.
+    ``root``, a Hermitian square root of op0, rides in M = op + i root and is
+    yielded split from it, else None. The states at t = 0 are op0 and root
+    themselves; later ones are fresh arrays that the loop never writes.
     """
     if not op0.hermitian and not op0.check_hermitian(1e-10):
         raise ConfigurationError("Hartree evolution needs a Hermitian initial operator")
     if root is not None and not root.hermitian and not root.check_hermitian(1e-10):
         raise ConfigurationError("the carried square root must be Hermitian")
     g = op0.grid
-    traj = Trajectory(dt=dt)
+    traj.dt = dt
     if root is None:
         M = op0.kernel.copy()
     else:
@@ -128,50 +141,54 @@ def _evolve(op0: DensityOperator, steps: int, dt: float, field,
             **spectrum,
         )
         if due:
-            traj.add_snapshot(t, op)
-            if root is not None:
-                traj.root_snapshots.append(vt)
+            yield t, op, vt
+
+
+def _collect(traj: Trajectory, states: States) -> Trajectory:
+    """Store every state a stepping generator yields in ``traj``: op in
+    ``snapshots``, the carried root, if any, in ``root_snapshots``."""
+    for t, op, vt in states:
+        traj.add_snapshot(t, op)
+        if vt is not None:
+            traj.root_snapshots.append(vt)
     return traj
 
 
-def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
-                   snapshot_stride: int | None = None,
-                   log_spectrum: bool = False,
-                   root: DensityOperator | None = None) -> Trajectory:
-    """Evolve the nonlinear Hartree equation i hbar d_t op = [H_op, op].
+def hartree_steps(op0: DensityOperator, T: float, dt: float, sign: int, traj: Trajectory,
+                  snapshot_stride: int | None = None, log_spectrum: bool = False,
+                  root: DensityOperator | None = None) -> States:
+    """Step the nonlinear Hartree equation i hbar d_t op = [H_op, op], yielding
+    ``(t, op, root)`` at each snapshot time (see _evolve); the logs and the
+    fields go to ``traj``.
 
     Each step kicks for half a step with the self-consistent field at each of
     its ends; the field at the closing end is the Poisson field of the
     density after the free step, which is exact because a kick leaves the
     density unchanged. One Poisson solve per step time; the fields go to
-    ``fields``, and they are exactly the fields the flow kicked with.
+    ``traj.fields``, and they are exactly the fields the flow kicked with.
     ``root``, a Hermitian square root of op0, is carried to the square root
-    of the evolved operator at every snapshot (``root_snapshots``) as the
-    anti-Hermitian part of the packed kernel.
+    of the evolved operator as the anti-Hermitian part of the packed kernel.
     """
     steps, dt = resolve_steps(T, dt)
-    fields = []
 
     def field(n, rho):
-        fields.append(solve_poisson(op0.grid, rho, sign, time=n * dt))
-        return fields[-1]
+        traj.fields.append(solve_poisson(op0.grid, rho, sign, time=n * dt))
+        return traj.fields[-1]
 
-    traj = _evolve(op0, steps, dt, field, snapshot_stride, log_spectrum, root)
-    traj.fields = fields
-    return traj
+    return _evolve(op0, steps, dt, field, snapshot_stride, log_spectrum, root, traj)
 
 
-def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapshot],
-                          T: float, dt: float,
-                          snapshot_stride: int | None = None,
-                          log_spectrum: bool = False,
-                          root: DensityOperator | None = None) -> Trajectory:
-    """Evolve i hbar d_t op = [H_f, op] with the frozen field history V_f(t).
+def linear_hartree_steps(op0: DensityOperator, field_history: list[FieldSnapshot],
+                         T: float, dt: float, traj: Trajectory,
+                         snapshot_stride: int | None = None, log_spectrum: bool = False,
+                         root: DensityOperator | None = None) -> States:
+    """Step i hbar d_t op = [H_f, op] with the frozen field history V_f(t),
+    yielding ``(t, op, root)`` at each snapshot time; the logs go to ``traj``.
 
     ``field_history`` must cover [0, T] on the same time grid; the step from
     t_n to t_{n+1} kicks for half a step with V_n, then with V_{n+1} (the
     trapezoidal rule for the time integral of the potential). ``root`` is
-    carried as in evolve_hartree.
+    carried as in hartree_steps.
     """
     steps, dt = resolve_steps(T, dt)
     if len(field_history) < steps + 1:
@@ -184,4 +201,27 @@ def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapsho
                 f"field history gap at step {n}: time {field_history[n].time} != {n * dt}"
             )
     return _evolve(op0, steps, dt, lambda n, rho: field_history[n],
-                   snapshot_stride, log_spectrum, root)
+                   snapshot_stride, log_spectrum, root, traj)
+
+
+def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,
+                   snapshot_stride: int | None = None,
+                   log_spectrum: bool = False,
+                   root: DensityOperator | None = None) -> Trajectory:
+    """The trajectory of hartree_steps with every snapshot stored: op in
+    ``snapshots``, the carried root in ``root_snapshots``."""
+    traj = Trajectory()
+    return _collect(traj, hartree_steps(op0, T, dt, sign, traj, snapshot_stride,
+                                        log_spectrum, root))
+
+
+def evolve_linear_hartree(op0: DensityOperator, field_history: list[FieldSnapshot],
+                          T: float, dt: float,
+                          snapshot_stride: int | None = None,
+                          log_spectrum: bool = False,
+                          root: DensityOperator | None = None) -> Trajectory:
+    """The trajectory of linear_hartree_steps with every snapshot stored, as
+    in evolve_hartree."""
+    traj = Trajectory()
+    return _collect(traj, linear_hartree_steps(op0, field_history, T, dt, traj,
+                                               snapshot_stride, log_spectrum, root))

@@ -11,12 +11,21 @@ bundle builds its data on first use, so each grid computes every datum, flow
 and shared per-snapshot quantity at most once, and only when a requested
 probe reads it. Results come back in increasing N, that is in decreasing
 hbar, so reports are deterministic for a fixed configuration.
+
+The Hartree snapshots are streamed, not stored. The Vlasov flow runs first
+and keeps its snapshots, as its field history drives the linear Hartree
+flow. The two Hartree flows then step in lockstep; at each snapshot time the
+series probes' per-snapshot consumers (SNAPSHOT_TABLE) read the operators,
+which are then dropped, so a member holds per-snapshot scalars and each
+Hartree flow's final op and root, not its trajectory.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,8 +35,7 @@ from .budgets import (
     SQRT_WRAP_TOL,
     cumulative_trapezoid,
     fit_c_star,
-    quantum_lambda,
-    rho_sup_series,
+    quantum_rate,
     sqrt_field,
 )
 from .calculus import operator_sqrt, spatial_density
@@ -35,7 +43,7 @@ from .coherent import husimi_convolve, wick_quantize, wick_square_datum
 from .config import DEFAULTS
 from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, gaussian_phase_kernel, make_grid, sample_field
-from .hartree import evolve_hartree, evolve_linear_hartree
+from .hartree import hartree_steps, linear_hartree_steps
 from .norms import (
     lebesgue_norm,
     quantum_sobolev_norm,
@@ -44,6 +52,7 @@ from .norms import (
     spatial_sobolev_norm,
     weighted_sobolev_norms,
 )
+from .operators import DensityOperator
 from .probes import (
     b_bound_probe,
     c_init_value,
@@ -57,15 +66,11 @@ from .probes import (
 )
 from .reports import ProbeReport, fit_loglog
 from .spectral import derivative, field_from_modes, random_mode_block
-from .trajectory import resolve_steps
+from .trajectory import FieldSnapshot, Trajectory, resolve_steps
 from .transforms import weyl_quantize, wigner_transform
 from .vlasov import evolve_vlasov
 
-SNAPSHOT_POINTS = 8      # stored snapshots per flow for the time-series probes
-# the probes that read the snapshot series
-SERIES_PROBES = frozenset({"positivity_defect", "sqrt_comparison", "regularity"})
-# the probes that read a flow; a member evaluates the others first
-FLOW_PROBES = SERIES_PROBES | {"convergence"}
+SNAPSHOT_POINTS = 8      # snapshot intervals per flow for the time-series probes
 # member settings a sweep need not pass; profile and T have no default
 MEMBER_DEFAULTS = {**{key: DEFAULTS[key] for key in ("sign", "dt", "seed", "L_x", "L_xi")},
                    "pairs": 10, "k": 1, "q": 2, "n": 1}
@@ -103,7 +108,10 @@ class DynamicsBundle:
     The grid is built at once; every other datum on first access, so data
     that no requested probe reads are never computed. All flows share one
     snapshot stride: SNAPSHOT_POINTS intervals when a time-series probe is
-    requested, else only the initial and final states.
+    requested, else only the initial and final states. The Vlasov flow
+    keeps its snapshots; the Hartree flows are streamed (``_streamed``) and
+    keep their logs, fields and final op and root, and ``series`` holds what
+    the series probes read of each snapshot.
     """
 
     def __init__(self, args: dict):
@@ -151,42 +159,97 @@ class DynamicsBundle:
                              snapshot_stride=self.stride)
 
     @cached_property
-    def hartree(self):
-        """Hartree flow of op0, carrying the square root vt. The root rides in
-        the packed kernel at no FFT cost, and carrying it whatever the probe
-        set keeps every probe's op bits independent of the others."""
-        return evolve_hartree(self.op0, self.args["T"], self.dt, self.args["sign"],
-                              snapshot_stride=self.stride, root=self.wick_datum[0])
+    def _streamed(self) -> tuple[dict[str, Trajectory], dict[str, dict]]:
+        """Step the linear Hartree flow of op0 in the Vlasov field history,
+        and the nonlinear Hartree flow of op0 when a requested probe reads
+        it, in lockstep over the Vlasov snapshot times. At each snapshot the
+        per-snapshot consumer of every requested series probe reads the
+        flows; then the operators are dropped. Both flows carry the square
+        root vt: it rides in the packed kernel at no FFT cost, and carrying
+        it whatever the probe set keeps every probe's op bits independent of
+        the others.
 
-    @cached_property
-    def linear(self):
-        """Linear Hartree flow of op0 in the Vlasov field history, carrying the
-        square root vt as the Hartree flow does."""
-        return evolve_linear_hartree(self.op0, self.vlasov.fields, self.args["T"],
-                                     self.dt, snapshot_stride=self.stride,
-                                     root=self.wick_datum[0])
-
-    @cached_property
-    def weyl_terms(self) -> list[tuple]:
-        """Per Vlasov snapshot f, with op_f = weyl_quantize(f) and op_til the
-        linear Hartree snapshot: (||op_til - op_f||_L2, the density of op_f,
-        ||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}).
-
-        op_f is not kept: holding every snapshot's operator until the member
-        ends would raise its peak memory by about 9 MiB at N=256.
+        Returns the flows, each holding its logs, its fields and its final
+        op and root, and per series probe the lists of its per-snapshot
+        values. A PhaselabError raised here carries the snapshot time t.
         """
-        out = []
-        for f, op_til, snap in zip(self.vlasov.snapshots, self.linear.snapshots,
-                                   self.vlasov.snapshot_fields()):
-            op_f = weyl_quantize(f)
-            out.append((schatten_norm(op_til - op_f, 2), spatial_density(op_f).real,
-                        spatial_sobolev_norm(snap.rho, self.grid.L_x, 1, np.inf)
-                        * quantum_sobolev_norm(op_f, 2, 2, 2)))
-        return out
+        T, stride, vt = self.args["T"], self.stride, self.wick_datum[0]
+        flows = {"linear": Trajectory()}
+        steppers = [linear_hartree_steps(self.op0, self.vlasov.fields, T, self.dt,
+                                         flows["linear"], stride, root=vt)]
+        if not HARTREE_PROBES.isdisjoint(self.args["probes"]):
+            flows["hartree"] = Trajectory()
+            steppers.append(hartree_steps(self.op0, T, self.dt, self.args["sign"],
+                                          flows["hartree"], stride, root=vt))
+        consumers = {p: fn for p, fn in SNAPSHOT_TABLE.items() if p in self.args["probes"]}
+        series = {p: defaultdict(list) for p in consumers}
+        lockstep = zip(*steppers)
+        ftraj = self.vlasov
+        for t, f, fld in zip(ftraj.snapshot_times, ftraj.snapshots, ftraj.snapshot_fields()):
+            try:
+                states = next(lockstep)
+                (_, op, root), *nonlinear = states
+                snap = Snapshot(t, f, fld, op, root, nonlinear[0][2] if nonlinear else None)
+                for p, consume in consumers.items():
+                    for key, value in consume(self, snap).items():
+                        series[p][key].append(value)
+            except PhaselabError as exc:
+                exc.t = t
+                raise
+        for traj, (t, op, root) in zip(flows.values(), states):
+            traj.add_snapshot(t, op)
+            traj.root_snapshots.append(root)
+        return flows, series
+
+    @property
+    def linear(self) -> Trajectory:
+        """The linear Hartree flow: its logs and its final op and root."""
+        return self._streamed[0]["linear"]
+
+    @property
+    def hartree(self) -> Trajectory:
+        """The nonlinear Hartree flow: its logs, its fields and its final op
+        and root."""
+        return self._streamed[0]["hartree"]
+
+    @property
+    def series(self) -> dict[str, dict]:
+        """Per requested series probe, the lists of its per-snapshot values."""
+        return self._streamed[1]
+
+    @cached_property
+    def op_norm(self) -> float:
+        """||op0||_{L^inf}, the C_inf of the quantum stability rate."""
+        return schatten_norm(self.op0, np.inf)
 
     @cached_property
     def c_init(self) -> float:
         return c_init_value(self.f0)
+
+
+@dataclass
+class Snapshot:
+    """One snapshot time of a bundle's flows, read by the per-snapshot
+    consumers of the series probes and then dropped: the Vlasov field f and
+    its Poisson data, the linear Hartree op and its carried root, and the
+    carried root of the nonlinear Hartree flow when that flow runs."""
+
+    t: float
+    f: PhaseField
+    field: FieldSnapshot
+    op: DensityOperator
+    root: DensityOperator
+    hartree_root: DensityOperator | None
+
+    @cached_property
+    def op_f(self) -> DensityOperator:
+        return weyl_quantize(self.f)
+
+    @cached_property
+    def weyl_term(self) -> float:
+        """||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}, with rho the Vlasov density."""
+        return (spatial_sobolev_norm(self.field.rho, self.f.grid.L_x, 1, np.inf)
+                * quantum_sobolev_norm(self.op_f, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +316,23 @@ def convergence_report(members: list) -> ProbeReport:
 # positivity defect and diagonal drift
 
 
+def defect_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
+    """Linear Hartree op_til against op_f = weyl_quantize(f) at one snapshot:
+    the L2 defect, the L2 drift of the density, and the Weyl term."""
+    rho_diff = spatial_density(s.op).real - spatial_density(s.op_f).real
+    return {"gap": schatten_norm(s.op - s.op_f, 2),
+            "left_diag": spatial_lebesgue_norm(rho_diff, b.grid.dx, 2),
+            "term": s.weyl_term}
+
+
 def defect_metric(b: DynamicsBundle) -> dict:
     """Linear Hartree vs Weyl-quantized Vlasov: L2 defect and diagonal drift."""
     grid, ftraj = b.grid, b.vlasov
     times = np.asarray(ftraj.snapshot_times)
-    left_pos, left_diag, rate = [], [], []
-    for f_snap, op_til, snap, (gap, rho_f, _) in zip(ftraj.snapshots, b.linear.snapshots,
-                                                    ftraj.snapshot_fields(), b.weyl_terms):
-        left_pos.append(gap)
-        rho_diff = spatial_density(op_til).real - rho_f
-        left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx, 2))
-        rate.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap))
+    series = b.series["positivity_defect"]
+    left_pos = series["gap"]
+    rate = [grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap)
+            for f_snap, snap in zip(ftraj.snapshots, ftraj.snapshot_fields())]
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
     integral = cumulative_trapezoid(rate, times)
     return {
@@ -271,10 +340,10 @@ def defect_metric(b: DynamicsBundle) -> dict:
         "hbar": grid.hbar,
         "times": times,
         "left_positivity": np.asarray(left_pos),
-        "left_diag": np.asarray(left_diag),
+        "left_diag": np.asarray(series["left_diag"]),
         "budget_integral": integral,
         "c_init": b.c_init,
-        "diag_budget": grid.hbar * (b.c_init + max(term for _, _, term in b.weyl_terms)),
+        "diag_budget": grid.hbar * (b.c_init + max(series["term"])),
         "pos_budget_final": left_pos[0] + grid.hbar * integral[-1],
     }
 
@@ -315,30 +384,36 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
 # square-root comparison (nonlinear vs linear Hartree)
 
 
+def sqrt_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
+    """The two carried roots at one snapshot: ||v - v_til||_L2, the quantum
+    rate of the linear root v_til with its W^{1,2} piece, and the Weyl term."""
+    lam, w12, _ = quantum_rate(s.root, float(np.max(np.abs(s.field.rho))), b.op_norm)
+    return {"left": schatten_norm(s.hartree_root - s.root, 2), "lam": lam, "w12": w12,
+            "term": s.weyl_term}
+
+
 def sqrt_metric(b: DynamicsBundle) -> dict:
     """Square roots of the nonlinear against the linear Hartree flow. Both
     flows are unitary conjugations, so each carries the square root vt of op0
     to the square root of its evolved operator at every snapshot; the two
     routes are compared once per flow, at time T."""
     grid = b.grid
-    times = np.asarray(b.hartree.snapshot_times)
-    vtil = b.linear.root_snapshots
-    left = np.array([schatten_norm(a - c, 2) for a, c in zip(b.hartree.root_snapshots, vtil)])
-    C_inf = schatten_norm(b.op0, np.inf)
-    budget = quantum_lambda(vtil, times, rho_sup_series(b.vlasov), C_inf)
-    Lambda = budget.Lambda()
+    times = np.asarray(b.vlasov.snapshot_times)
+    series = b.series["sqrt_comparison"]
+    Lambda = cumulative_trapezoid(np.asarray(series["lam"]), times)
     c_series = np.array([w12 * (b.c_init + term)
-                         for w12, (_, _, term) in zip(budget.extras["w12"], b.weyl_terms)])
+                         for w12, term in zip(series["w12"], series["term"])])
     # raw envelope with unit constants: hbar * sqrt(int c^2 e^{2(Lambda(t)-Lambda(s))})
     env0 = np.zeros(len(times))
     for n in range(1, len(times)):
         seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
         env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     return {
-        "N": grid.N, "hbar": grid.hbar, "times": times, "left": left, "env0": env0,
+        "N": grid.N, "hbar": grid.hbar, "times": times, "left": np.array(series["left"]),
+        "env0": env0,
         "sqrt_two_routes_gap": max(
-            schatten_norm(operator_sqrt(b.linear.final()) - vtil[-1], 2),
-            schatten_norm(operator_sqrt(b.hartree.final()) - b.hartree.root_snapshots[-1], 2)),
+            schatten_norm(operator_sqrt(flow.final()) - flow.root_snapshots[-1], 2)
+            for flow in (b.linear, b.hartree)),
     }
 
 
@@ -372,16 +447,19 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
 # regularity tracking
 
 
+def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
+    """The W^k(m) norm of the root carried by the linear Hartree flow."""
+    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    return {"norm": quantum_sobolev_norm(s.root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)}
+
+
 def regularity_metric(b: DynamicsBundle) -> dict:
     """W^k(m) norms of the square root carried by the linear Hartree flow."""
     grid = b.grid
-    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    n = b.args["n"]
     eps = 0.5
-    times = np.asarray(b.linear.snapshot_times)
-    norms = np.array([
-        quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
-        for v in b.linear.root_snapshots
-    ])
+    times = np.asarray(b.vlasov.snapshot_times)
+    norms = np.array(b.series["regularity"]["norm"])
     rho_rate = []
     for snap in b.vlasov.snapshot_fields():
         lo = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - eps)
@@ -590,6 +668,18 @@ PROBE_TABLE = {
     "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
     "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
 }
+# series probe -> its per-snapshot consumer, run while the bundle streams its flows
+SNAPSHOT_TABLE = {
+    "positivity_defect": defect_snapshot,
+    "sqrt_comparison": sqrt_snapshot,
+    "regularity": regularity_snapshot,
+}
+# the probes that read the snapshot series
+SERIES_PROBES = frozenset(SNAPSHOT_TABLE)
+# the probes that read a flow; a member evaluates the others first
+FLOW_PROBES = SERIES_PROBES | {"convergence"}
+# the probes that read the nonlinear Hartree flow
+HARTREE_PROBES = frozenset({"convergence", "sqrt_comparison"})
 
 
 def grid_member(args: dict) -> dict:
@@ -599,7 +689,8 @@ def grid_member(args: dict) -> dict:
     The static probes run first, then the flow probes, each in PROBE_TABLE
     order whatever the requested order: the flows are not yet held while the
     static metrics churn the heap. A PhaselabError is re-raised as the same
-    class, with the probe and N in front of its message.
+    class, with the probe and N in front of its message, and the snapshot
+    time t when the flows' stream raised it.
     """
     bundle = DynamicsBundle(args)
     order = list(PROBE_TABLE)
@@ -609,7 +700,8 @@ def grid_member(args: dict) -> dict:
         try:
             metrics[p] = PROBE_TABLE[p][0](bundle)
         except PhaselabError as exc:
-            raise type(exc)(f"probe {p}, N={args['N']}: {exc}") from exc
+            at = "" if exc.t is None else f", t={exc.t:.4g}"
+            raise type(exc)(f"probe {p}, N={args['N']}{at}: {exc}") from exc
     return metrics
 
 

@@ -5,7 +5,6 @@ d = 1, periodic square box of side 2 pi, N up to 256.
 """
 
 import numpy as np
-import pytest
 
 from phaselab import (
     PhaseField,

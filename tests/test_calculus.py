@@ -6,7 +6,6 @@ from phaselab import (
     NotPositiveError,
     PhaseField,
     WrapAmbiguityError,
-    make_grid,
     weyl_quantize,
     wigner_transform,
 )
@@ -19,7 +18,7 @@ from phaselab.calculus import (
     spatial_density,
     wrap_mass,
 )
-from phaselab.norms import lebesgue_norm, schatten_norm
+from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.probes import weight_remainder_probe
 from phaselab.spectral import band_limited_field, derivative, fourier_multiplier

@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np

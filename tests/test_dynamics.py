@@ -8,7 +8,6 @@ from phaselab import (
     SupportEscapeError,
     make_grid,
     sample_field,
-    weyl_quantize,
     wigner_transform,
 )
 from phaselab.budgets import sqrt_field

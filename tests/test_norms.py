@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_quantum_gradients, coherent_projector, identity_operator
-from phaselab import PhaseField, make_grid, weyl_quantize, wigner_transform
-from phaselab.calculus import operator_sqrt
+from phaselab import PhaseField, make_grid, weyl_quantize
 from phaselab.norms import (
     h_half_norm,
     lebesgue_norm,

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 
 from phaselab import PhaseField, make_grid, sample_field
 from phaselab.budgets import quantum_lambda, rho_sup_series, sqrt_field
 from phaselab.coherent import wick_quantize
-from phaselab.norms import lebesgue_norm, schatten_norm
+from phaselab.norms import lebesgue_norm
 from phaselab.probes import commutator_probe, init_diff_probe, wick_square_probe
 from phaselab.operators import DensityOperator
 from phaselab.sweeps import grid_member
@@ -60,7 +59,6 @@ def test_quantum_lambda_refinement_stability():
 
 def test_quantum_lambda_uniform_over_sweep():
     # max-over-time lambda varies < 20% across the hbar sweep
-    from phaselab.calculus import operator_sqrt
     from phaselab.hartree import evolve_linear_hartree
 
     maxima = []

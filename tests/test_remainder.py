@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from phaselab import ConfigurationError, PhaseField, make_grid, sample_field, weyl_quantize
-from phaselab.norms import schatten_norm
-from phaselab.poisson import solve_poisson
+from phaselab import ConfigurationError, PhaseField, sample_field, weyl_quantize
 from phaselab.remainder import (
     b_remainder,
     hamiltonian_commutator,

@@ -168,45 +168,181 @@ def test_homogeneous_norms_constant():
     assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8 * norms[0]
 
 
-def _count_evolves(monkeypatch):
-    """Wrap the flows sweeps evolves; return the list of their trajectories."""
+def _count_flows(monkeypatch):
+    """Wrap the flows sweeps runs: the Vlasov flow and the two Hartree step
+    generators. Return one record per flow started: its name, the number of
+    snapshots it gave and how many of them carried a root."""
     from phaselab import sweeps
 
-    trajectories = []
-    for name in ("evolve_vlasov", "evolve_hartree", "evolve_linear_hartree"):
-        def counted(*args, _flow=getattr(sweeps, name), **kwargs):
-            traj = _flow(*args, **kwargs)
-            trajectories.append(traj)
-            return traj
+    flows = []
+
+    def vlasov(*args, _flow=sweeps.evolve_vlasov, **kwargs):
+        traj = _flow(*args, **kwargs)
+        flows.append({"flow": "vlasov", "snapshots": len(traj.snapshots), "roots": 0})
+        return traj
+
+    monkeypatch.setattr(sweeps, "evolve_vlasov", vlasov)
+    for name in ("hartree_steps", "linear_hartree_steps"):
+        def counted(*args, _name=name, _steps=getattr(sweeps, name), **kwargs):
+            record = {"flow": _name, "snapshots": 0, "roots": 0}
+            flows.append(record)
+            for t, op, root in _steps(*args, **kwargs):
+                record["snapshots"] += 1
+                record["roots"] += root is not None
+                yield t, op, root
         monkeypatch.setattr(sweeps, name, counted)
-    return trajectories
+    return flows
+
+
+def _carries_root(record) -> bool:
+    return record["roots"] == record["snapshots"] > 0
 
 
 def test_bundle_evolves_each_flow_once(monkeypatch):
     # Vlasov, Hartree and linear Hartree; both Hartree flows carry the root
-    trajectories = _count_evolves(monkeypatch)
+    flows = _count_flows(monkeypatch)
     probes = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
     sweep_reports(probes, SMALL, profile=PROFILE, T=0.1)
-    assert len(trajectories) == 3 * len(SMALL)
-    assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
+    assert len(flows) == 3 * len(SMALL)
+    for name in ("vlasov", "hartree_steps", "linear_hartree_steps"):
+        assert sum(f["flow"] == name for f in flows) == len(SMALL)
+    assert sum(_carries_root(f) for f in flows) == 2 * len(SMALL)
 
 
 def test_positivity_defect_alone_carries_the_root(monkeypatch):
     # the root rides in the packed kernel at no FFT cost, so the linear flow
-    # carries it even where no requested probe reads it
-    trajectories = _count_evolves(monkeypatch)
+    # carries it even where no requested probe reads it; no nonlinear flow runs
+    flows = _count_flows(monkeypatch)
     grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["positivity_defect"]))
-    assert len(trajectories) == 2
-    assert [bool(t.root_snapshots) for t in trajectories] == [False, True]
+    assert [f["flow"] for f in flows] == ["vlasov", "linear_hartree_steps"]
+    assert [_carries_root(f) for f in flows] == [False, True]
 
 
 def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
-    trajectories = _count_evolves(monkeypatch)
+    flows = _count_flows(monkeypatch)
     sweep_reports(["convergence"], SMALL, profile=PROFILE, T=0.1)
-    assert len(trajectories) == 3 * len(SMALL)
-    assert all(len(t.snapshots) == 2 for t in trajectories)
+    assert len(flows) == 3 * len(SMALL)
+    assert all(f["snapshots"] == 2 for f in flows)
     # both Hartree flows carry the root, the Vlasov flow none
-    assert sum(bool(t.root_snapshots) for t in trajectories) == 2 * len(SMALL)
+    assert sum(_carries_root(f) for f in flows) == 2 * len(SMALL)
+    assert not any(_carries_root(f) for f in flows if f["flow"] == "vlasov")
+
+
+def _stored_series(args: dict) -> dict:
+    """The series metrics the stored way: every flow evolved with all its
+    snapshots at the member's stride, then each snapshot read from the
+    stored lists."""
+    import math
+
+    from phaselab.budgets import SQRT_WRAP_TOL, quantum_lambda, rho_sup_series
+    from phaselab.calculus import operator_sqrt, spatial_density
+    from phaselab.hartree import evolve_hartree, evolve_linear_hartree
+    from phaselab.norms import (quantum_sobolev_norm, schatten_norm, spatial_lebesgue_norm,
+                                spatial_sobolev_norm)
+    from phaselab.sweeps import SNAPSHOT_POINTS, DynamicsBundle
+    from phaselab.transforms import weyl_quantize
+
+    b = DynamicsBundle(args)
+    grid, T, dt, vt = b.grid, args["T"], b.dt, b.wick_datum[0]
+    steps = round(T / dt)
+    stride = max(1, steps // SNAPSHOT_POINTS)
+    ftraj = b.vlasov
+    lin = evolve_linear_hartree(b.op0, ftraj.fields, T, dt, snapshot_stride=stride, root=vt)
+    hart = evolve_hartree(b.op0, T, dt, b.args["sign"], snapshot_stride=stride, root=vt)
+    times = np.asarray(lin.snapshot_times)
+    assert list(times) == ftraj.snapshot_times == hart.snapshot_times
+    gaps, left_diag, terms = [], [], []
+    for f, op_til, snap in zip(ftraj.snapshots, lin.snapshots, ftraj.snapshot_fields()):
+        op_f = weyl_quantize(f)
+        gaps.append(schatten_norm(op_til - op_f, 2))
+        rho_diff = spatial_density(op_til).real - spatial_density(op_f).real
+        left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx, 2))
+        terms.append(spatial_sobolev_norm(snap.rho, grid.L_x, 1, np.inf)
+                     * quantum_sobolev_norm(op_f, 2, 2, 2))
+    budget = quantum_lambda(lin.root_snapshots, times, rho_sup_series(ftraj),
+                            schatten_norm(b.op0, np.inf))
+    Lambda = budget.Lambda()
+    c_series = np.array([w12 * (b.c_init + term)
+                         for w12, term in zip(budget.extras["w12"], terms)])
+    env0 = np.zeros(len(times))
+    for n in range(1, len(times)):
+        seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
+        env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
+    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    return {
+        "positivity_defect": {"left_positivity": np.asarray(gaps),
+                              "left_diag": np.asarray(left_diag),
+                              "diag_budget": grid.hbar * (b.c_init + max(terms))},
+        "sqrt_comparison": {
+            "times": times,
+            "left": np.array([schatten_norm(a - c, 2)
+                              for a, c in zip(hart.root_snapshots, lin.root_snapshots)]),
+            "env0": env0,
+            "sqrt_two_routes_gap": max(
+                schatten_norm(operator_sqrt(tr.final()) - tr.root_snapshots[-1], 2)
+                for tr in (lin, hart))},
+        "regularity": {"norms": np.array([
+            quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
+            for v in lin.root_snapshots])},
+    }
+
+
+def test_streamed_series_equal_the_stored_ones():
+    args = dict(N=48, profile=PROFILE, T=0.1, probes=sorted(SERIES_PROBES))
+    streamed = grid_member(args)
+    for probe, values in _stored_series(args).items():
+        for key, want in values.items():
+            assert np.array_equal(streamed[probe][key], want), (probe, key)
+
+
+def _square_kernels(obj, N: int, seen=None) -> list:
+    """Every N x N array reachable from obj through attributes, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.shape == (N, N) else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [k for child in children for k in _square_kernels(child, N, seen)]
+
+
+def test_hartree_flows_hold_only_their_final_state():
+    from phaselab.config import PROBES
+    from phaselab.sweeps import PROBE_TABLE, DynamicsBundle
+
+    N = 48
+    b = DynamicsBundle(dict(N=N, profile=PROFILE, T=0.1, probes=PROBES))
+    for p in PROBES:
+        PROBE_TABLE[p][0](b)
+    for flow in (b.hartree, b.linear):
+        assert flow.snapshot_times == [b.vlasov.snapshot_times[-1]]
+        held = {id(k) for k in _square_kernels(flow, N)}
+        assert held == {id(flow.final().kernel), id(flow.root_snapshots[-1].kernel)}
+        assert len(flow.times) == len(b.vlasov.times)
+    assert len(b.hartree.fields) == len(b.vlasov.fields)
+    assert _square_kernels(b.series, N) == []
+
+
+def test_streamed_error_names_probe_n_and_t(monkeypatch):
+    # an error while the bundle streams its flows gains the snapshot time too
+    from phaselab import sweeps
+    from phaselab.errors import WrapAmbiguityError
+
+    def consumer(b, s):
+        if s.t > 0.05:
+            raise WrapAmbiguityError("antipodal mass")
+        return sweeps.regularity_snapshot(b, s)
+
+    monkeypatch.setitem(sweeps.SNAPSHOT_TABLE, "regularity", consumer)
+    with pytest.raises(WrapAmbiguityError,
+                       match=r"^probe regularity, N=48, t=0\.06: antipodal mass$"):
+        grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["regularity"]))
 
 
 def test_sweep_rejects_unknown_settings_and_probes():
