@@ -3,12 +3,11 @@ time integrals, for both the kinetic and the quantum flows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import quantum_gradient_xi
-from .errors import ConfigurationError
 from .grids import PhaseField
 from .norms import (
     lorentz_norm,
@@ -18,7 +17,6 @@ from .norms import (
 )
 from .operators import DensityOperator
 from .spectral import derivative
-from .trajectory import Trajectory
 
 
 def cumulative_trapezoid(values, times) -> np.ndarray:
@@ -31,11 +29,10 @@ def cumulative_trapezoid(values, times) -> np.ndarray:
 
 @dataclass
 class GronwallBudget:
-    """lambda(t) series, its integral Lambda, and auxiliary budget pieces."""
+    """lambda(t) series and its integral Lambda."""
 
     times: np.ndarray
     lam: np.ndarray
-    extras: dict = field(default_factory=dict)
 
     def Lambda(self) -> np.ndarray:
         """Cumulative trapezoid integral of lambda; nondecreasing from 0."""
@@ -52,27 +49,18 @@ def sqrt_field(f: PhaseField) -> PhaseField:
     return PhaseField(f.grid, np.sqrt(v), real=True)
 
 
-def classical_lambda(f2_traj: Trajectory, C_inf: float) -> GronwallBudget:
-    """Kinetic stability rate lambda(t) along the second solution:
+def classical_rate(f2: PhaseField, rho_sup: float, C_inf: float) -> float:
+    """The kinetic stability rate at one snapshot f2 of the second solution,
+    with rho_sup = ||rho_2||_inf its density's sup norm:
 
     lambda = ||rho_2||_inf^(1/2) ||grad_xi sqrt(f2)||_{L^3_x L^2_xi}
            + C_inf^(1/2) ||grad_xi sqrt(f2)||_{L^{3,1}_x L^1_xi}.
     """
-    if not isinstance(f2_traj.final(), PhaseField):
-        raise ConfigurationError("classical budget needs a field trajectory")
-    times = np.asarray(f2_traj.snapshot_times)
-    lam = np.empty(len(times))
-    for idx, (f2, snap) in enumerate(zip(f2_traj.snapshots, f2_traj.snapshot_fields())):
-        g = f2.grid
-        v2 = sqrt_field(f2)
-        grad = derivative(v2.values.astype(complex), g.L_xi, axis=1).real
-        gfield = PhaseField(g, np.abs(grad), real=True)
-        m32 = mixed_norm(gfield, 3, 2)
-        w = np.sum(np.abs(grad), axis=1) * g.dxi
-        l31 = lorentz_norm(w, g.dx, 3, 1)
-        rho_inf = float(np.max(np.abs(snap.rho)))
-        lam[idx] = np.sqrt(rho_inf) * m32 + np.sqrt(C_inf) * l31
-    return GronwallBudget(times, lam)
+    g = f2.grid
+    grad = derivative(sqrt_field(f2).values.astype(complex), g.L_xi, axis=1).real
+    m32 = mixed_norm(PhaseField(g, np.abs(grad), real=True), 3, 2)
+    l31 = lorentz_norm(np.sum(np.abs(grad), axis=1) * g.dxi, g.dx, 3, 1)
+    return np.sqrt(rho_sup) * m32 + np.sqrt(C_inf) * l31
 
 
 # the wrap guard for square-root kernels, which sit on a sqrt(eps) rounding floor
@@ -95,22 +83,6 @@ def quantum_rate(v: DensityOperator, rho_sup: float, C_inf: float) -> tuple[floa
     w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=SQRT_WRAP_TOL)
     pair = max(weighted_schatten_norms(grad, QUANTUM_PAIR, QUANTUM_WEIGHT_N))
     return w12 * np.sqrt(rho_sup) + np.sqrt(C_inf) * pair, w12, pair
-
-
-def quantum_lambda(v_snapshots: list[DensityOperator], times, rho_sup: list[float],
-                   C_inf: float) -> GronwallBudget:
-    """The quantum_rate series along the square-root trajectory v(t).
-    ``extras`` holds its two pieces per snapshot: "w12"
-    (||grad_xi v||_{W^{1,2}}) and "weighted_n" (the weighted pair).
-    """
-    lam, w12s, weighted = [], [], []
-    for v, rho in zip(v_snapshots, rho_sup):
-        rate, w12, pair = quantum_rate(v, rho, C_inf)
-        lam.append(rate)
-        w12s.append(w12)
-        weighted.append(pair)
-    return GronwallBudget(np.asarray(times), np.array(lam, dtype=float),
-                          extras={"w12": w12s, "weighted_n": weighted})
 
 
 def fit_c_star(times, left, Lambda) -> float:
@@ -152,8 +124,3 @@ def fit_c_star_window(times, left, Lambda) -> float:
             best = max(best, float(np.log(left[n] / left[0]) / Lambda[n]))
     return best
 
-
-def rho_sup_series(traj: Trajectory) -> list[float]:
-    """Sup norms of the spatial density at the snapshot times of a flow that
-    records its field history (Vlasov or nonlinear Hartree)."""
-    return [float(np.max(np.abs(snap.rho))) for snap in traj.snapshot_fields()]

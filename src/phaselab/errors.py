@@ -4,9 +4,11 @@ from __future__ import annotations
 
 
 class PhaselabError(Exception):
-    """Base class for all package errors. ``t`` is the snapshot time at which
-    a sweep member's flows raised it, when they did."""
+    """Base class for all package errors. ``probe`` and ``t`` name the series
+    probe whose per-snapshot consumer raised it in a sweep member, and the
+    snapshot time, when one did."""
 
+    probe: str | None = None
     t: float | None = None
 
 

@@ -29,11 +29,11 @@ read M as it is; M is split only at snapshots and for the spectrum log. The
 packed op kernel agrees with an unpacked one to rounding, about 5e-15
 relative in Hilbert-Schmidt norm.
 
-The loop is a generator (hartree_steps, linear_hartree_steps): it writes
-the per-step logs to the trajectory it is given and yields each due
-snapshot. evolve_hartree and evolve_linear_hartree store every snapshot; a
-sweep member steps both flows in lockstep, analyses each snapshot as it
-comes and keeps only the last.
+The loop is a generator (hartree_steps, linear_hartree_steps), as the
+Vlasov one is: it writes the per-step logs to the trajectory it is given and
+yields each due snapshot. evolve_hartree and evolve_linear_hartree store
+every snapshot; a sweep member steps the Vlasov flow and both Hartree flows
+in lockstep, analyses each snapshot as it comes and keeps only the last.
 """
 
 from __future__ import annotations
@@ -187,21 +187,19 @@ def linear_hartree_steps(op0: DensityOperator, field_history: list[FieldSnapshot
 
     ``field_history`` must cover [0, T] on the same time grid; the step from
     t_n to t_{n+1} kicks for half a step with V_n, then with V_{n+1} (the
-    trapezoidal rule for the time integral of the potential). ``root`` is
+    trapezoidal rule for the time integral of the potential). Each entry is
+    checked as the flow reads it, so the history may grow while the flow
+    steps: a Vlasov flow ahead of it in a lockstep appends it. ``root`` is
     carried as in hartree_steps.
     """
     steps, dt = resolve_steps(T, dt)
-    if len(field_history) < steps + 1:
-        raise ConfigurationError(
-            f"field history has {len(field_history)} entries, needs {steps + 1} to cover [0, T]"
-        )
-    for n in range(steps + 1):
-        if abs(field_history[n].time - n * dt) > 1e-9 * max(1.0, T):
-            raise ConfigurationError(
-                f"field history gap at step {n}: time {field_history[n].time} != {n * dt}"
-            )
-    return _evolve(op0, steps, dt, lambda n, rho: field_history[n],
-                   snapshot_stride, log_spectrum, root, traj)
+
+    def field(n, rho):
+        if n >= len(field_history) or abs(field_history[n].time - n * dt) > 1e-9 * max(1.0, T):
+            raise ConfigurationError(f"field history has no entry for step {n}, t = {n * dt}")
+        return field_history[n]
+
+    return _evolve(op0, steps, dt, field, snapshot_stride, log_spectrum, root, traj)
 
 
 def evolve_hartree(op0: DensityOperator, T: float, dt: float, sign: int,

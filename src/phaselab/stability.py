@@ -15,24 +15,25 @@ import numpy as np
 
 from .budgets import (
     ENVELOPE_SLACK_FACTOR,
-    classical_lambda,
+    GronwallBudget,
+    classical_rate,
     fit_c_star_window,
-    quantum_lambda,
-    rho_sup_series,
+    quantum_rate,
     sqrt_field,
 )
 from .calculus import operator_sqrt
 from .errors import ConfigurationError
 from .grids import PhaseField
-from .hartree import evolve_hartree
+from .hartree import hartree_steps
 from .norms import h_half_norm, lebesgue_norm, schatten_norm
 from .operators import DensityOperator
 from .reports import ProbeReport
+from .trajectory import Trajectory
 from .transforms import wigner_transform
-from .vlasov import evolve_vlasov
+from .vlasov import vlasov_steps
 
 ENVELOPE_SLACK = 1e-9
-TWIN_SNAPSHOT_STRIDE = 5     # every twin flow stores every fifth step
+TWIN_SNAPSHOT_STRIDE = 5     # every twin flow yields every fifth step
 
 
 def _twin_report(probe: str, hbar: float, times, left, left_l2, budget, C_inf: float,
@@ -74,48 +75,53 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
 
     Also checks the corollary ||f1 - f2||_L2 <= 2 C_inf^(1/2)
     ||f1^init - f2^init||_L1^(1/2) e^Lambda with the same fitted constant.
+    The two flows step in lockstep; each snapshot pair is read as it comes.
     """
     if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
         raise ConfigurationError("twin experiment needs nonnegative initial data")
-    tr1 = evolve_vlasov(f1_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
-    tr2 = evolve_vlasov(f2_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
     C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
-    left = np.array([
-        lebesgue_norm(sqrt_field(a) - sqrt_field(b), 2)
-        for a, b in zip(tr1.snapshots, tr2.snapshots)
-    ])
-    left_l2 = np.array([
-        lebesgue_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)
-    ])
-    return _twin_report("classical_stability", f1_0.grid.hbar, np.asarray(tr1.snapshot_times),
-                        left, left_l2, classical_lambda(tr2, C_inf), C_inf,
+    times, left, left_l2, lam = [], [], [], []
+    for (t, f1, _), (_, f2, fld2) in zip(
+            vlasov_steps(f1_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE),
+            vlasov_steps(f2_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE)):
+        times.append(t)
+        left.append(lebesgue_norm(sqrt_field(f1) - sqrt_field(f2), 2))
+        left_l2.append(lebesgue_norm(f1 - f2, 2))
+        lam.append(classical_rate(f2, float(np.max(np.abs(fld2.rho))), C_inf))
+    times = np.asarray(times)
+    return _twin_report("classical_stability", f1_0.grid.hbar, times, np.array(left),
+                        np.array(left_l2), GronwallBudget(times, np.array(lam)), C_inf,
                         lambda: lebesgue_norm(f1_0 - f2_0, 1))
 
 
 def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
                                  T: float, dt: float, sign: int = 1) -> ProbeReport:
     """Twin Hartree runs: ||sqrt(op1) - sqrt(op2)||_L2 under the quantum envelope,
-    plus the L2-L1 corollary via Powers-Stormer."""
+    plus the L2-L1 corollary via Powers-Stormer. The two flows step in
+    lockstep; each snapshot pair is read as it comes."""
     for op in (op1_0, op2_0):
         if not op.check_positive(1e-8):
             raise ConfigurationError("twin experiment needs positive initial operators")
-    # each flow carries the square root of its datum, taken once at t = 0
-    tr1 = evolve_hartree(op1_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
-                         root=operator_sqrt(op1_0))
-    tr2 = evolve_hartree(op2_0, T, dt, sign, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
-                         root=operator_sqrt(op2_0))
     C_inf = max(schatten_norm(op1_0, np.inf), schatten_norm(op2_0, np.inf))
-    v1 = tr1.root_snapshots
-    v2 = tr2.root_snapshots
-    times = np.asarray(tr1.snapshot_times)
-    left = np.array([schatten_norm(a - b, 2) for a, b in zip(v1, v2)])
-    left_l2 = np.array([schatten_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)])
-    budget = quantum_lambda(v2, times, rho_sup_series(tr2), C_inf)
+    # each flow carries the square root of its datum, taken once at t = 0
+    root2 = operator_sqrt(op2_0)
+    tr2 = Trajectory()
+    times, left, left_l2, lam = [], [], [], []
+    for (t, op1, v1), (_, op2, v2) in zip(
+            hartree_steps(op1_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE,
+                          root=operator_sqrt(op1_0)),
+            hartree_steps(op2_0, T, dt, sign, tr2, TWIN_SNAPSHOT_STRIDE, root=root2)):
+        times.append(t)
+        left.append(schatten_norm(v1 - v2, 2))
+        left_l2.append(schatten_norm(op1 - op2, 2))
+        # the second flow's last field is the one at its snapshot time t
+        lam.append(quantum_rate(v2, float(np.max(np.abs(tr2.fields[-1].rho))), C_inf)[0])
+    times = np.asarray(times)
     # comparison entry: H^(1/2) norm of the Wigner transform of the initial root v2(0)
-    h_half = [h_half_norm(wigner_transform(op)) for op in v2[:1]]
-    return _twin_report("quantum_stability", op1_0.grid.hbar, times, left, left_l2, budget,
-                        C_inf, lambda: schatten_norm(op1_0 - op2_0, 1),
-                        h_half_comparison=h_half)
+    return _twin_report("quantum_stability", op1_0.grid.hbar, times, np.array(left),
+                        np.array(left_l2), GronwallBudget(times, np.array(lam)), C_inf,
+                        lambda: schatten_norm(op1_0 - op2_0, 1),
+                        h_half_comparison=[h_half_norm(wigner_transform(root2))])
 
 
 def powers_stormer_check(grid, rng: np.random.Generator, pairs: int = 100) -> float:

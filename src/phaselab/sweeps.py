@@ -12,12 +12,12 @@ and shared per-snapshot quantity at most once, and only when a requested
 probe reads it. Results come back in increasing N, that is in decreasing
 hbar, so reports are deterministic for a fixed configuration.
 
-The Hartree snapshots are streamed, not stored. The Vlasov flow runs first
-and keeps its snapshots, as its field history drives the linear Hartree
-flow. The two Hartree flows then step in lockstep; at each snapshot time the
-series probes' per-snapshot consumers (SNAPSHOT_TABLE) read the operators,
-which are then dropped, so a member holds per-snapshot scalars and each
-Hartree flow's final op and root, not its trajectory.
+The snapshots are streamed, not stored. The Vlasov flow and the two
+Hartree flows step in lockstep, the Vlasov flow first, as its field history
+drives the linear Hartree flow; at each snapshot time the series probes'
+per-snapshot consumers (SNAPSHOT_TABLE) read the states, which are then
+dropped, so a member holds per-snapshot scalars and each flow's logs and
+final state, not its trajectory.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .reports import ProbeReport, fit_loglog
 from .spectral import derivative, field_from_modes, random_mode_block
 from .trajectory import FieldSnapshot, Trajectory, resolve_steps
 from .transforms import weyl_quantize, wigner_transform
-from .vlasov import evolve_vlasov
+from .vlasov import vlasov_steps
 
 SNAPSHOT_POINTS = 8      # snapshot intervals per flow for the time-series probes
 # member settings a sweep need not pass; profile and T have no default
@@ -108,10 +108,9 @@ class DynamicsBundle:
     The grid is built at once; every other datum on first access, so data
     that no requested probe reads are never computed. All flows share one
     snapshot stride: SNAPSHOT_POINTS intervals when a time-series probe is
-    requested, else only the initial and final states. The Vlasov flow
-    keeps its snapshots; the Hartree flows are streamed (``_streamed``) and
-    keep their logs, fields and final op and root, and ``series`` holds what
-    the series probes read of each snapshot.
+    requested, else only the initial and final states. The flows are
+    streamed (``_streamed``) and keep their logs, fields and final state,
+    and ``series`` holds what the series probes read of each snapshot.
     """
 
     def __init__(self, args: dict):
@@ -154,52 +153,56 @@ class DynamicsBundle:
         return max(1, self._steps()[0] // SNAPSHOT_POINTS)
 
     @cached_property
-    def vlasov(self):
-        return evolve_vlasov(self.f0, self.args["T"], self.dt, self.args["sign"],
-                             snapshot_stride=self.stride)
-
-    @cached_property
-    def _streamed(self) -> tuple[dict[str, Trajectory], dict[str, dict]]:
-        """Step the linear Hartree flow of op0 in the Vlasov field history,
-        and the nonlinear Hartree flow of op0 when a requested probe reads
-        it, in lockstep over the Vlasov snapshot times. At each snapshot the
-        per-snapshot consumer of every requested series probe reads the
-        flows; then the operators are dropped. Both flows carry the square
-        root vt: it rides in the packed kernel at no FFT cost, and carrying
-        it whatever the probe set keeps every probe's op bits independent of
-        the others.
+    def _streamed(self) -> tuple[dict[str, Trajectory], list[float], dict[str, dict]]:
+        """Step the Vlasov flow of f0, the linear Hartree flow of op0 in its
+        field history, and the nonlinear Hartree flow of op0 when a requested
+        probe reads it, in lockstep, the Vlasov flow first. At each snapshot
+        the per-snapshot consumer of every requested series probe reads the
+        flows; then the states are dropped. Both Hartree flows carry the
+        square root vt: it rides in the packed kernel at no FFT cost, and
+        carrying it whatever the probe set keeps every probe's op bits
+        independent of the others.
 
         Returns the flows, each holding its logs, its fields and its final
-        op and root, and per series probe the lists of its per-snapshot
-        values. A PhaselabError raised here carries the snapshot time t.
+        state (and root), the snapshot times, and per series probe the lists
+        of its per-snapshot values. A PhaselabError raised by a consumer
+        carries that consumer's probe and the snapshot time t.
         """
-        T, stride, vt = self.args["T"], self.stride, self.wick_datum[0]
-        flows = {"linear": Trajectory()}
-        steppers = [linear_hartree_steps(self.op0, self.vlasov.fields, T, self.dt,
+        T, dt, stride, vt = self.args["T"], self.dt, self.stride, self.wick_datum[0]
+        flows = {"vlasov": Trajectory(), "linear": Trajectory()}
+        steppers = [vlasov_steps(self.f0, T, dt, self.args["sign"], flows["vlasov"], stride),
+                    linear_hartree_steps(self.op0, flows["vlasov"].fields, T, dt,
                                          flows["linear"], stride, root=vt)]
         if not HARTREE_PROBES.isdisjoint(self.args["probes"]):
             flows["hartree"] = Trajectory()
-            steppers.append(hartree_steps(self.op0, T, self.dt, self.args["sign"],
+            steppers.append(hartree_steps(self.op0, T, dt, self.args["sign"],
                                           flows["hartree"], stride, root=vt))
         consumers = {p: fn for p, fn in SNAPSHOT_TABLE.items() if p in self.args["probes"]}
         series = {p: defaultdict(list) for p in consumers}
-        lockstep = zip(*steppers)
-        ftraj = self.vlasov
-        for t, f, fld in zip(ftraj.snapshot_times, ftraj.snapshots, ftraj.snapshot_fields()):
-            try:
-                states = next(lockstep)
-                (_, op, root), *nonlinear = states
-                snap = Snapshot(t, f, fld, op, root, nonlinear[0][2] if nonlinear else None)
-                for p, consume in consumers.items():
-                    for key, value in consume(self, snap).items():
-                        series[p][key].append(value)
-            except PhaselabError as exc:
-                exc.t = t
-                raise
-        for traj, (t, op, root) in zip(flows.values(), states):
+        times = []
+        for states in zip(*steppers):
+            (t, f, fld), (_, op, root), *nonlinear = states
+            times.append(t)
+            snap = Snapshot(t, f, fld, op, root, nonlinear[0][2] if nonlinear else None)
+            for p, consume in consumers.items():
+                try:
+                    values = consume(self, snap)
+                except PhaselabError as exc:
+                    exc.probe, exc.t = p, t
+                    raise
+                for key, value in values.items():
+                    series[p][key].append(value)
+        (t, f, _), *operators = states
+        flows["vlasov"].add_snapshot(t, f)
+        for traj, (_, op, root) in zip(list(flows.values())[1:], operators):
             traj.add_snapshot(t, op)
             traj.root_snapshots.append(root)
-        return flows, series
+        return flows, times, series
+
+    @property
+    def vlasov(self) -> Trajectory:
+        """The Vlasov flow: its logs, its fields and its final f."""
+        return self._streamed[0]["vlasov"]
 
     @property
     def linear(self) -> Trajectory:
@@ -213,9 +216,14 @@ class DynamicsBundle:
         return self._streamed[0]["hartree"]
 
     @property
+    def snapshot_times(self) -> list[float]:
+        """The times at which every flow yielded a snapshot."""
+        return self._streamed[1]
+
+    @property
     def series(self) -> dict[str, dict]:
         """Per requested series probe, the lists of its per-snapshot values."""
-        return self._streamed[1]
+        return self._streamed[2]
 
     @cached_property
     def op_norm(self) -> float:
@@ -318,23 +326,23 @@ def convergence_report(members: list) -> ProbeReport:
 
 def defect_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
     """Linear Hartree op_til against op_f = weyl_quantize(f) at one snapshot:
-    the L2 defect, the L2 drift of the density, and the Weyl term."""
+    the L2 defect, the L2 drift of the density, the Weyl term, and the
+    budget rate ||grad E||_inf ||grad_xi^2 f||_L2."""
     rho_diff = spatial_density(s.op).real - spatial_density(s.op_f).real
     return {"gap": schatten_norm(s.op - s.op_f, 2),
             "left_diag": spatial_lebesgue_norm(rho_diff, b.grid.dx, 2),
-            "term": s.weyl_term}
+            "term": s.weyl_term,
+            "rate": grad_e_sup(b.grid, s.field.E) * hessian_xi_norm(s.f)}
 
 
 def defect_metric(b: DynamicsBundle) -> dict:
     """Linear Hartree vs Weyl-quantized Vlasov: L2 defect and diagonal drift."""
-    grid, ftraj = b.grid, b.vlasov
-    times = np.asarray(ftraj.snapshot_times)
+    grid = b.grid
+    times = np.asarray(b.snapshot_times)
     series = b.series["positivity_defect"]
     left_pos = series["gap"]
-    rate = [grad_e_sup(grid, snap.E) * hessian_xi_norm(f_snap)
-            for f_snap, snap in zip(ftraj.snapshots, ftraj.snapshot_fields())]
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
-    integral = cumulative_trapezoid(rate, times)
+    integral = cumulative_trapezoid(series["rate"], times)
     return {
         "N": grid.N,
         "hbar": grid.hbar,
@@ -398,7 +406,7 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     to the square root of its evolved operator at every snapshot; the two
     routes are compared once per flow, at time T."""
     grid = b.grid
-    times = np.asarray(b.vlasov.snapshot_times)
+    times = np.asarray(b.snapshot_times)
     series = b.series["sqrt_comparison"]
     Lambda = cumulative_trapezoid(np.asarray(series["lam"]), times)
     c_series = np.array([w12 * (b.c_init + term)
@@ -448,25 +456,23 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
 
 
 def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
-    """The W^k(m) norm of the root carried by the linear Hartree flow."""
+    """The W^k(m) norm of the root carried by the linear Hartree flow, and
+    the rate max ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density, eps = 1/2."""
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
-    return {"norm": quantum_sobolev_norm(s.root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)}
+    return {"norm": quantum_sobolev_norm(s.root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL),
+            "rho_rate": max(spatial_sobolev_norm(s.field.rho, b.grid.L_x, 2 * n, 3.0 + eps)
+                            for eps in (-0.5, 0.5))}
 
 
 def regularity_metric(b: DynamicsBundle) -> dict:
     """W^k(m) norms of the square root carried by the linear Hartree flow."""
     grid = b.grid
-    n = b.args["n"]
-    eps = 0.5
-    times = np.asarray(b.vlasov.snapshot_times)
-    norms = np.array(b.series["regularity"]["norm"])
-    rho_rate = []
-    for snap in b.vlasov.snapshot_fields():
-        lo = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - eps)
-        hi = spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + eps)
-        rho_rate.append(max(lo, hi))
+    times = np.asarray(b.snapshot_times)
+    series = b.series["regularity"]
+    norms = np.array(series["norm"])
     return {"N": grid.N, "hbar": grid.hbar, "times": times, "norms": norms,
-            "integral": cumulative_trapezoid(rho_rate, times), "init_norm": float(norms[0])}
+            "integral": cumulative_trapezoid(series["rho_rate"], times),
+            "init_norm": float(norms[0])}
 
 
 def regularity_report(members: list) -> ProbeReport:
@@ -689,8 +695,9 @@ def grid_member(args: dict) -> dict:
     The static probes run first, then the flow probes, each in PROBE_TABLE
     order whatever the requested order: the flows are not yet held while the
     static metrics churn the heap. A PhaselabError is re-raised as the same
-    class, with the probe and N in front of its message, and the snapshot
-    time t when the flows' stream raised it.
+    class, with the probe and N in front of its message; one that a series
+    probe's per-snapshot consumer raised names that probe and the snapshot
+    time t.
     """
     bundle = DynamicsBundle(args)
     order = list(PROBE_TABLE)
@@ -701,7 +708,7 @@ def grid_member(args: dict) -> dict:
             metrics[p] = PROBE_TABLE[p][0](bundle)
         except PhaselabError as exc:
             at = "" if exc.t is None else f", t={exc.t:.4g}"
-            raise type(exc)(f"probe {p}, N={args['N']}{at}: {exc}") from exc
+            raise type(exc)(f"probe {exc.probe or p}, N={args['N']}{at}: {exc}") from exc
     return metrics
 
 

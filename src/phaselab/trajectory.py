@@ -61,11 +61,6 @@ class Trajectory:
     def final(self):
         return self.snapshots[-1]
 
-    def snapshot_fields(self) -> list:
-        """The recorded field at each snapshot time."""
-        by_time = {s.time: s for s in self.fields}
-        return [by_time[t] for t in self.snapshot_times]
-
     def relative_drift(self, name: str) -> float:
         series = np.asarray(self.logs[name])
         scale = abs(series[0]) or 1.0

@@ -12,9 +12,15 @@ Each substep is a unitary spectral translation of real data on the rfft half
 spectrum, so mass and every L^p norm built on the shifts are conserved to
 rounding; energy is conserved to O(dt^2). The transport phase is built once
 per run; the acceleration phase once per step time.
+
+The loop is a generator (vlasov_steps), as the Hartree one is: it writes the
+per-step logs and fields to the trajectory it is given and yields each due
+snapshot, which evolve_vlasov stores.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -22,9 +28,11 @@ from .errors import SupportEscapeError
 from .grids import PhaseField
 from .poisson import solve_poisson
 from .spectral import apply_shift, shift_phase
-from .trajectory import Trajectory, resolve_steps, snapshot_due
+from .trajectory import FieldSnapshot, Trajectory, resolve_steps, snapshot_due
 
 BOUNDARY_TOL = 1e-8
+# what vlasov_steps yields at each due snapshot: (t, f, the Poisson field at t)
+States = Iterator[tuple[float, PhaseField, FieldSnapshot]]
 
 
 def _boundary_fraction(values: np.ndarray, cell: float) -> float:
@@ -35,21 +43,21 @@ def _boundary_fraction(values: np.ndarray, cell: float) -> float:
     return float(edge / total)
 
 
-def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
-                  snapshot_stride: int | None = None) -> Trajectory:
-    """Evolve the Vlasov-Poisson equation by kick-drift-kick steps.
+def vlasov_steps(f0: PhaseField, T: float, dt: float, sign: int, traj: Trajectory,
+                 snapshot_stride: int | None = None) -> States:
+    """Step the Vlasov-Poisson equation by kick-drift-kick steps, yielding
+    ``(t, f, field)`` at each snapshot time: the state and the Poisson field
+    it kicked with at t. The per-step logs go to ``traj``, and so do the
+    fields, one Poisson solve per step time.
 
-    One Poisson solve per step time; the fields go to ``fields``, and they
-    are exactly the fields the flow kicked with. snapshot_stride=None stores
-    only the initial and final states; stride k stores every k-th step
-    (weyl_vlasov_residual wants stride 1). The support-escape guard holds
-    the share of the L^1 mass in the two outer momentum columns at each end
-    under BOUNDARY_TOL at every step time, t = 0 included, and logs it as
-    ``boundary_fraction``.
+    snapshot_stride=None yields only the initial and final states; stride k
+    every k-th step. The support-escape guard holds the share of the L^1 mass
+    in the two outer momentum columns at each end under BOUNDARY_TOL at every
+    step time, t = 0 included, and logs it as ``boundary_fraction``.
     """
     g = f0.grid
     steps, dt = resolve_steps(T, dt)
-    traj = Trajectory(dt=dt)
+    traj.dt = dt
     f = f0.values.astype(float)
     transport = shift_phase(g.N, g.L_x, g.xi * dt, axis=0)
     for n in range(steps + 1):
@@ -82,5 +90,14 @@ def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
             boundary_fraction=boundary,
         )
         if snapshot_due(n, steps, snapshot_stride):
-            traj.add_snapshot(t, PhaseField(g, f, real=True))
+            yield t, PhaseField(g, f, real=True), snap
+
+
+def evolve_vlasov(f0: PhaseField, T: float, dt: float, sign: int,
+                  snapshot_stride: int | None = None) -> Trajectory:
+    """The trajectory of vlasov_steps with every snapshot stored in
+    ``snapshots`` (weyl_vlasov_residual wants stride 1)."""
+    traj = Trajectory()
+    for t, f, _ in vlasov_steps(f0, T, dt, sign, traj, snapshot_stride):
+        traj.add_snapshot(t, f)
     return traj

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,14 @@ from phaselab import (
 from phaselab.budgets import sqrt_field
 from phaselab.calculus import operator_sqrt, spatial_density
 from phaselab.coherent import wick_quantize, wick_square_datum
-from phaselab.hartree import evolve_hartree, evolve_linear_hartree
+from phaselab.hartree import evolve_hartree, evolve_linear_hartree, hartree_steps
 from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.poisson import solve_poisson
 from phaselab.spectral import modes, shift
 from phaselab.sweeps import grid_member
-from phaselab.trajectory import DEFAULT_DT, FieldSnapshot
-from phaselab.vlasov import BOUNDARY_TOL, _boundary_fraction, evolve_vlasov
+from phaselab.trajectory import DEFAULT_DT, FieldSnapshot, Trajectory
+from phaselab.vlasov import BOUNDARY_TOL, _boundary_fraction, evolve_vlasov, vlasov_steps
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 TWO_STREAM = {"name": "two_stream", "perturbation": 0.05, "sigma_xi": 0.3}
@@ -139,11 +141,14 @@ class TestVlasov:
         # recorded: the Poisson field of the snapshot's own density
         f0 = sample_field(grid64, PROFILE)
         calls = count_ffts()
-        traj = evolve_vlasov(f0, 0.5, DEFAULT_DT, +1, snapshot_stride=6)
+        traj = Trajectory()
+        states = list(vlasov_steps(f0, 0.5, DEFAULT_DT, +1, traj, snapshot_stride=6))
         steps = len(traj.times) - 1
         assert sum(len(shape) == 1 for shape in calls) == 3 * len(traj.times)
         assert sum(len(shape) == 2 for shape in calls) == 6 * steps
-        for f, fld in zip(traj.snapshots, traj.snapshot_fields()):
+        assert len(states) == 10
+        for t, f, fld in states:
+            assert fld.time == t
             expected = solve_poisson(grid64, f.values.sum(axis=1) * grid64.dxi, +1).V
             assert np.max(np.abs(fld.V - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -210,11 +215,14 @@ class TestHartree:
         # the recorded field at every snapshot is the Poisson field of the
         # snapshot's own density
         _, op0 = wick_square_datum(sample_field(grid64, PROFILE))
-        traj = evolve_hartree(op0, 0.5, DEFAULT_DT, sign, snapshot_stride=6)
-        assert len(traj.fields) == len(traj.times)
-        for op, fld in zip(traj.snapshots, traj.snapshot_fields()):
+        traj = Trajectory()
+        for t, op, _ in hartree_steps(op0, 0.5, DEFAULT_DT, sign, traj, snapshot_stride=6):
+            # at a yield, the flow's last recorded field is the snapshot's
+            fld = traj.fields[-1]
+            assert fld.time == t
             expected = solve_poisson(grid64, spatial_density(op).real, sign).V
             assert np.max(np.abs(fld.V - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert len(traj.fields) == len(traj.times)
 
     def test_non_hermitian_rejected(self, grid32, rng):
         K = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
@@ -354,8 +362,14 @@ class TestLinearHartree:
         vt = wick_quantize(sqrt_field(f0))
         op0 = vt @ vt
         op0.hermitian = True
-        with pytest.raises(ConfigurationError):
-            evolve_linear_hartree(op0, ftraj.fields[:3], 0.1, 0.01)
+        # a short history, and one with a wrong time at a middle step: each
+        # entry is checked as the flow reads it
+        mid = len(ftraj.fields) // 2
+        shifted = list(ftraj.fields)
+        shifted[mid] = replace(shifted[mid], time=shifted[mid].time + 0.005)
+        for history in (ftraj.fields[:3], shifted):
+            with pytest.raises(ConfigurationError, match=r"no entry for step [35]"):
+                evolve_linear_hartree(op0, history, 0.1, 0.01)
 
 
 class TestTemporalOrder:

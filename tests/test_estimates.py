@@ -4,9 +4,9 @@ import pytest
 from phaselab import PhaseField, make_grid, sample_field
 from phaselab.budgets import (
     SQRT_WRAP_TOL,
-    classical_lambda,
-    quantum_lambda,
-    rho_sup_series,
+    classical_rate,
+    cumulative_trapezoid,
+    quantum_rate,
     sqrt_field,
 )
 from phaselab.calculus import quantum_gradient_xi
@@ -20,7 +20,8 @@ from phaselab.stability import (
     classical_stability_experiment,
     quantum_stability_experiment,
 )
-from phaselab.vlasov import evolve_vlasov
+from phaselab.trajectory import Trajectory
+from phaselab.vlasov import vlasov_steps
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 
@@ -50,22 +51,28 @@ class TestReports:
         assert rows[0]["pass"] is True
 
 
+def _classical_rates(f0, T, dt, stride):
+    """classical_rate at each snapshot of the Vlasov flow of f0: (times, rates)."""
+    C_inf = lebesgue_norm(f0, np.inf)
+    states = list(vlasov_steps(f0, T, dt, +1, Trajectory(), snapshot_stride=stride))
+    rates = [classical_rate(f, float(np.max(np.abs(fld.rho))), C_inf) for _, f, fld in states]
+    return np.array([t for t, _, _ in states]), np.array(rates)
+
+
 class TestClassicalBudget:
     def test_stationary_lambda_constant(self, grid64):
         f0 = sample_field(grid64, {"name": "maxwellian", "perturbation": 0.0,
                                    "sigma_xi": 0.35})
-        traj = evolve_vlasov(f0, 0.2, 0.02, +1, snapshot_stride=2)
-        budget = classical_lambda(traj, C_inf=lebesgue_norm(f0, np.inf))
-        assert np.max(np.abs(budget.lam - budget.lam[0])) < 1e-8 * budget.lam[0]
-        Lam = budget.Lambda()
-        assert np.all(np.diff(Lam) >= 0)
+        times, lam = _classical_rates(f0, 0.2, 0.02, 2)
+        assert len(lam) == 6
+        assert np.max(np.abs(lam - lam[0])) < 1e-8 * lam[0]
+        assert np.all(np.diff(cumulative_trapezoid(lam, times)) >= 0)
 
     def test_lambda_zero_initial_matches_quadrature_oracle(self, grid64):
         # independent dense-quadrature evaluation of lambda(0)
         f0 = sample_field(grid64, PROFILE)
-        traj = evolve_vlasov(f0, 0.02, 0.01, +1, snapshot_stride=1)
         C_inf = lebesgue_norm(f0, np.inf)
-        budget = classical_lambda(traj, C_inf)
+        _, lam = _classical_rates(f0, 0.02, 0.01, 1)
 
         g = grid64
         v2 = np.sqrt(np.clip(f0.values, 0, None))
@@ -82,31 +89,29 @@ class TestClassicalBudget:
         t_mid = s - g.dx / 2
         l31 = np.sum((t_mid ** (1 / 3) * vstar) * (g.dx / t_mid))
         expected = np.sqrt(rho.max()) * m32 + np.sqrt(C_inf) * l31
-        assert budget.lam[0] == pytest.approx(expected, rel=1e-8)
+        assert lam[0] == pytest.approx(expected, rel=1e-8)
 
     def test_vacuum_regions_finite(self, grid64):
         # hard-zero region enters the rearrangement only; lambda stays finite
         X, XI = grid64.meshgrid()
         vals = np.where(np.abs(XI) < 0.8, np.cos(X) ** 2 + 0.2, 0.0) * np.exp(-(XI**2))
         f0 = PhaseField(grid64, vals)
-        traj = evolve_vlasov(f0, 0.0, 0.01, +1, snapshot_stride=1)
-        budget = classical_lambda(traj, C_inf=lebesgue_norm(f0, np.inf))
-        assert np.all(np.isfinite(budget.lam))
+        _, lam = _classical_rates(f0, 0.0, 0.01, 1)
+        assert np.all(np.isfinite(lam))
 
 
 class TestQuantumBudget:
     def test_zero_operator_gives_zero(self, grid32):
         z = DensityOperator(grid32, np.zeros((32, 32)), hermitian=True)
-        budget = quantum_lambda([z], [0.0], [1.0], C_inf=1.0)
-        assert budget.lam[0] == 0.0
+        assert quantum_rate(z, 1.0, C_inf=1.0)[0] == 0.0
 
     def test_reports_n1_comparison(self, grid32):
         f0 = sample_field(grid32, PROFILE)
         vt = wick_quantize(sqrt_field(f0))
-        budget = quantum_lambda([vt], [0.0], [1.0], C_inf=1.0)
+        _, _, weighted_n = quantum_rate(vt, 1.0, C_inf=1.0)
         weighted_n1 = max(weighted_schatten_norms(quantum_gradient_xi(vt, SQRT_WRAP_TOL),
                                                   (2.5, 3.5), 1))
-        assert budget.extras["weighted_n"][0] >= weighted_n1 > 0
+        assert weighted_n >= weighted_n1 > 0
 
 
 class TestStability:
@@ -174,14 +179,46 @@ class TestStability:
         assert rep.passed
         assert rep.tolerance["l2_l1_corollary"]["ok"]
 
-    def test_rho_sup_series_operator_trajectory(self, grid32):
-        from phaselab.hartree import evolve_hartree
 
-        f0 = sample_field(grid32, PROFILE)
-        vt = wick_quantize(sqrt_field(f0))
-        op = vt @ vt
-        op.hermitian = True
-        traj = evolve_hartree(op, 0.05, 0.01, +1, snapshot_stride=1)
-        sups = rho_sup_series(traj)
-        assert len(sups) == len(traj.snapshot_times)
-        assert all(s > 0 for s in sups)
+def test_twin_experiments_equal_the_stored_computation(grid32):
+    # the lockstep twins read the same bits as both flows stored at
+    # TWIN_SNAPSHOT_STRIDE, each rate taken per stored snapshot with the
+    # second flow's recorded field at that time
+    from phaselab.calculus import operator_sqrt
+    from phaselab.hartree import evolve_hartree
+    from phaselab.norms import schatten_norm
+    from phaselab.stability import TWIN_SNAPSHOT_STRIDE
+    from phaselab.vlasov import evolve_vlasov
+
+    T, dt = 0.2, 0.01
+    f1 = sample_field(grid32, PROFILE)
+    f2 = f1.copy_with(shift(f1.values, grid32.L_x, 3 * grid32.dx, axis=0))
+    (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
+
+    def rho_sup(traj, t):
+        return float(np.max(np.abs(next(s.rho for s in traj.fields if s.time == t))))
+
+    tr1, tr2 = (evolve_vlasov(f, T, dt, 1, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
+                for f in (f1, f2))
+    C_inf = max(lebesgue_norm(f1, np.inf), lebesgue_norm(f2, np.inf))
+    classical = {
+        "left": [lebesgue_norm(sqrt_field(a) - sqrt_field(b), 2)
+                 for a, b in zip(tr1.snapshots, tr2.snapshots)],
+        "left_l2": [lebesgue_norm(a - b, 2) for a, b in zip(tr1.snapshots, tr2.snapshots)],
+        "lambda": [classical_rate(f, rho_sup(tr2, t), C_inf)
+                   for t, f in zip(tr2.snapshot_times, tr2.snapshots)],
+    }
+    qr1, qr2 = (evolve_hartree(op, T, dt, 1, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
+                               root=operator_sqrt(op)) for op in (op1, op2))
+    C_inf = max(schatten_norm(op1, np.inf), schatten_norm(op2, np.inf))
+    quantum = {
+        "left": [schatten_norm(a - b, 2) for a, b in zip(qr1.root_snapshots, qr2.root_snapshots)],
+        "left_l2": [schatten_norm(a - b, 2) for a, b in zip(qr1.snapshots, qr2.snapshots)],
+        "lambda": [quantum_rate(v, rho_sup(qr2, t), C_inf)[0]
+                   for t, v in zip(qr2.snapshot_times, qr2.root_snapshots)],
+    }
+    for rep, stored in ((classical_stability_experiment(f1, f2, T, dt, 1), classical),
+                        (quantum_stability_experiment(op1, op2, T, dt, 1), quantum)):
+        assert len(rep.details["times"]) == 5
+        for key, want in stored.items():
+            assert np.array_equal(rep.details[key], np.array(want)), (rep.probe, key)

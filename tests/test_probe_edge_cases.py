@@ -1,13 +1,14 @@
 import numpy as np
 
 from phaselab import PhaseField, make_grid, sample_field
-from phaselab.budgets import quantum_lambda, rho_sup_series, sqrt_field
+from phaselab.budgets import quantum_rate, sqrt_field
 from phaselab.coherent import wick_quantize
 from phaselab.norms import lebesgue_norm
 from phaselab.probes import commutator_probe, init_diff_probe, wick_square_probe
 from phaselab.operators import DensityOperator
 from phaselab.sweeps import grid_member
-from phaselab.vlasov import evolve_vlasov
+from phaselab.trajectory import Trajectory
+from phaselab.vlasov import vlasov_steps
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 
@@ -52,14 +53,13 @@ def test_quantum_lambda_refinement_stability():
         vt = wick_quantize(sqrt_field(f0))
         rho_sup = float(np.max(f0.values.sum(axis=1) * grid.dxi))
         C_inf = lebesgue_norm(f0, np.inf)
-        budget = quantum_lambda([vt], [0.0], [rho_sup], C_inf)
-        values[N] = budget.lam[0]
+        values[N] = quantum_rate(vt, rho_sup, C_inf)[0]
     assert abs(values[128] - values[64]) / values[64] < 0.05
 
 
 def test_quantum_lambda_uniform_over_sweep():
     # max-over-time lambda varies < 20% across the hbar sweep
-    from phaselab.hartree import evolve_linear_hartree
+    from phaselab.hartree import linear_hartree_steps
 
     maxima = []
     for N in (48, 64, 96, 128):
@@ -68,14 +68,15 @@ def test_quantum_lambda_uniform_over_sweep():
         dt = grid.hbar / 10
         steps = max(1, round(0.25 / dt))
         dt = 0.25 / steps
-        ftraj = evolve_vlasov(f0, 0.25, dt, +1, snapshot_stride=max(1, steps // 4))
+        stride = max(1, steps // 4)
         vt = wick_quantize(sqrt_field(f0))
-        vtraj = evolve_linear_hartree(vt, ftraj.fields, 0.25, dt,
-                                      snapshot_stride=max(1, steps // 4))
         C_inf = lebesgue_norm(f0, np.inf)
-        budget = quantum_lambda(vtraj.snapshots, vtraj.snapshot_times,
-                                rho_sup_series(ftraj), C_inf)
-        maxima.append(np.max(budget.lam))
+        # the Vlasov flow steps first: its field history drives the linear flow
+        ftraj = Trajectory()
+        flows = zip(vlasov_steps(f0, 0.25, dt, +1, ftraj, stride),
+                    linear_hartree_steps(vt, ftraj.fields, 0.25, dt, Trajectory(), stride))
+        maxima.append(max(quantum_rate(v, float(np.max(np.abs(fld.rho))), C_inf)[0]
+                          for (_, _, fld), (_, v, _) in flows))
     spread = (max(maxima) - min(maxima)) / min(maxima)
     assert spread < 0.20
 

@@ -169,27 +169,21 @@ def test_homogeneous_norms_constant():
 
 
 def _count_flows(monkeypatch):
-    """Wrap the flows sweeps runs: the Vlasov flow and the two Hartree step
-    generators. Return one record per flow started: its name, the number of
-    snapshots it gave and how many of them carried a root."""
+    """Wrap the step generators sweeps runs: the Vlasov flow and the two
+    Hartree flows. Return one record per flow started: its name, the number
+    of snapshots it gave and how many of them carried a root."""
     from phaselab import sweeps
 
     flows = []
-
-    def vlasov(*args, _flow=sweeps.evolve_vlasov, **kwargs):
-        traj = _flow(*args, **kwargs)
-        flows.append({"flow": "vlasov", "snapshots": len(traj.snapshots), "roots": 0})
-        return traj
-
-    monkeypatch.setattr(sweeps, "evolve_vlasov", vlasov)
-    for name in ("hartree_steps", "linear_hartree_steps"):
+    for name in ("vlasov_steps", "hartree_steps", "linear_hartree_steps"):
         def counted(*args, _name=name, _steps=getattr(sweeps, name), **kwargs):
             record = {"flow": _name, "snapshots": 0, "roots": 0}
             flows.append(record)
-            for t, op, root in _steps(*args, **kwargs):
+            for t, state, third in _steps(*args, **kwargs):
                 record["snapshots"] += 1
-                record["roots"] += root is not None
-                yield t, op, root
+                # the Vlasov flow yields its field third, a Hartree flow its root
+                record["roots"] += _name != "vlasov_steps" and third is not None
+                yield t, state, third
         monkeypatch.setattr(sweeps, name, counted)
     return flows
 
@@ -204,7 +198,7 @@ def test_bundle_evolves_each_flow_once(monkeypatch):
     probes = ["convergence", "positivity_defect", "sqrt_comparison", "regularity"]
     sweep_reports(probes, SMALL, profile=PROFILE, T=0.1)
     assert len(flows) == 3 * len(SMALL)
-    for name in ("vlasov", "hartree_steps", "linear_hartree_steps"):
+    for name in ("vlasov_steps", "hartree_steps", "linear_hartree_steps"):
         assert sum(f["flow"] == name for f in flows) == len(SMALL)
     assert sum(_carries_root(f) for f in flows) == 2 * len(SMALL)
 
@@ -214,7 +208,7 @@ def test_positivity_defect_alone_carries_the_root(monkeypatch):
     # carries it even where no requested probe reads it; no nonlinear flow runs
     flows = _count_flows(monkeypatch)
     grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["positivity_defect"]))
-    assert [f["flow"] for f in flows] == ["vlasov", "linear_hartree_steps"]
+    assert [f["flow"] for f in flows] == ["vlasov_steps", "linear_hartree_steps"]
     assert [_carries_root(f) for f in flows] == [False, True]
 
 
@@ -225,7 +219,7 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     assert all(f["snapshots"] == 2 for f in flows)
     # both Hartree flows carry the root, the Vlasov flow none
     assert sum(_carries_root(f) for f in flows) == 2 * len(SMALL)
-    assert not any(_carries_root(f) for f in flows if f["flow"] == "vlasov")
+    assert not any(_carries_root(f) for f in flows if f["flow"] == "vlasov_steps")
 
 
 def _stored_series(args: dict) -> dict:
@@ -234,44 +228,57 @@ def _stored_series(args: dict) -> dict:
     stored lists."""
     import math
 
-    from phaselab.budgets import SQRT_WRAP_TOL, quantum_lambda, rho_sup_series
+    from phaselab.budgets import SQRT_WRAP_TOL, cumulative_trapezoid, quantum_rate
     from phaselab.calculus import operator_sqrt, spatial_density
     from phaselab.hartree import evolve_hartree, evolve_linear_hartree
     from phaselab.norms import (quantum_sobolev_norm, schatten_norm, spatial_lebesgue_norm,
                                 spatial_sobolev_norm)
+    from phaselab.probes import grad_e_sup, hessian_xi_norm
     from phaselab.sweeps import SNAPSHOT_POINTS, DynamicsBundle
     from phaselab.transforms import weyl_quantize
+    from phaselab.vlasov import evolve_vlasov
 
     b = DynamicsBundle(args)
     grid, T, dt, vt = b.grid, args["T"], b.dt, b.wick_datum[0]
     steps = round(T / dt)
     stride = max(1, steps // SNAPSHOT_POINTS)
-    ftraj = b.vlasov
+    ftraj = evolve_vlasov(b.f0, T, dt, b.args["sign"], snapshot_stride=stride)
     lin = evolve_linear_hartree(b.op0, ftraj.fields, T, dt, snapshot_stride=stride, root=vt)
     hart = evolve_hartree(b.op0, T, dt, b.args["sign"], snapshot_stride=stride, root=vt)
     times = np.asarray(lin.snapshot_times)
     assert list(times) == ftraj.snapshot_times == hart.snapshot_times
-    gaps, left_diag, terms = [], [], []
-    for f, op_til, snap in zip(ftraj.snapshots, lin.snapshots, ftraj.snapshot_fields()):
+    by_time = {fld.time: fld for fld in ftraj.fields}
+    fields = [by_time[t] for t in ftraj.snapshot_times]
+    gaps, left_diag, terms, rates = [], [], [], []
+    for f, op_til, snap in zip(ftraj.snapshots, lin.snapshots, fields):
         op_f = weyl_quantize(f)
         gaps.append(schatten_norm(op_til - op_f, 2))
         rho_diff = spatial_density(op_til).real - spatial_density(op_f).real
         left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx, 2))
         terms.append(spatial_sobolev_norm(snap.rho, grid.L_x, 1, np.inf)
                      * quantum_sobolev_norm(op_f, 2, 2, 2))
-    budget = quantum_lambda(lin.root_snapshots, times, rho_sup_series(ftraj),
-                            schatten_norm(b.op0, np.inf))
-    Lambda = budget.Lambda()
-    c_series = np.array([w12 * (b.c_init + term)
-                         for w12, term in zip(budget.extras["w12"], terms)])
+        rates.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f))
+    lam, w12s = [], []
+    for v, snap in zip(lin.root_snapshots, fields):
+        rate, w12, _ = quantum_rate(v, float(np.max(np.abs(snap.rho))),
+                                    schatten_norm(b.op0, np.inf))
+        lam.append(rate)
+        w12s.append(w12)
+    Lambda = cumulative_trapezoid(np.array(lam), times)
+    c_series = np.array([w12 * (b.c_init + term) for w12, term in zip(w12s, terms)])
     env0 = np.zeros(len(times))
     for n in range(1, len(times)):
         seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
         env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    rho_rates = [max(spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - 0.5),
+                     spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + 0.5))
+                 for snap in fields]
     return {
-        "positivity_defect": {"left_positivity": np.asarray(gaps),
+        "positivity_defect": {"times": times,
+                              "left_positivity": np.asarray(gaps),
                               "left_diag": np.asarray(left_diag),
+                              "budget_integral": cumulative_trapezoid(rates, times),
                               "diag_budget": grid.hbar * (b.c_init + max(terms))},
         "sqrt_comparison": {
             "times": times,
@@ -281,9 +288,11 @@ def _stored_series(args: dict) -> dict:
             "sqrt_two_routes_gap": max(
                 schatten_norm(operator_sqrt(tr.final()) - tr.root_snapshots[-1], 2)
                 for tr in (lin, hart))},
-        "regularity": {"norms": np.array([
-            quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
-            for v in lin.root_snapshots])},
+        "regularity": {
+            "times": times,
+            "norms": np.array([quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
+                               for v in lin.root_snapshots]),
+            "integral": cumulative_trapezoid(rho_rates, times)},
     }
 
 
@@ -312,7 +321,7 @@ def _square_kernels(obj, N: int, seen=None) -> list:
     return [k for child in children for k in _square_kernels(child, N, seen)]
 
 
-def test_hartree_flows_hold_only_their_final_state():
+def test_flows_hold_only_their_final_state():
     from phaselab.config import PROBES
     from phaselab.sweeps import PROBE_TABLE, DynamicsBundle
 
@@ -320,8 +329,13 @@ def test_hartree_flows_hold_only_their_final_state():
     b = DynamicsBundle(dict(N=N, profile=PROFILE, T=0.1, probes=PROBES))
     for p in PROBES:
         PROBE_TABLE[p][0](b)
+    final_time = b.snapshot_times[-1]
+    assert len(b.snapshot_times) > 2
+    assert b.vlasov.snapshot_times == [final_time]
+    assert [id(k) for k in _square_kernels(b.vlasov, N)] == [id(b.vlasov.final().values)]
+    assert len(b.vlasov.fields) == len(b.vlasov.times)
     for flow in (b.hartree, b.linear):
-        assert flow.snapshot_times == [b.vlasov.snapshot_times[-1]]
+        assert flow.snapshot_times == [final_time]
         held = {id(k) for k in _square_kernels(flow, N)}
         assert held == {id(flow.final().kernel), id(flow.root_snapshots[-1].kernel)}
         assert len(flow.times) == len(b.vlasov.times)
@@ -330,7 +344,9 @@ def test_hartree_flows_hold_only_their_final_state():
 
 
 def test_streamed_error_names_probe_n_and_t(monkeypatch):
-    # an error while the bundle streams its flows gains the snapshot time too
+    # an error a series probe's per-snapshot consumer raises while the bundle
+    # streams its flows names that probe, whichever flow probe started the
+    # stream, and the snapshot time
     from phaselab import sweeps
     from phaselab.errors import WrapAmbiguityError
 
@@ -340,9 +356,10 @@ def test_streamed_error_names_probe_n_and_t(monkeypatch):
         return sweeps.regularity_snapshot(b, s)
 
     monkeypatch.setitem(sweeps.SNAPSHOT_TABLE, "regularity", consumer)
-    with pytest.raises(WrapAmbiguityError,
-                       match=r"^probe regularity, N=48, t=0\.06: antipodal mass$"):
-        grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=["regularity"]))
+    for probes in (["regularity"], ["regularity", "convergence"]):
+        with pytest.raises(WrapAmbiguityError,
+                           match=r"^probe regularity, N=48, t=0\.06: antipodal mass$"):
+            grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=probes))
 
 
 def test_sweep_rejects_unknown_settings_and_probes():
