@@ -3,8 +3,6 @@ time integrals, for both the kinetic and the quantum flows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import quantum_gradient_xi
@@ -25,22 +23,6 @@ def cumulative_trapezoid(values, times) -> np.ndarray:
     for n in range(1, len(times)):
         out[n] = out[n - 1] + 0.5 * (values[n] + values[n - 1]) * (times[n] - times[n - 1])
     return out
-
-
-@dataclass
-class GronwallBudget:
-    """lambda(t) series and its integral Lambda."""
-
-    times: np.ndarray
-    lam: np.ndarray
-
-    def Lambda(self) -> np.ndarray:
-        """Cumulative trapezoid integral of lambda; nondecreasing from 0."""
-        return cumulative_trapezoid(self.lam, self.times)
-
-    def envelope(self, left0: float, c_star: float) -> np.ndarray:
-        """Gronwall right side left0 * exp(c_star * Lambda(t))."""
-        return left0 * np.exp(c_star * self.Lambda())
 
 
 def sqrt_field(f: PhaseField) -> PhaseField:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, TruncationError
+from .errors import ConfigurationError, IncompatibleGridError, TruncationError
 from .spectral import modes
 
 
@@ -134,11 +134,11 @@ class PhaseField:
         return PhaseField(self.grid, values, self.real if real is None else real)
 
     def __add__(self, other: "PhaseField") -> "PhaseField":
-        _check_same_grid(self, other)
+        check_same_grid(self, other)
         return PhaseField(self.grid, self.values + other.values, self.real and other.real)
 
     def __sub__(self, other: "PhaseField") -> "PhaseField":
-        _check_same_grid(self, other)
+        check_same_grid(self, other)
         return PhaseField(self.grid, self.values - other.values, self.real and other.real)
 
     def __mul__(self, c) -> "PhaseField":
@@ -147,9 +147,11 @@ class PhaseField:
     __rmul__ = __mul__
 
 
-def _check_same_grid(a, b):
+def check_same_grid(a, b):
+    """Raise IncompatibleGridError unless the two fields or operators live on
+    one grid."""
     if a.grid != b.grid:
-        raise ConfigurationError("operands live on different grids")
+        raise IncompatibleGridError("operands live on different grids")
 
 
 # ---------------------------------------------------------------------------

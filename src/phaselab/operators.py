@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IncompatibleGridError, NotPositiveError
-from .grids import PhaseGrid
+from .errors import ConfigurationError, NotPositiveError
+from .grids import PhaseGrid, check_same_grid
 
 HERMITIAN_TOL = 1e-12
 POSITIVE_TOL = 1e-10
@@ -46,7 +46,7 @@ class DensityOperator:
         return self.kernel @ psi * self.dx
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
-        _same_grid(self, other)
+        check_same_grid(self, other)
         return DensityOperator(self.grid, self.kernel @ other.kernel * self.dx)
 
     def __matmul__(self, other: "DensityOperator") -> "DensityOperator":
@@ -56,12 +56,12 @@ class DensityOperator:
         return DensityOperator(self.grid, self.kernel.conj().T, hermitian=self.hermitian)
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        _same_grid(self, other)
+        check_same_grid(self, other)
         return DensityOperator(self.grid, self.kernel + other.kernel,
                                hermitian=self.hermitian and other.hermitian)
 
     def __sub__(self, other: "DensityOperator") -> "DensityOperator":
-        _same_grid(self, other)
+        check_same_grid(self, other)
         return DensityOperator(self.grid, self.kernel - other.kernel,
                                hermitian=self.hermitian and other.hermitian)
 
@@ -101,11 +101,6 @@ class DensityOperator:
         ev = self.eigenvalues()
         top = max(ev[-1], 0.0) or 1.0
         return bool(ev[0] >= -tol * top)
-
-
-def _same_grid(a: DensityOperator, b: DensityOperator):
-    if a.grid != b.grid:
-        raise IncompatibleGridError("operators live on different grids")
 
 
 def require_positive(op: DensityOperator, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

@@ -111,8 +111,9 @@ def fourier_multiplier(values: np.ndarray, mult: np.ndarray, axis: int,
     return np.fft.ifft(spec, axis=axis, out=spec if out is None else out)
 
 
-def random_mode_block(rng: np.random.Generator, max_mode: int, real: bool = True) -> np.ndarray:
-    """Random Fourier coefficients for modes |a|, |b| <= max_mode.
+def random_mode_block(rng: np.random.Generator, max_mode: int) -> np.ndarray:
+    """Random Hermitian-symmetric Fourier coefficients for modes |a|, |b| <=
+    max_mode, so the field they synthesize is real.
 
     The block is grid-independent: synthesizing it on any N > 2 * max_mode
     grid yields samples of one fixed analytic function, which keeps
@@ -120,28 +121,25 @@ def random_mode_block(rng: np.random.Generator, max_mode: int, real: bool = True
     """
     M = 2 * max_mode + 1
     c = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
-    if real:
-        # Hermitian symmetry c[-a, -b] = conj(c[a, b]): the upper half, (a, b)
-        # > (-a, -b) lexicographically, mirrors the lower half
-        a = np.arange(-max_mode, max_mode + 1)
-        upper = (a[:, None] > 0) | ((a[:, None] == 0) & (a[None, :] > 0))
-        c[upper] = np.conj(c[::-1, ::-1][upper])
-        c[max_mode, max_mode] = c[max_mode, max_mode].real
+    # Hermitian symmetry c[-a, -b] = conj(c[a, b]): the upper half, (a, b)
+    # > (-a, -b) lexicographically, mirrors the lower half
+    a = np.arange(-max_mode, max_mode + 1)
+    upper = (a[:, None] > 0) | ((a[:, None] == 0) & (a[None, :] > 0))
+    c[upper] = np.conj(c[::-1, ::-1][upper])
+    c[max_mode, max_mode] = c[max_mode, max_mode].real
     return c
 
 
 def field_from_modes(N: int, block: np.ndarray) -> np.ndarray:
-    """Synthesize sum_{a,b} c[a,b] exp(2 pi i (a i + b k) / N) on an N x N grid."""
+    """Synthesize the real part of sum_{a,b} c[a,b] exp(2 pi i (a i + b k) / N)
+    on an N x N grid; for a Hermitian-symmetric block the sum is real."""
     M = (block.shape[0] - 1) // 2
     if N <= 2 * M:
         raise ValueError("grid too small for the mode block")
     spec = np.zeros((N, N), dtype=complex)
     bins = np.arange(-M, M + 1) % N
     spec[np.ix_(bins, bins)] = block
-    vals = np.fft.ifft2(spec) * N**2
-    if np.max(np.abs(vals.imag)) < 1e-10 * max(np.max(np.abs(vals)), 1e-300):
-        return vals.real
-    return vals
+    return (np.fft.ifft2(spec) * N**2).real
 
 
 def band_limited_field(N: int, rng: np.random.Generator, max_mode: int | None = None,

@@ -27,6 +27,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,11 +92,25 @@ def run_members(fn, arg_list, jobs: int = 1):
         return [futures[i].result() for i in range(len(arg_list))]
 
 
-def _report(probe: str, members, lhs, budget) -> ProbeReport:
+def _report(probe: str, members, lhs, budget, band=None,
+            check: str = "lhs_slope") -> ProbeReport:
+    """The report of lhs against budget over the members; with a band, the
+    fitted hbar-slope of lhs is the report's slope and the check ``check``
+    requires it to lie in the band."""
     report = ProbeReport(probe=probe, hbar=[m["hbar"] for m in members],
                          lhs=list(lhs), budget=list(budget))
     report.finalize_ratios()
+    if band is not None:
+        slope = report.fit_slope()
+        report.require(check, band[0] <= slope <= band[1], slope, band)
     return report
+
+
+def _slope_report(probe: str, band):
+    """The reports of a probe whose metric is one lhs and its budget, checked
+    by the slope band alone."""
+    return lambda ms: [_report(probe, ms, [m["lhs"] for m in ms],
+                               [m["budget"] for m in ms], band)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +124,7 @@ class DynamicsBundle:
     that no requested probe reads are never computed. All flows share one
     snapshot stride: SNAPSHOT_POINTS intervals when a time-series probe is
     requested, else only the initial and final states. The flows are
-    streamed (``_streamed``) and keep their logs, fields and final state,
-    and ``series`` holds what the series probes read of each snapshot.
+    streamed (``streamed``); what they leave is one Streamed record.
     """
 
     def __init__(self, args: dict):
@@ -139,21 +153,12 @@ class DynamicsBundle:
                                    "xi0": 0.0, "sigma_x": 1.2, "sigma_xi": 0.8},
                             tail_tol=1e-4)
 
-    def _steps(self) -> tuple[int, float]:
-        return resolve_steps(self.args["T"], self.args["dt"])
-
     @cached_property
     def dt(self) -> float:
-        return self._steps()[1]
+        return resolve_steps(self.args["T"], self.args["dt"])[1]
 
     @cached_property
-    def stride(self) -> int | None:
-        if SERIES_PROBES.isdisjoint(self.args["probes"]):
-            return None
-        return max(1, self._steps()[0] // SNAPSHOT_POINTS)
-
-    @cached_property
-    def _streamed(self) -> tuple[dict[str, Trajectory], list[float], dict[str, dict]]:
+    def streamed(self) -> Streamed:
         """Step the Vlasov flow of f0, the linear Hartree flow of op0 in its
         field history, and the nonlinear Hartree flow of op0 when a requested
         probe reads it, in lockstep, the Vlasov flow first. At each snapshot
@@ -163,12 +168,13 @@ class DynamicsBundle:
         carrying it whatever the probe set keeps every probe's op bits
         independent of the others.
 
-        Returns the flows, each holding its logs, its fields and its final
-        state (and root), the snapshot times, and per series probe the lists
-        of its per-snapshot values. A PhaselabError raised by a consumer
-        carries that consumer's probe and the snapshot time t.
+        A PhaselabError raised by a consumer carries that consumer's probe
+        and the snapshot time t.
         """
-        T, dt, stride, vt = self.args["T"], self.dt, self.stride, self.wick_datum[0]
+        T, vt = self.args["T"], self.wick_datum[0]
+        steps, dt = resolve_steps(T, self.args["dt"])
+        stride = (None if SERIES_PROBES.isdisjoint(self.args["probes"])
+                  else max(1, steps // SNAPSHOT_POINTS))
         flows = {"vlasov": Trajectory(), "linear": Trajectory()}
         steppers = [vlasov_steps(self.f0, T, dt, self.args["sign"], flows["vlasov"], stride),
                     linear_hartree_steps(self.op0, flows["vlasov"].fields, T, dt,
@@ -197,33 +203,7 @@ class DynamicsBundle:
         for traj, (_, op, root) in zip(list(flows.values())[1:], operators):
             traj.add_snapshot(t, op)
             traj.root_snapshots.append(root)
-        return flows, times, series
-
-    @property
-    def vlasov(self) -> Trajectory:
-        """The Vlasov flow: its logs, its fields and its final f."""
-        return self._streamed[0]["vlasov"]
-
-    @property
-    def linear(self) -> Trajectory:
-        """The linear Hartree flow: its logs and its final op and root."""
-        return self._streamed[0]["linear"]
-
-    @property
-    def hartree(self) -> Trajectory:
-        """The nonlinear Hartree flow: its logs, its fields and its final op
-        and root."""
-        return self._streamed[0]["hartree"]
-
-    @property
-    def snapshot_times(self) -> list[float]:
-        """The times at which every flow yielded a snapshot."""
-        return self._streamed[1]
-
-    @property
-    def series(self) -> dict[str, dict]:
-        """Per requested series probe, the lists of its per-snapshot values."""
-        return self._streamed[2]
+        return Streamed(flows["vlasov"], flows["linear"], flows.get("hartree"), times, series)
 
     @cached_property
     def op_norm(self) -> float:
@@ -233,6 +213,19 @@ class DynamicsBundle:
     @cached_property
     def c_init(self) -> float:
         return c_init_value(self.f0)
+
+
+class Streamed(NamedTuple):
+    """What a bundle's streamed flows leave: each flow with its logs, its
+    fields and its final state (and root; ``hartree`` is None when no
+    requested probe reads that flow), the snapshot times, and per requested
+    series probe the lists of its per-snapshot values."""
+
+    vlasov: Trajectory
+    linear: Trajectory
+    hartree: Trajectory | None
+    times: list[float]
+    series: dict[str, dict]
 
 
 @dataclass
@@ -277,18 +270,16 @@ def regularity_checklist(f0: PhaseField) -> dict:
 
 def headline_metric(b: DynamicsBundle) -> dict:
     """Errors at time T between the Hartree, linear Hartree and Vlasov flows."""
-    grid = b.grid
     checklist = regularity_checklist(b.f0)
-    fT = b.vlasov.final()
-    opT = b.hartree.final()
-    tilT = b.linear.final()
+    flows = b.streamed
+    fT = flows.vlasov.final()
+    opT = flows.hartree.final()
+    tilT = flows.linear.final()
     op_f0, opfT = weyl_quantize(b.f0), weyl_quantize(fT)
     wT = wigner_transform(opT)
     diff = wT.values - fT.values
-    err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.cell))
+    err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * b.grid.cell))
     return {
-        "N": grid.N,
-        "hbar": grid.hbar,
         "dt": b.dt,
         "err_wigner": err_wigner,
         "err_weyl": schatten_norm(opT - opfT, 2),
@@ -296,19 +287,15 @@ def headline_metric(b: DynamicsBundle) -> dict:
         "gap_positivity": schatten_norm(tilT - opfT, 2),
         "init_gap": schatten_norm(b.op0 - op_f0, 2),
         "checklist": checklist,
-        "mass_drift": b.vlasov.relative_drift("mass"),
-        "trace_drift": b.hartree.relative_drift("trace"),
+        "mass_drift": flows.vlasov.relative_drift("mass"),
+        "trace_drift": flows.hartree.relative_drift("trace"),
     }
 
 
 def convergence_report(members: list) -> ProbeReport:
     report = _report("convergence_rate", members, [m["err_wigner"] for m in members],
-                     [m["hbar"] for m in members])
-    slope_w, stderr_w = fit_loglog(report.hbar, report.lhs)
+                     [m["hbar"] for m in members], [0.85, 1.15], "wigner_slope")
     slope_o, stderr_o = fit_loglog(report.hbar, [m["err_weyl"] for m in members])
-    report.slope = slope_w
-    report.slope_stderr = stderr_w
-    report.require("wigner_slope", 0.85 <= slope_w <= 1.15, slope_w, [0.85, 1.15])
     report.require("weyl_slope", 0.85 <= slope_o <= 1.15, slope_o, [0.85, 1.15])
     tri_ok = all(
         m["err_weyl"] <= m["gap_nonlinear"] + m["gap_positivity"] + 1e-12 for m in members
@@ -337,22 +324,20 @@ def defect_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
 
 def defect_metric(b: DynamicsBundle) -> dict:
     """Linear Hartree vs Weyl-quantized Vlasov: L2 defect and diagonal drift."""
-    grid = b.grid
-    times = np.asarray(b.snapshot_times)
-    series = b.series["positivity_defect"]
+    hbar = b.grid.hbar
+    times = np.asarray(b.streamed.times)
+    series = b.streamed.series["positivity_defect"]
     left_pos = series["gap"]
     # cumulative budget integral hbar * int ||grad E||_inf ||grad_xi^2 f||_L2
     integral = cumulative_trapezoid(series["rate"], times)
     return {
-        "N": grid.N,
-        "hbar": grid.hbar,
         "times": times,
         "left_positivity": np.asarray(left_pos),
         "left_diag": np.asarray(series["left_diag"]),
         "budget_integral": integral,
         "c_init": b.c_init,
-        "diag_budget": grid.hbar * (b.c_init + max(series["term"])),
-        "pos_budget_final": left_pos[0] + grid.hbar * integral[-1],
+        "diag_budget": hbar * (b.c_init + max(series["term"])),
+        "pos_budget_final": left_pos[0] + hbar * integral[-1],
     }
 
 
@@ -360,9 +345,7 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
     """The positivity defect (final time) and the diagonal drift."""
     pos = _report("positivity_defect", members,
                   [float(m["left_positivity"][-1]) for m in members],
-                  [float(m["pos_budget_final"]) for m in members])
-    slope = pos.fit_slope()
-    pos.require("lhs_slope", 0.8 <= slope <= 1.2, slope, [0.8, 1.2])
+                  [float(m["pos_budget_final"]) for m in members], [0.8, 1.2])
     c_stars = [
         (float(np.max(m["left_positivity"])) - m["left_positivity"][0])
         / (m["hbar"] * m["budget_integral"][-1])
@@ -382,9 +365,7 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
     ]
 
     diag = _report("diag_drift", members, [float(m["left_diag"][-1]) for m in members],
-                   [float(m["diag_budget"]) for m in members])
-    dslope = diag.fit_slope()
-    diag.require("lhs_slope", 0.8 <= dslope <= 1.2, dslope, [0.8, 1.2])
+                   [float(m["diag_budget"]) for m in members], [0.8, 1.2])
     return pos, diag
 
 
@@ -405,9 +386,9 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     flows are unitary conjugations, so each carries the square root vt of op0
     to the square root of its evolved operator at every snapshot; the two
     routes are compared once per flow, at time T."""
-    grid = b.grid
-    times = np.asarray(b.snapshot_times)
-    series = b.series["sqrt_comparison"]
+    flows = b.streamed
+    times = np.asarray(flows.times)
+    series = flows.series["sqrt_comparison"]
     Lambda = cumulative_trapezoid(np.asarray(series["lam"]), times)
     c_series = np.array([w12 * (b.c_init + term)
                          for w12, term in zip(series["w12"], series["term"])])
@@ -415,13 +396,12 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     env0 = np.zeros(len(times))
     for n in range(1, len(times)):
         seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
-        env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
+        env0[n] = b.grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     return {
-        "N": grid.N, "hbar": grid.hbar, "times": times, "left": np.array(series["left"]),
-        "env0": env0,
+        "times": times, "left": np.array(series["left"]), "env0": env0,
         "sqrt_two_routes_gap": max(
             schatten_norm(operator_sqrt(flow.final()) - flow.root_snapshots[-1], 2)
-            for flow in (b.linear, b.hartree)),
+            for flow in (flows.linear, flows.hartree)),
     }
 
 
@@ -466,11 +446,10 @@ def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
 
 def regularity_metric(b: DynamicsBundle) -> dict:
     """W^k(m) norms of the square root carried by the linear Hartree flow."""
-    grid = b.grid
-    times = np.asarray(b.snapshot_times)
-    series = b.series["regularity"]
+    times = np.asarray(b.streamed.times)
+    series = b.streamed.series["regularity"]
     norms = np.array(series["norm"])
-    return {"N": grid.N, "hbar": grid.hbar, "times": times, "norms": norms,
+    return {"times": times, "norms": norms,
             "integral": cumulative_trapezoid(series["rho_rate"], times),
             "init_norm": float(norms[0])}
 
@@ -526,7 +505,6 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
         contraction[key] = (schatten_norm(op_wick, p), lebesgue_norm(f, p))
     ev = op_wick.eigenvalues()
     return {
-        "N": grid.N, "hbar": grid.hbar,
         "gap_op": gap_op, "gap_field": gap_field,
         "gap_equality_error": abs(gap_op - gap_field),
         "hbar_budget": grid.hbar * hess_norm,
@@ -542,9 +520,7 @@ def wick_structure_report(members: list) -> ProbeReport:
     real-transform smoothing against the complex-transform one), Schatten
     contraction, and the O(hbar) Wick-Weyl gap."""
     report = _report("wick_structure", members, [m["gap_op"] for m in members],
-                     [m["hbar_budget"] for m in members])
-    slope = report.fit_slope()
-    report.require("gap_slope", 0.85 <= slope <= 1.15, slope, [0.85, 1.15])
+                     [m["hbar_budget"] for m in members], [0.85, 1.15], "gap_slope")
     eq_err = max(m["gap_equality_error"] for m in members)
     report.require("gap_equality", eq_err < 1e-10, eq_err, 1e-10)
     id_err = max(m["identity_gap"] for m in members)
@@ -560,16 +536,10 @@ def wick_structure_report(members: list) -> ProbeReport:
     return report
 
 
-def wick_square_metric(b: DynamicsBundle) -> dict:
-    return {"N": b.grid.N, **wick_square_probe(b.gaussian)}
-
-
 def wick_square_report(members: list) -> ProbeReport:
     """Wick-square commutator gap: ratio <= 48 at every point, slope ~ hbar."""
     report = _report("wick_square", members, [m["lhs_p2"] for m in members],
-                     [m["budget_p2"] for m in members])
-    slope = report.fit_slope()
-    report.require("lhs_slope", 0.85 <= slope <= 1.15, slope, [0.85, 1.15])
+                     [m["budget_p2"] for m in members], [0.85, 1.15])
     for key in ("1", "2", "inf"):
         worst = max(m[f"lhs_p{key}"] / m[f"budget_p{key}"] for m in members)
         report.require(f"ratio_p{key}_below_48", worst <= 48.0, worst, 48.0)
@@ -578,9 +548,8 @@ def wick_square_report(members: list) -> ProbeReport:
 
 
 def weight_remainder_metric(b: DynamicsBundle) -> dict:
-    out = {"N": b.grid.N, **weight_remainder_probe(b.gaussian)}
-    out.update({f"gc_{k}": v for k, v in gaussian_commutator_probe(b.gaussian).items()})
-    return out
+    return {**weight_remainder_probe(b.gaussian),
+            **{f"gc_{k}": v for k, v in gaussian_commutator_probe(b.gaussian).items()}}
 
 
 def weight_remainder_report(members: list) -> ProbeReport:
@@ -616,8 +585,7 @@ def commutator_metric(b: DynamicsBundle) -> dict:
         mu = wick_quantize(PhaseField(grid, fmu))
         r = commutator_probe(src, mu)
         ratios.append(r["lhs"] / r["budget"])
-    return {"N": grid.N, "hbar": grid.hbar, "ratio_mean": float(np.mean(ratios)),
-            "ratio_max": float(np.max(ratios))}
+    return {"ratio_mean": float(np.mean(ratios)), "ratio_max": float(np.max(ratios))}
 
 
 def commutator_report(members: list) -> ProbeReport:
@@ -631,45 +599,20 @@ def commutator_report(members: list) -> ProbeReport:
     return report
 
 
-def b_bound_metric(b: DynamicsBundle) -> dict:
-    return {"N": b.grid.N, **b_bound_probe(b.f0, b.args["sign"])}
-
-
-def b_bound_report(members: list) -> ProbeReport:
-    """B-remainder size: slope of (1/hbar)||B_f(op_f)||_L2 in [1.8, 2.2]."""
-    report = _report("b_remainder", members, [m["lhs"] for m in members],
-                     [m["budget"] for m in members])
-    slope = report.fit_slope()
-    report.require("lhs_slope", 1.8 <= slope <= 2.2, slope, [1.8, 2.2])
-    return report
-
-
-def init_diff_metric(b: DynamicsBundle) -> dict:
-    return {"N": b.grid.N, **init_diff_probe(b.gaussian)}
-
-
-def init_diff_report(members: list) -> ProbeReport:
-    """Weighted Wick-square gap slope in [0.8, 1.2]."""
-    report = _report("init_diff", members, [m["lhs"] for m in members],
-                     [m["budget"] for m in members])
-    slope = report.fit_slope()
-    report.require("lhs_slope", 0.8 <= slope <= 1.2, slope, [0.8, 1.2])
-    return report
-
-
 # ---------------------------------------------------------------------------
 # the probe table and the one member pass
 
 # probe -> (metric of one grid's bundle, reports built from the metrics over N),
-# in the order of config.PROBES
+# in the order of config.PROBES; the member adds N and hbar to every metric
 PROBE_TABLE = {
     "convergence": (headline_metric, lambda ms: [convergence_report(ms)]),
     "wick_structure": (wick_structure_metric, lambda ms: [wick_structure_report(ms)]),
-    "wick_square": (wick_square_metric, lambda ms: [wick_square_report(ms)]),
+    "wick_square": (lambda b: wick_square_probe(b.gaussian), lambda ms: [wick_square_report(ms)]),
     "weight_remainder": (weight_remainder_metric, lambda ms: [weight_remainder_report(ms)]),
     "commutator": (commutator_metric, lambda ms: [commutator_report(ms)]),
-    "b_remainder": (b_bound_metric, lambda ms: [b_bound_report(ms)]),
-    "init_diff": (init_diff_metric, lambda ms: [init_diff_report(ms)]),
+    "b_remainder": (lambda b: b_bound_probe(b.f0, b.args["sign"]),
+                    _slope_report("b_remainder", [1.8, 2.2])),
+    "init_diff": (lambda b: init_diff_probe(b.gaussian), _slope_report("init_diff", [0.8, 1.2])),
     "positivity_defect": (defect_metric, lambda ms: list(defect_reports(ms))),
     "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
     "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
@@ -690,7 +633,7 @@ HARTREE_PROBES = frozenset({"convergence", "sqrt_comparison"})
 
 def grid_member(args: dict) -> dict:
     """Metrics of every requested probe on the grid of size N, all read from
-    one bundle.
+    one bundle, each with the grid's N and hbar.
 
     The static probes run first, then the flow probes, each in PROBE_TABLE
     order whatever the requested order: the flows are not yet held while the
@@ -705,7 +648,8 @@ def grid_member(args: dict) -> dict:
     metrics = {}
     for p in probes:
         try:
-            metrics[p] = PROBE_TABLE[p][0](bundle)
+            metrics[p] = {**PROBE_TABLE[p][0](bundle), "N": bundle.grid.N,
+                          "hbar": bundle.grid.hbar}
         except PhaselabError as exc:
             at = "" if exc.t is None else f", t={exc.t:.4g}"
             raise type(exc)(f"probe {exc.probe or p}, N={args['N']}{at}: {exc}") from exc

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from phaselab import (
     ConfigurationError,
+    DensityOperator,
+    IncompatibleGridError,
     PhaseField,
     TruncationError,
     gaussian_phase_kernel,
@@ -144,7 +147,15 @@ def test_field_algebra(grid32, rng):
     np.testing.assert_allclose(s.values, a.values + b.values)
     d = (a - b) * 2.0
     np.testing.assert_allclose(d.values, 2 * (a.values - b.values))
-    other = make_grid(16, 2 * np.pi, 2 * np.pi)
-    c = PhaseField(other, np.zeros((16, 16)))
-    with pytest.raises(ConfigurationError):
-        _ = a + c
+
+
+def test_mixed_grids_raise_incompatible_grid_error(grid32, grid64):
+    # fields and operators share one grid check
+    fields = [PhaseField(g, np.ones((g.N, g.N))) for g in (grid32, grid64)]
+    ops = [DensityOperator(g, np.eye(g.N)) for g in (grid32, grid64)]
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(IncompatibleGridError, match="different grids"):
+            combine(*fields)
+    for combine in (operator.matmul, operator.add, operator.sub):
+        with pytest.raises(IncompatibleGridError, match="different grids"):
+            combine(*ops)

@@ -329,18 +329,19 @@ def test_flows_hold_only_their_final_state():
     b = DynamicsBundle(dict(N=N, profile=PROFILE, T=0.1, probes=PROBES))
     for p in PROBES:
         PROBE_TABLE[p][0](b)
-    final_time = b.snapshot_times[-1]
-    assert len(b.snapshot_times) > 2
-    assert b.vlasov.snapshot_times == [final_time]
-    assert [id(k) for k in _square_kernels(b.vlasov, N)] == [id(b.vlasov.final().values)]
-    assert len(b.vlasov.fields) == len(b.vlasov.times)
-    for flow in (b.hartree, b.linear):
+    s = b.streamed
+    final_time = s.times[-1]
+    assert len(s.times) > 2
+    assert s.vlasov.snapshot_times == [final_time]
+    assert [id(k) for k in _square_kernels(s.vlasov, N)] == [id(s.vlasov.final().values)]
+    assert len(s.vlasov.fields) == len(s.vlasov.times)
+    for flow in (s.hartree, s.linear):
         assert flow.snapshot_times == [final_time]
         held = {id(k) for k in _square_kernels(flow, N)}
         assert held == {id(flow.final().kernel), id(flow.root_snapshots[-1].kernel)}
-        assert len(flow.times) == len(b.vlasov.times)
-    assert len(b.hartree.fields) == len(b.vlasov.fields)
-    assert _square_kernels(b.series, N) == []
+        assert len(flow.times) == len(s.vlasov.times)
+    assert len(s.hartree.fields) == len(s.vlasov.fields)
+    assert _square_kernels(s.series, N) == []
 
 
 def test_streamed_error_names_probe_n_and_t(monkeypatch):
@@ -482,19 +483,25 @@ def test_pool_gets_largest_grid_first(monkeypatch):
 
 
 def test_ten_probe_sweep_is_one_member_pass(monkeypatch):
-    from phaselab import sweeps
+    from phaselab import make_grid, sweeps
     from phaselab.config import PROBES
 
-    calls = []
+    calls, members = [], []
 
     def spy(fn, arg_list, jobs=1):
         calls.append([a["N"] for a in arg_list])
-        return run_members(fn, arg_list, jobs)
+        members.extend(run_members(fn, arg_list, jobs))
+        return members
 
     monkeypatch.setattr(sweeps, "run_members", spy)
     reports = sweep_reports(PROBES, SMALL, profile=PROFILE, T=0.1)
     assert calls == [list(SMALL)]
     assert tuple(reports) == PROBES
+    # the member stamps every probe's metric with its grid's N and hbar
+    for N, member in zip(SMALL, members):
+        hbar = make_grid(N, 2 * np.pi, 2 * np.pi).hbar
+        assert sorted(member) == sorted(PROBES)
+        assert all(m["N"] == N and m["hbar"] == hbar for m in member.values()), N
 
 
 # ---------------------------------------------------------------------------
