@@ -71,12 +71,12 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> dict:
     config = load_config(args.config)
     overrides = list(args.set)
-    if args.out is not None:
-        overrides.append(f"out_dir={args.out}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if overrides:
         config = apply_overrides(config, overrides)
+    if args.out is not None:
+        config["out_dir"] = args.out
     return config
 
 

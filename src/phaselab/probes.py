@@ -53,7 +53,7 @@ def wick_square_probe(g_field: PhaseField) -> dict:
     hbar = grid.hbar
     diff, _ = _wick_square_gap(g_field)
     gradmag = phase_gradient_magnitude(g_field)
-    out = {"hbar": hbar}
+    out = {}
     for p in (1, 2, np.inf):
         lhs = schatten_norm(diff, p)
         two_p = np.inf if np.isinf(p) else 2 * p
@@ -83,8 +83,7 @@ def weight_remainder_probe(f: PhaseField) -> dict:
     lhs2 = schatten_norm(sandwich - op_w2f, 2)
     budget2 = 0.25 * hbar**2 * lebesgue_norm(
         f.copy_with(derivative(f.values.astype(complex), grid.L_x, axis=0, order=2), real=False), 2)
-    return {"hbar": hbar, "lhs1": lhs1, "budget1": budget1,
-            "lhs2": lhs2, "budget2": budget2}
+    return {"lhs1": lhs1, "budget1": budget1, "lhs2": lhs2, "budget2": budget2}
 
 
 def gaussian_commutator_probe(f: PhaseField) -> dict:
@@ -97,7 +96,7 @@ def gaussian_commutator_probe(f: PhaseField) -> dict:
         f.copy_with(f.values * xi_w[None, :]))
     lhs = lebesgue_norm(lhs_field, 2)
     budget = grid.hbar * weighted_sobolev_norm(f, 1, 2, 0)
-    return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
+    return {"lhs": lhs, "budget": budget}
 
 
 def commutator_probe(op_src: DensityOperator, mu: DensityOperator) -> dict:
@@ -109,7 +108,7 @@ def commutator_probe(op_src: DensityOperator, mu: DensityOperator) -> dict:
     lhs = schatten_norm(potential_commutator(mu, snap.V), 2) / grid.hbar
     budget = spatial_lebesgue_norm(rho, grid.dx, 2) * quantum_sobolev_norm(
         quantum_gradient_xi(mu), 1, 2, 0)
-    return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
+    return {"lhs": lhs, "budget": budget}
 
 
 def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
@@ -122,7 +121,7 @@ def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
     B = b_remainder(op, snap.V)
     lhs = schatten_norm(B, 2) / grid.hbar
     budget = grid.hbar * grad_e_sup(grid, snap.E) * hessian_xi_norm(f)
-    return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
+    return {"lhs": lhs, "budget": budget}
 
 
 def init_diff_probe(g_field: PhaseField) -> dict:
@@ -136,7 +135,7 @@ def init_diff_probe(g_field: PhaseField) -> dict:
     piece_g2 = max(weighted_sobolev_norm(g2, 1, 2, 1),
                    weighted_sobolev_norm(g2, 2, 2, 0))
     budget = grid.hbar * (piece_g + piece_g2)
-    return {"hbar": grid.hbar, "lhs": lhs, "budget": budget}
+    return {"lhs": lhs, "budget": budget}
 
 
 def c_init_value(f0: PhaseField) -> float:

@@ -62,8 +62,16 @@ class ProbeReport:
         self.slope, self.slope_stderr = fit_loglog(self.hbar, self.lhs)
         return self.slope
 
-    def require(self, name: str, ok: bool, observed, bound):
-        """Record one named assertion; failing any flips ``passed``."""
+    def require(self, name: str, observed, bound):
+        """Record one named assertion, observed against the bound it applies:
+        ``True`` needs the observed flag to hold, a list [lo, hi] is a closed
+        band, a number an upper bound. Failing any flips ``passed``."""
+        if bound is True:
+            ok = observed is True
+        elif isinstance(bound, list):
+            ok = bound[0] <= observed <= bound[1]
+        else:
+            ok = observed <= bound
         self.tolerance[name] = {"bound": bound, "observed": observed, "ok": bool(ok)}
         if not ok:
             self.passed = False

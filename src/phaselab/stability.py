@@ -32,7 +32,7 @@ from .trajectory import Trajectory
 from .transforms import wigner_transform
 from .vlasov import vlasov_steps
 
-ENVELOPE_SLACK = 1e-9
+ENVELOPE_SLACK = 1e-9        # rounding allowance of the envelope checks
 TWIN_SNAPSHOT_STRIDE = 5     # every twin flow yields every fifth step
 
 
@@ -51,19 +51,17 @@ def _twin_report(probe: str, hbar: float, times, left, left_l2, lam, C_inf: floa
         report.lhs = [float(np.max(left))]
         report.budget = [1e-9]
         report.finalize_ratios()
-        report.require("identical_data_stays_identical", np.max(left) < 1e-9,
-                       float(np.max(left)), 1e-9)
+        report.require("identical_data_stays_identical", float(np.max(left)), 1e-9)
         return report
     c_star = fit_c_star_window(times, left, Lambda)
     # the Gronwall right side left(0) exp(c* Lambda(t)), with the structural slack
     env = ENVELOPE_SLACK_FACTOR * (left[0] * np.exp(c_star * Lambda))
     report.details["c_star"] = c_star
     report.details["envelope"] = env
-    ok = bool(np.all(left <= env * (1.0 + ENVELOPE_SLACK)))
-    report.require("left_under_envelope", ok, float(np.max(left / env)), 1.0)
+    report.require("left_under_envelope", float(np.max(left / env)), 1.0 + ENVELOPE_SLACK)
     corollary_env = 2.0 * np.sqrt(C_inf) * np.sqrt(l1_init()) * np.exp(c_star * Lambda)
-    ok2 = bool(np.all(left_l2 <= corollary_env * (1.0 + ENVELOPE_SLACK)))
-    report.require("l2_l1_corollary", ok2, float(np.max(left_l2 / corollary_env)), 1.0)
+    report.require("l2_l1_corollary", float(np.max(left_l2 / corollary_env)),
+                   1.0 + ENVELOPE_SLACK)
     report.details["left_l2"] = left_l2
     report.details["corollary_envelope"] = corollary_env
     report.lhs = [float(np.max(left / env))]

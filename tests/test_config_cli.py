@@ -69,7 +69,9 @@ class TestConfig:
         "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
         ids=lambda path: path.name)
     def test_shipped_config_validates(self, path):
-        load_config(path)
+        from phaselab.sweeps import PROBE_TABLE
+
+        assert set(load_config(path)["probes"]) <= set(PROBE_TABLE)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -254,6 +256,15 @@ class TestCli:
         rows = (tmp_path / "out" / "norms.csv").read_text().splitlines()
         assert rows[0] == "spec,value"
 
+    @pytest.mark.parametrize("name", ["2024", "null"])
+    def test_out_is_a_path(self, config_file, tmp_path, monkeypatch, name):
+        # a directory name that parses as JSON stays a name, and --out wins over --set
+        monkeypatch.chdir(tmp_path)
+        assert main(["probe", "--config", str(config_file), "--name", "norms",
+                     "--set", "out_dir=elsewhere", "--out", name]) == 0
+        assert (tmp_path / name / "norms.csv").exists()
+        assert not (tmp_path / "elsewhere").exists()
+
     def test_byte_identical_reruns(self, config_file, tmp_path):
         for d in ("a", "b"):
             main(["sweep", "--config", str(config_file),
@@ -297,7 +308,7 @@ class TestCli:
             rep = ProbeReport(probe="wick_square", hbar=[0.1, 0.05, 0.025, 0.0125],
                               lhs=[1, 1, 1, 1], budget=[1, 1, 1, 1])
             rep.finalize_ratios()
-            rep.require("lhs_slope", False, 0.0, [0.85, 1.15])
+            rep.require("lhs_slope", 0.0, [0.85, 1.15])
             return [rep]
 
         monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square", (lambda b: {}, fake_reports))

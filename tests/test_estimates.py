@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,13 +44,53 @@ class TestReports:
         rep = ProbeReport(probe="demo", hbar=[0.1, 0.05], lhs=[1.0, 0.5],
                           budget=[2.0, 1.0])
         rep.finalize_ratios()
-        rep.require("ok", True, 1.0, 1.0)
+        rep.require("ok", 1.0, 1.0)
         data = rep.to_dict()
         assert data["probe"] == "demo"
         assert data["ratio"] == [0.5, 0.5]
         assert rep.to_json().startswith("{")
         rows = rep.csv_rows()
         assert rows[0]["pass"] is True
+
+    @staticmethod
+    def _verdict(observed, bound):
+        rep = ProbeReport(probe="demo")
+        rep.require("check", observed, bound)
+        assert rep.tolerance["check"] == {"bound": bound, "observed": observed,
+                                          "ok": rep.passed}
+        return rep.passed
+
+    def test_require_number_is_an_upper_bound(self):
+        assert self._verdict(1.0, 1.0)
+        assert self._verdict(0.5, 1.0)
+        assert not self._verdict(1.0 + 1e-12, 1.0)
+        assert not self._verdict(math.nan, 1.0)
+
+    def test_require_band_is_closed(self):
+        band = [0.85, 1.15]
+        assert self._verdict(0.85, band)
+        assert self._verdict(1.15, band)
+        assert self._verdict(1.0, band)
+        assert not self._verdict(0.849, band)
+        assert not self._verdict(1.151, band)
+        assert not self._verdict(math.nan, band)
+
+    def test_require_true_needs_the_flag(self):
+        assert self._verdict(True, True)
+        assert not self._verdict(False, True)
+
+    def test_ratio_slack_is_the_recorded_bound(self):
+        from phaselab.sweeps import weight_remainder_report
+
+        ratio = 1.0 + 5e-7
+        members = [{"N": N, "hbar": 6.4 / N, "lhs1": ratio * 2.0, "budget1": 2.0,
+                    "lhs2": 0.5, "budget2": 1.0, "gc_lhs": 0.1, "gc_budget": 1.0}
+                   for N in (64, 96, 128, 192)]
+        report = weight_remainder_report(members)
+        assert report.passed
+        check = report.tolerance["first_order_ratio"]
+        assert check["observed"] == pytest.approx(ratio, rel=1e-12)
+        assert check["observed"] <= check["bound"]
 
 
 def _classical_rates(f0, T, dt, stride):

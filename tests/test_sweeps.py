@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,20 @@ def test_ten_probe_sweep_is_one_member_pass(monkeypatch):
         hbar = make_grid(N, 2 * np.pi, 2 * np.pi).hbar
         assert sorted(member) == sorted(PROBES)
         assert all(m["N"] == N and m["hbar"] == hbar for m in member.values()), N
+    # every recorded verdict is the rule applied to the recorded observed and bound
+    for rep in (r for reps in reports.values() for r in reps):
+        data = json.loads(rep.to_json())
+        for name, check in data["tolerance"].items():
+            observed, bound = check["observed"], check["bound"]
+            if bound is True:
+                expected = observed is True
+            elif isinstance(bound, list):
+                expected = bound[0] <= observed and observed <= bound[1]
+            else:
+                expected = observed <= bound
+            assert check["ok"] is expected, (rep.probe, name)
+        assert data["passed"] is all(c["ok"] for c in data["tolerance"].values()), rep.probe
+    assert reports["commutator"][0].slope_stderr is not None
 
 
 # ---------------------------------------------------------------------------
