@@ -132,14 +132,19 @@ def random_mode_block(rng: np.random.Generator, max_mode: int) -> np.ndarray:
 
 def field_from_modes(N: int, block: np.ndarray) -> np.ndarray:
     """Synthesize the real part of sum_{a,b} c[a,b] exp(2 pi i (a i + b k) / N)
-    on an N x N grid; for a Hermitian-symmetric block the sum is real."""
+    on an N x N grid; for a Hermitian-symmetric block the sum is real.
+
+    The real part is the sum over the block's Hermitian part, (c[a,b] +
+    conj c[-a,-b]) / 2, which is the block itself when it is Hermitian. That
+    sum is one real inverse transform of its columns b = 0..M.
+    """
     M = (block.shape[0] - 1) // 2
     if N <= 2 * M:
         raise ValueError("grid too small for the mode block")
-    spec = np.zeros((N, N), dtype=complex)
-    bins = np.arange(-M, M + 1) % N
-    spec[np.ix_(bins, bins)] = block
-    return (np.fft.ifft2(spec) * N**2).real
+    herm = (block + block[::-1, ::-1].conj()) / 2
+    spec = np.zeros((N, N // 2 + 1), dtype=complex)
+    spec[np.arange(-M, M + 1) % N, :M + 1] = herm[:, M:]
+    return np.fft.irfft2(spec, s=(N, N)) * N**2
 
 
 def band_limited_field(N: int, rng: np.random.Generator, max_mode: int | None = None,

@@ -28,12 +28,11 @@ from .hartree import hartree_steps
 from .norms import h_half_norm, lebesgue_norm, schatten_norm
 from .operators import DensityOperator
 from .reports import ProbeReport
-from .trajectory import Trajectory
+from .trajectory import Trajectory, resolve_steps, series_stride
 from .transforms import wigner_transform
 from .vlasov import vlasov_steps
 
 ENVELOPE_SLACK = 1e-9        # rounding allowance of the envelope checks
-TWIN_SNAPSHOT_STRIDE = 5     # every twin flow yields every fifth step
 
 
 def _twin_report(probe: str, hbar: float, times, left, left_l2, lam, C_inf: float,
@@ -81,10 +80,11 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
     if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
         raise ConfigurationError("twin experiment needs nonnegative initial data")
     C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
+    stride = series_stride(resolve_steps(T, dt)[0])
     times, left, left_l2, lam = [], [], [], []
     for (t, f1, _), (_, f2, fld2) in zip(
-            vlasov_steps(f1_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE),
-            vlasov_steps(f2_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE)):
+            vlasov_steps(f1_0, T, dt, sign, Trajectory(), stride),
+            vlasov_steps(f2_0, T, dt, sign, Trajectory(), stride)):
         times.append(t)
         left.append(lebesgue_norm(sqrt_field(f1) - sqrt_field(f2), 2))
         left_l2.append(lebesgue_norm(f1 - f2, 2))
@@ -107,11 +107,11 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     # each flow carries the square root of its datum, taken once at t = 0
     root2 = operator_sqrt(op2_0)
     tr2 = Trajectory()
+    stride = series_stride(resolve_steps(T, dt)[0])
     times, left, left_l2, lam = [], [], [], []
     for (t, op1, v1), (_, op2, v2) in zip(
-            hartree_steps(op1_0, T, dt, sign, Trajectory(), TWIN_SNAPSHOT_STRIDE,
-                          root=operator_sqrt(op1_0)),
-            hartree_steps(op2_0, T, dt, sign, tr2, TWIN_SNAPSHOT_STRIDE, root=root2)):
+            hartree_steps(op1_0, T, dt, sign, Trajectory(), stride, root=operator_sqrt(op1_0)),
+            hartree_steps(op2_0, T, dt, sign, tr2, stride, root=root2)):
         times.append(t)
         left.append(schatten_norm(v1 - v2, 2))
         left_l2.append(schatten_norm(op1 - op2, 2))

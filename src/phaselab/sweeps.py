@@ -67,11 +67,10 @@ from .probes import (
 )
 from .reports import ProbeReport, fit_loglog
 from .spectral import derivative, field_from_modes, random_mode_block
-from .trajectory import FieldSnapshot, Trajectory, resolve_steps
+from .trajectory import FieldSnapshot, Trajectory, resolve_steps, series_stride
 from .transforms import weyl_quantize, wigner_transform
 from .vlasov import vlasov_steps
 
-SNAPSHOT_POINTS = 8      # snapshot intervals per flow for the time-series probes
 RATIO_SLACK = 1e-6       # rounding allowance of the checks that a ratio is at most 1
 # member settings a sweep need not pass; profile and T have no default
 MEMBER_DEFAULTS = {**{key: DEFAULTS[key] for key in ("sign", "dt", "seed", "L_x", "L_xi")},
@@ -122,8 +121,8 @@ class DynamicsBundle:
 
     The grid is built at once; every other datum on first access, so data
     that no requested probe reads are never computed. All flows share one
-    snapshot stride: SNAPSHOT_POINTS intervals when a time-series probe is
-    requested, else only the initial and final states. The flows are
+    snapshot stride: ``series_stride`` when a time-series probe is requested,
+    else only the initial and final states. The flows are
     streamed (``streamed``); what they leave is one Streamed record.
     """
 
@@ -173,8 +172,7 @@ class DynamicsBundle:
         """
         T, vt = self.args["T"], self.wick_datum[0]
         steps, dt = resolve_steps(T, self.args["dt"])
-        stride = (None if SERIES_PROBES.isdisjoint(self.args["probes"])
-                  else max(1, steps // SNAPSHOT_POINTS))
+        stride = None if SERIES_PROBES.isdisjoint(self.args["probes"]) else series_stride(steps)
         flows = {"vlasov": Trajectory(), "linear": Trajectory()}
         steppers = [vlasov_steps(self.f0, T, dt, self.args["sign"], flows["vlasov"], stride),
                     linear_hartree_steps(self.op0, flows["vlasov"].fields, T, dt,

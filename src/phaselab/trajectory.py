@@ -8,11 +8,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Default time step of every flow. Time-splitting spectral schemes resolve
-# quadratic observables with a step that does not depend on hbar (Bao, Jin &
-# Markowich, J. Comput. Phys. 175, 2002); tests/test_sweeps.py and
-# tests/test_dynamics.py bound the change of every probe's result at dt / 2.
-DEFAULT_DT = 0.01
+# Default time step of every flow: 25 steps to T = 0.5. Time-splitting
+# spectral schemes resolve quadratic observables with a step that does not
+# depend on hbar (Bao, Jin & Markowich, J. Comput. Phys. 175, 2002);
+# tests/test_sweeps.py and tests/test_dynamics.py bound the change of every
+# probe's result, and of the dynamics-only Wigner error, at dt / 2.
+DEFAULT_DT = 0.02
+SNAPSHOT_POINTS = 8      # snapshot intervals per flow of a time series
 
 
 @dataclass
@@ -80,6 +82,13 @@ def resolve_steps(T: float, dt: float | None) -> tuple[int, float]:
         return 0, dt
     steps = max(1, round(T / dt))
     return steps, T / steps
+
+
+def series_stride(steps: int) -> int:
+    """The snapshot stride of a time series over a flow of ``steps`` steps,
+    shared by the sweep's series probes and the twin experiments: about
+    SNAPSHOT_POINTS intervals, each at least one step long."""
+    return max(1, steps // SNAPSHOT_POINTS)
 
 
 def snapshot_due(n: int, steps: int, stride: int | None) -> bool:

@@ -223,16 +223,17 @@ class TestStability:
 
 
 def test_twin_experiments_equal_the_stored_computation(grid32):
-    # the lockstep twins read the same bits as both flows stored at
-    # TWIN_SNAPSHOT_STRIDE, each rate taken per stored snapshot with the
-    # second flow's recorded field at that time
+    # the lockstep twins read the same bits as both flows stored at the
+    # series stride, each rate taken per stored snapshot with the second
+    # flow's recorded field at that time
     from phaselab.calculus import operator_sqrt
     from phaselab.hartree import evolve_hartree
     from phaselab.norms import schatten_norm
-    from phaselab.stability import TWIN_SNAPSHOT_STRIDE
+    from phaselab.trajectory import series_stride
     from phaselab.vlasov import evolve_vlasov
 
     T, dt = 0.2, 0.01
+    stride = series_stride(round(T / dt))
     f1 = sample_field(grid32, PROFILE)
     f2 = f1.copy_with(shift(f1.values, grid32.L_x, 3 * grid32.dx, axis=0))
     (_, op1), (_, op2) = wick_square_datum(f1), wick_square_datum(f2)
@@ -240,7 +241,7 @@ def test_twin_experiments_equal_the_stored_computation(grid32):
     def rho_sup(traj, t):
         return float(np.max(np.abs(next(s.rho for s in traj.fields if s.time == t))))
 
-    tr1, tr2 = (evolve_vlasov(f, T, dt, 1, snapshot_stride=TWIN_SNAPSHOT_STRIDE)
+    tr1, tr2 = (evolve_vlasov(f, T, dt, 1, snapshot_stride=stride)
                 for f in (f1, f2))
     C_inf = max(lebesgue_norm(f1, np.inf), lebesgue_norm(f2, np.inf))
     classical = {
@@ -250,7 +251,7 @@ def test_twin_experiments_equal_the_stored_computation(grid32):
         "lambda": [classical_rate(f, rho_sup(tr2, t), C_inf)
                    for t, f in zip(tr2.snapshot_times, tr2.snapshots)],
     }
-    qr1, qr2 = (evolve_hartree(op, T, dt, 1, snapshot_stride=TWIN_SNAPSHOT_STRIDE,
+    qr1, qr2 = (evolve_hartree(op, T, dt, 1, snapshot_stride=stride,
                                root=operator_sqrt(op)) for op in (op1, op2))
     C_inf = max(schatten_norm(op1, np.inf), schatten_norm(op2, np.inf))
     quantum = {
@@ -261,6 +262,6 @@ def test_twin_experiments_equal_the_stored_computation(grid32):
     }
     for rep, stored in ((classical_stability_experiment(f1, f2, T, dt, 1), classical),
                         (quantum_stability_experiment(op1, op2, T, dt, 1), quantum)):
-        assert len(rep.details["times"]) == 5
+        assert len(rep.details["times"]) == 11   # every second of 20 steps
         for key, want in stored.items():
             assert np.array_equal(rep.details[key], np.array(want)), (rep.probe, key)

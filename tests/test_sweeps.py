@@ -235,14 +235,14 @@ def _stored_series(args: dict) -> dict:
     from phaselab.norms import (quantum_sobolev_norm, schatten_norm, spatial_lebesgue_norm,
                                 spatial_sobolev_norm)
     from phaselab.probes import grad_e_sup, hessian_xi_norm
-    from phaselab.sweeps import SNAPSHOT_POINTS, DynamicsBundle
+    from phaselab.sweeps import DynamicsBundle
+    from phaselab.trajectory import series_stride
     from phaselab.transforms import weyl_quantize
     from phaselab.vlasov import evolve_vlasov
 
     b = DynamicsBundle(args)
     grid, T, dt, vt = b.grid, args["T"], b.dt, b.wick_datum[0]
-    steps = round(T / dt)
-    stride = max(1, steps // SNAPSHOT_POINTS)
+    stride = series_stride(round(T / dt))
     ftraj = evolve_vlasov(b.f0, T, dt, b.args["sign"], snapshot_stride=stride)
     lin = evolve_linear_hartree(b.op0, ftraj.fields, T, dt, snapshot_stride=stride, root=vt)
     hart = evolve_hartree(b.op0, T, dt, b.args["sign"], snapshot_stride=stride, root=vt)
@@ -303,6 +303,16 @@ def test_streamed_series_equal_the_stored_ones():
     for probe, values in _stored_series(args).items():
         for key, want in values.items():
             assert np.array_equal(streamed[probe][key], want), (probe, key)
+
+
+def test_series_snapshot_times_at_the_default_step():
+    # every third of 25 steps: the times of every sixth of 50 steps at half
+    # the default step
+    from phaselab.sweeps import DynamicsBundle
+
+    b = DynamicsBundle(dict(N=32, profile=PROFILE, T=0.5, probes=["regularity"]))
+    assert b.streamed.times == pytest.approx([0.06 * i for i in range(9)] + [0.5],
+                                             rel=0, abs=1e-12)
 
 
 def _square_kernels(obj, N: int, seen=None) -> list:
