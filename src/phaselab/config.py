@@ -68,8 +68,8 @@ def _check_types(data: dict):
             raise ConfigurationError(
                 f"config field {key!r} has type {type(value).__name__}, expected {expected}"
             )
-        if isinstance(value, bool) and expected is int:
-            raise ConfigurationError(f"config field {key!r} must be an integer")
+        if isinstance(value, bool) and expected is not bool:
+            raise ConfigurationError(f"config field {key!r} must be a number, not a boolean")
 
 
 def validate(data: dict) -> dict:
@@ -94,7 +94,7 @@ def validate(data: dict) -> dict:
     if merged["seed"] < 0:
         raise ConfigurationError("seed must be nonnegative")
     sweep = merged["sweep_N"]
-    if not all(isinstance(n, int) and n % 2 == 0 for n in sweep):
+    if not all(type(n) is int and n % 2 == 0 for n in sweep):  # a bool is not an int here
         raise ConfigurationError("sweep_N entries must be even integers")
     if sorted(sweep) != sweep or len(set(sweep)) != len(sweep):
         raise ConfigurationError("sweep_N must be strictly increasing")

@@ -8,12 +8,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Default time step of every flow: 25 steps to T = 0.5. Time-splitting
-# spectral schemes resolve quadratic observables with a step that does not
-# depend on hbar (Bao, Jin & Markowich, J. Comput. Phys. 175, 2002);
-# tests/test_sweeps.py and tests/test_dynamics.py bound the change of every
-# probe's result, and of the dynamics-only Wigner error, at dt / 2.
-DEFAULT_DT = 0.02
+# Default time step of every flow: 1/16, exact in binary, so 8 steps to
+# T = 0.5 and the step grid is the snapshot grid of a time series.
+# Time-splitting spectral schemes resolve quadratic observables with a step
+# that does not depend on hbar (Bao, Jin & Markowich, J. Comput. Phys. 175,
+# 2002); tests/test_sweeps.py and tests/test_dynamics.py bound the change of
+# every probe's result, and of the dynamics-only Wigner error, at dt / 2.
+DEFAULT_DT = 0.0625
 SNAPSHOT_POINTS = 8      # snapshot intervals per flow of a time series
 
 

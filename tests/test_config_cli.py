@@ -8,7 +8,16 @@ from phaselab.cli import main
 from phaselab.config import DEFAULTS, apply_overrides, load_config, validate
 from phaselab.errors import ConfigurationError
 from phaselab.io import dump_raw_array, load_raw_array
+from phaselab.trajectory import DEFAULT_DT, resolve_steps
 from phaselab.vlasov import BOUNDARY_TOL
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_configuration() -> str:
+    readme = (REPO / "README.md").read_text()
+    return readme.split("\n## Configuration", 1)[1].split("\n## ", 1)[0]
 
 
 @pytest.fixture
@@ -66,7 +75,7 @@ class TestConfig:
             apply_overrides(cfg, ["notakeyvalue"])
 
     @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+        "path", sorted((REPO / "configs").glob("*.json")),
         ids=lambda path: path.name)
     def test_shipped_config_validates(self, path):
         from phaselab.sweeps import PROBE_TABLE
@@ -82,10 +91,21 @@ class TestConfig:
             validate({"snapshot_stride": 3})
 
     def test_readme_table_lists_every_field(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## Configuration", 1)[1].split("\n## ", 1)[0]
-        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        rows = [line.split("|")[1] for line in _readme_configuration().splitlines()
+                if line.startswith("| `")]
         assert {name for row in rows for name in row.split("`")[1::2]} == set(DEFAULTS)
+
+    def test_readme_states_the_default_step(self):
+        # the dt row and the step-count sentence follow DEFAULT_DT
+        section = _readme_configuration()
+        dt_row = next(line for line in section.splitlines() if line.startswith("| `T`, `dt`"))
+        assert f"`null` -> {DEFAULT_DT} " in dt_row
+        text = " ".join(section.split())
+        steps, _ = resolve_steps(0.5, None)
+        assert f"the default step runs {steps} steps to T = 0.5," in text
+        quick = load_config(REPO / "configs" / "quick.json")
+        steps, dt = resolve_steps(quick["T"], quick["dt"])
+        assert f"`configs/quick.json` (T = {quick['T']}) runs {steps} steps of {dt:.4g}." in text
 
 
 class TestCli:
@@ -140,6 +160,16 @@ class TestCli:
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["commutator"]', "--jobs", "1"]) == 2
         assert capsys.readouterr().err.startswith("config-error: seed")
+
+    @pytest.mark.parametrize("override", [
+        "N=true", "L_x=true", "L_xi=false", "sign=true", "T=true", "dt=true", "dt=false",
+        "seed=false", "sweep_N=[false,64,96,128]", "sweep_N=[48,64,96,true]"])
+    def test_boolean_number_exits_2(self, config_file, capsys, override):
+        # JSON true/false is not a number in any numeric field
+        assert main(["sweep", "--config", str(config_file), "--set", override,
+                     "--set", 'probes=["convergence"]', "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and override.split("=")[0] in err
 
     def test_odd_n_exits_2(self, config_file):
         assert main(["run", "--config", str(config_file), "--set", "N=63"]) == 2

@@ -455,6 +455,15 @@ def test_default_step_resolves_prepared_error():
     assert abs(coarse - fine) <= 1e-3 * fine
 
 
+def test_prepared_error_gate_trips_at_twice_the_default_step():
+    """At 2 DEFAULT_DT the dynamics-only error moves by more than the 1e-3 of
+    the gate above, which therefore can fail, and the default step is within a
+    factor 2 of the largest step it admits."""
+    grid, op0 = _prepared_datum()
+    coarse, fine = (_prepared_error(grid, op0, dt) for dt in (2 * DEFAULT_DT, DEFAULT_DT))
+    assert abs(coarse - fine) > 1e-3 * fine
+
+
 @pytest.mark.parametrize("stride", [6, None])
 def test_steppers_share_snapshot_times(grid32, stride):
     """Vlasov, Hartree and linear Hartree store their states at the same times:

@@ -306,12 +306,12 @@ def test_streamed_series_equal_the_stored_ones():
 
 
 def test_series_snapshot_times_at_the_default_step():
-    # every third of 25 steps: the times of every sixth of 50 steps at half
-    # the default step
+    # every one of 8 steps: nine evenly spaced times, with no short last
+    # interval
     from phaselab.sweeps import DynamicsBundle
 
     b = DynamicsBundle(dict(N=32, profile=PROFILE, T=0.5, probes=["regularity"]))
-    assert b.streamed.times == pytest.approx([0.06 * i for i in range(9)] + [0.5],
+    assert b.streamed.times == pytest.approx([0.0625 * i for i in range(9)],
                                              rel=0, abs=1e-12)
 
 
@@ -358,19 +358,19 @@ def test_flows_hold_only_their_final_state():
 def test_streamed_error_names_probe_n_and_t(monkeypatch):
     # an error a series probe's per-snapshot consumer raises while the bundle
     # streams its flows names that probe, whichever flow probe started the
-    # stream, and the snapshot time
+    # stream, and the snapshot time (mid-flow: T = 0.1 is 2 steps of 0.05)
     from phaselab import sweeps
     from phaselab.errors import WrapAmbiguityError
 
     def consumer(b, s):
-        if s.t > 0.05:
+        if s.t > 0.025:
             raise WrapAmbiguityError("antipodal mass")
         return sweeps.regularity_snapshot(b, s)
 
     monkeypatch.setitem(sweeps.SNAPSHOT_TABLE, "regularity", consumer)
     for probes in (["regularity"], ["regularity", "convergence"]):
         with pytest.raises(WrapAmbiguityError,
-                           match=r"^probe regularity, N=48, t=0\.06: antipodal mass$"):
+                           match=r"^probe regularity, N=48, t=0\.05: antipodal mass$"):
             grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=probes))
 
 
@@ -418,9 +418,9 @@ def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):
     quantize = sweeps.weyl_quantize
     monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
     both = grid_member(dict(args, probes=("convergence", "positivity_defect")))
-    # one per Vlasov snapshot (t = 0, every sixth of the 50 steps, and T),
-    # plus f0 and f(T) for the headline
-    assert len(calls) == 12
+    # one per Vlasov snapshot (t = 0 and each of the 8 steps), plus f0 and
+    # f(T) for the headline
+    assert len(calls) == 11
     assert both["convergence"] == alone["convergence"]
 
 
@@ -434,7 +434,7 @@ def test_member_order_does_not_follow_the_request(monkeypatch):
     quantize = sweeps.weyl_quantize
     monkeypatch.setattr(sweeps, "weyl_quantize", lambda f: calls.append(1) or quantize(f))
     reordered = grid_member(dict(args, probes=("positivity_defect", "convergence")))
-    assert len(calls) == 12
+    assert len(calls) == 11
     monkeypatch.setattr(sweeps, "weyl_quantize", quantize)
     ordered = grid_member(dict(args, probes=("convergence", "positivity_defect")))
     assert reordered["convergence"] == ordered["convergence"]
