@@ -105,6 +105,9 @@ def validate(data: dict) -> dict:
         raise ConfigurationError("probes must not list a probe twice")
     if "name" not in merged["profile"]:
         raise ConfigurationError("profile needs a 'name' field")
+    for key, value in merged["profile"].items():
+        if key != "name" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigurationError(f"profile field {key!r} must be a number, got {value!r}")
     return merged
 
 

@@ -163,6 +163,15 @@ def _wrapped_offsets(coord: np.ndarray, center: float, period: float):
     return [coord - center + n * period for n in range(-3, 4)]
 
 
+def _mode(params: dict) -> int:
+    """The integer spatial ``mode`` of a perturbed profile (default 1), popped
+    from ``params``."""
+    mode = params.pop("mode", 1)
+    if not float(mode).is_integer():
+        raise ConfigurationError(f"profile mode must be an integer, got {mode!r}")
+    return int(mode)
+
+
 def _profile_values(grid: PhaseGrid, name: str, params: dict) -> np.ndarray:
     """The named profile on the grid; pops each parameter it reads from ``params``."""
     X, XI = grid.meshgrid()
@@ -183,14 +192,14 @@ def _profile_values(grid: PhaseGrid, name: str, params: dict) -> np.ndarray:
         # spatially perturbed Maxwellian, the classic Landau-type initial datum
         a = float(params.pop("a", 1.0))
         amp = float(params.pop("perturbation", 0.1))
-        mode = int(params.pop("mode", 1))
+        mode = _mode(params)
         sxi = float(params.pop("sigma_xi", 0.3 * grid.L_xi / (2 * math.pi)))
         dens = 1.0 + amp * np.cos(2 * math.pi * mode * X / L)
         return a * dens * np.exp(-(XI**2) / (2 * sxi**2))
     if name == "two_stream":
         a = float(params.pop("a", 1.0))
         amp = float(params.pop("perturbation", 0.05))
-        mode = int(params.pop("mode", 1))
+        mode = _mode(params)
         v0 = float(params.pop("v0", grid.L_xi / 8))
         sxi = float(params.pop("sigma_xi", grid.L_xi / 16))
         dens = 1.0 + amp * np.cos(2 * math.pi * mode * X / L)

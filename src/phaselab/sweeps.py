@@ -3,27 +3,29 @@ positivity-defect and diagonal-drift budgets, square-root comparison,
 regularity tracking, the single-inequality probes, and sweep aggregation
 into probe reports.
 
-Every probe is a pair in PROBE_TABLE: a metric of one grid's bundle, and the
-reports built from the metrics over N. A sweep is one member pass over the
-grid ladder: each member is a pure function of (N, settings) that builds one
+Every probe is one Probe in PROBE_TABLE: a metric of one grid's bundle, the
+reports built from the metrics over N, the flows it reads and, for a time
+series, its per-snapshot consumer. A sweep is one member pass over the grid
+ladder: each member is a pure function of (N, settings) that builds one
 DynamicsBundle and reads from it the metric of every requested probe. The
 bundle builds its data on first use, so each grid computes every datum, flow
 and shared per-snapshot quantity at most once, and only when a requested
 probe reads it. Results come back in increasing N, that is in decreasing
 hbar, so reports are deterministic for a fixed configuration.
 
-The snapshots are streamed, not stored. The Vlasov flow and the two
-Hartree flows step in lockstep, the Vlasov flow first, as its field history
-drives the linear Hartree flow; at each snapshot time the series probes'
-per-snapshot consumers (SNAPSHOT_TABLE) read the states, which are then
-dropped, so a member holds per-snapshot scalars and each flow's logs and
-final state, not its trajectory.
+The snapshots are streamed, not stored. The flows that the requested probes
+name step in lockstep, in FLOWS order, the Vlasov flow first, as its field
+history drives the linear Hartree flow; at each snapshot time the requested
+probes' per-snapshot consumers read the states by flow name, which are then
+dropped, so a member holds per-snapshot scalars, each flow's logs and fields,
+and the final states, not a trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +69,7 @@ from .probes import (
 )
 from .reports import ProbeReport, fit_loglog
 from .spectral import derivative, field_from_modes, random_mode_block
-from .trajectory import FieldSnapshot, Trajectory, resolve_steps, series_stride
+from .trajectory import Trajectory, resolve_steps, series_stride
 from .transforms import weyl_quantize, wigner_transform
 from .vlasov import vlasov_steps
 
@@ -115,15 +117,32 @@ def _slope_report(probe: str, band):
 # ---------------------------------------------------------------------------
 # the per-grid bundle
 
+# flow -> its stepping generator of (bundle, trajectories by flow name, snapshot
+# stride), in stepping order: the linear flow reads the field history that the
+# Vlasov flow appends earlier in the same lockstep step
+FLOWS = {
+    "vlasov": lambda b, trajs, stride: vlasov_steps(
+        b.f0, b.args["T"], b.dt, b.args["sign"], trajs["vlasov"], stride),
+    # Both Hartree flows carry the square root vt: it rides in the packed
+    # kernel at no FFT cost, and carrying it whatever the probe set keeps
+    # every probe's op bits independent of the others.
+    "linear": lambda b, trajs, stride: linear_hartree_steps(
+        b.op0, trajs["vlasov"].fields, b.args["T"], b.dt, trajs["linear"], stride,
+        root=b.wick_datum[0]),
+    "hartree": lambda b, trajs, stride: hartree_steps(
+        b.op0, b.args["T"], b.dt, b.args["sign"], trajs["hartree"], stride,
+        root=b.wick_datum[0]),
+}
+
 
 class DynamicsBundle:
     """One grid and everything its probes read.
 
     The grid is built at once; every other datum on first access, so data
     that no requested probe reads are never computed. All flows share one
-    snapshot stride: ``series_stride`` when a time-series probe is requested,
-    else only the initial and final states. The flows are
-    streamed (``streamed``); what they leave is one Streamed record.
+    snapshot stride: ``series_stride`` when a requested probe has a
+    per-snapshot consumer, else only the initial and final states. The flows
+    are streamed (``streamed``); what they leave is one Streamed record.
     """
 
     def __init__(self, args: dict):
@@ -158,50 +177,34 @@ class DynamicsBundle:
 
     @cached_property
     def streamed(self) -> Streamed:
-        """Step the Vlasov flow of f0, the linear Hartree flow of op0 in its
-        field history, and the nonlinear Hartree flow of op0 when a requested
-        probe reads it, in lockstep, the Vlasov flow first. At each snapshot
-        the per-snapshot consumer of every requested series probe reads the
-        flows; then the states are dropped. Both Hartree flows carry the
-        square root vt: it rides in the packed kernel at no FFT cost, and
-        carrying it whatever the probe set keeps every probe's op bits
-        independent of the others.
+        """Step the flows that the requested probes read, in lockstep and in
+        FLOWS order. At each snapshot the per-snapshot consumer of every
+        requested probe reads the states by flow name; then they are dropped.
 
         A PhaselabError raised by a consumer carries that consumer's probe
         and the snapshot time t.
         """
-        T, vt = self.args["T"], self.wick_datum[0]
-        steps, dt = resolve_steps(T, self.args["dt"])
-        stride = None if SERIES_PROBES.isdisjoint(self.args["probes"]) else series_stride(steps)
-        flows = {"vlasov": Trajectory(), "linear": Trajectory()}
-        steppers = [vlasov_steps(self.f0, T, dt, self.args["sign"], flows["vlasov"], stride),
-                    linear_hartree_steps(self.op0, flows["vlasov"].fields, T, dt,
-                                         flows["linear"], stride, root=vt)]
-        if not HARTREE_PROBES.isdisjoint(self.args["probes"]):
-            flows["hartree"] = Trajectory()
-            steppers.append(hartree_steps(self.op0, T, dt, self.args["sign"],
-                                          flows["hartree"], stride, root=vt))
-        consumers = {p: fn for p, fn in SNAPSHOT_TABLE.items() if p in self.args["probes"]}
+        probes = {p: PROBE_TABLE[p] for p in PROBE_TABLE if p in self.args["probes"]}
+        names = [n for n in FLOWS if any(n in probe.flows for probe in probes.values())]
+        consumers = {p: probe.snapshot for p, probe in probes.items() if probe.snapshot}
+        steps = resolve_steps(self.args["T"], self.args["dt"])[0]
+        stride = series_stride(steps) if consumers else None
+        flows = {n: Trajectory() for n in names}
+        steppers = [FLOWS[n](self, flows, stride) for n in names]
         series = {p: defaultdict(list) for p in consumers}
         times = []
         for states in zip(*steppers):
-            (t, f, fld), (_, op, root), *nonlinear = states
-            times.append(t)
-            snap = Snapshot(t, f, fld, op, root, nonlinear[0][2] if nonlinear else None)
+            snap = Snapshot(states[0][0], {n: state[1:] for n, state in zip(names, states)})
+            times.append(snap.t)
             for p, consume in consumers.items():
                 try:
                     values = consume(self, snap)
                 except PhaselabError as exc:
-                    exc.probe, exc.t = p, t
+                    exc.probe, exc.t = p, snap.t
                     raise
                 for key, value in values.items():
                     series[p][key].append(value)
-        (t, f, _), *operators = states
-        flows["vlasov"].add_snapshot(t, f)
-        for traj, (_, op, root) in zip(list(flows.values())[1:], operators):
-            traj.add_snapshot(t, op)
-            traj.root_snapshots.append(root)
-        return Streamed(flows["vlasov"], flows["linear"], flows.get("hartree"), times, series)
+        return Streamed(flows, snap.states, times, series)
 
     @cached_property
     def op_norm(self) -> float:
@@ -214,14 +217,13 @@ class DynamicsBundle:
 
 
 class Streamed(NamedTuple):
-    """What a bundle's streamed flows leave: each flow with its logs, its
-    fields and its final state (and root; ``hartree`` is None when no
-    requested probe reads that flow), the snapshot times, and per requested
-    series probe the lists of its per-snapshot values."""
+    """What a bundle's streamed flows leave: the Trajectory of each flow by
+    name, with its logs and fields; the states of the last snapshot by flow
+    name (see Snapshot); the snapshot times; and per requested series probe
+    the lists of its per-snapshot values."""
 
-    vlasov: Trajectory
-    linear: Trajectory
-    hartree: Trajectory | None
+    flows: dict[str, Trajectory]
+    final: dict[str, tuple]
     times: list[float]
     series: dict[str, dict]
 
@@ -229,25 +231,22 @@ class Streamed(NamedTuple):
 @dataclass
 class Snapshot:
     """One snapshot time of a bundle's flows, read by the per-snapshot
-    consumers of the series probes and then dropped: the Vlasov field f and
-    its Poisson data, the linear Hartree op and its carried root, and the
-    carried root of the nonlinear Hartree flow when that flow runs."""
+    consumers of the series probes and then dropped. ``states[name]`` is
+    what that flow yields after t: the Vlasov field f and its Poisson data
+    (f, field), or a Hartree flow's op and its carried root (op, root)."""
 
     t: float
-    f: PhaseField
-    field: FieldSnapshot
-    op: DensityOperator
-    root: DensityOperator
-    hartree_root: DensityOperator | None
+    states: dict[str, tuple]
 
     @cached_property
     def op_f(self) -> DensityOperator:
-        return weyl_quantize(self.f)
+        return weyl_quantize(self.states["vlasov"][0])
 
     @cached_property
     def weyl_term(self) -> float:
         """||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}, with rho the Vlasov density."""
-        return (spatial_sobolev_norm(self.field.rho, self.f.grid.L_x, 1, np.inf)
+        f, field = self.states["vlasov"]
+        return (spatial_sobolev_norm(field.rho, f.grid.L_x, 1, np.inf)
                 * quantum_sobolev_norm(self.op_f, 2, 2, 2))
 
 
@@ -269,10 +268,8 @@ def regularity_checklist(f0: PhaseField) -> dict:
 def headline_metric(b: DynamicsBundle) -> dict:
     """Errors at time T between the Hartree, linear Hartree and Vlasov flows."""
     checklist = regularity_checklist(b.f0)
-    flows = b.streamed
-    fT = flows.vlasov.final()
-    opT = flows.hartree.final()
-    tilT = flows.linear.final()
+    s = b.streamed
+    fT, opT, tilT = (s.final[name][0] for name in ("vlasov", "hartree", "linear"))
     op_f0, opfT = weyl_quantize(b.f0), weyl_quantize(fT)
     wT = wigner_transform(opT)
     diff = wT.values - fT.values
@@ -285,8 +282,8 @@ def headline_metric(b: DynamicsBundle) -> dict:
         "gap_positivity": schatten_norm(tilT - opfT, 2),
         "init_gap": schatten_norm(b.op0 - op_f0, 2),
         "checklist": checklist,
-        "mass_drift": flows.vlasov.relative_drift("mass"),
-        "trace_drift": flows.hartree.relative_drift("trace"),
+        "mass_drift": s.flows["vlasov"].relative_drift("mass"),
+        "trace_drift": s.flows["hartree"].relative_drift("trace"),
     }
 
 
@@ -312,11 +309,12 @@ def defect_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
     """Linear Hartree op_til against op_f = weyl_quantize(f) at one snapshot:
     the L2 defect, the L2 drift of the density, the Weyl term, and the
     budget rate ||grad E||_inf ||grad_xi^2 f||_L2."""
-    rho_diff = spatial_density(s.op).real - spatial_density(s.op_f).real
-    return {"gap": schatten_norm(s.op - s.op_f, 2),
+    (f, field), (op, _) = s.states["vlasov"], s.states["linear"]
+    rho_diff = spatial_density(op).real - spatial_density(s.op_f).real
+    return {"gap": schatten_norm(op - s.op_f, 2),
             "left_diag": spatial_lebesgue_norm(rho_diff, b.grid.dx, 2),
             "term": s.weyl_term,
-            "rate": grad_e_sup(b.grid, s.field.E) * hessian_xi_norm(s.f)}
+            "rate": grad_e_sup(b.grid, field.E) * hessian_xi_norm(f)}
 
 
 def defect_metric(b: DynamicsBundle) -> dict:
@@ -357,9 +355,7 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
         pos.require("c_star_stability_soft", spread, 1.5)
     else:
         pos.details["c_star_stability"] = "not informative at this horizon"
-    pos.details["members"] = [
-        {k: v for k, v in m.items() if k not in ("times",)} for m in members
-    ]
+    pos.details["members"] = [{k: v for k, v in m.items() if k != "times"} for m in members]
 
     diag = _report("diag_drift", members, [float(m["left_diag"][-1]) for m in members],
                    [float(m["diag_budget"]) for m in members], [0.8, 1.2])
@@ -373,8 +369,9 @@ def defect_reports(members: list) -> tuple[ProbeReport, ProbeReport]:
 def sqrt_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
     """The two carried roots at one snapshot: ||v - v_til||_L2, the quantum
     rate of the linear root v_til with its W^{1,2} piece, and the Weyl term."""
-    lam, w12, _ = quantum_rate(s.root, float(np.max(np.abs(s.field.rho))), b.op_norm)
-    return {"left": schatten_norm(s.hartree_root - s.root, 2), "lam": lam, "w12": w12,
+    root, rho = s.states["linear"][1], s.states["vlasov"][1].rho
+    lam, w12, _ = quantum_rate(root, float(np.max(np.abs(rho))), b.op_norm)
+    return {"left": schatten_norm(s.states["hartree"][1] - root, 2), "lam": lam, "w12": w12,
             "term": s.weyl_term}
 
 
@@ -383,9 +380,9 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     flows are unitary conjugations, so each carries the square root vt of op0
     to the square root of its evolved operator at every snapshot; the two
     routes are compared once per flow, at time T."""
-    flows = b.streamed
-    times = np.asarray(flows.times)
-    series = flows.series["sqrt_comparison"]
+    s = b.streamed
+    times = np.asarray(s.times)
+    series = s.series["sqrt_comparison"]
     Lambda = cumulative_trapezoid(np.asarray(series["lam"]), times)
     c_series = np.array([w12 * (b.c_init + term)
                          for w12, term in zip(series["w12"], series["term"])])
@@ -396,9 +393,8 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
         env0[n] = b.grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
     return {
         "times": times, "left": np.array(series["left"]), "env0": env0,
-        "sqrt_two_routes_gap": max(
-            schatten_norm(operator_sqrt(flow.final()) - flow.root_snapshots[-1], 2)
-            for flow in (flows.linear, flows.hartree)),
+        "sqrt_two_routes_gap": max(schatten_norm(operator_sqrt(op) - root, 2)
+                                   for op, root in (s.final["linear"], s.final["hartree"])),
     }
 
 
@@ -409,14 +405,11 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
     for m in members:
         left, env0, times = m["left"], m["env0"], m["times"]
         fit_idx = next((i for i in range(1, len(times)) if env0[i] > 0 and left[i] > 0), None)
-        if fit_idx is None:
+        if fit_idx is None or fit_idx + 1 >= len(times):
             continue
         c_star = left[fit_idx] / env0[fit_idx]
-        if fit_idx + 1 >= len(times):
-            continue
         later = slice(fit_idx + 1, len(times))
-        ratio = np.max(left[later] / (c_star * env0[later]))
-        ratios.append(float(ratio))
+        ratios.append(float(np.max(left[later] / (c_star * env0[later]))))
     report.require("left_under_fitted_envelope", max(ratios, default=0.0), 1.0 + RATIO_SLACK)
     report.require("sqrt_commutes_with_flow",
                    max(m["sqrt_two_routes_gap"] for m in members), 1e-8)
@@ -432,8 +425,9 @@ def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
     """The W^k(m) norm of the root carried by the linear Hartree flow, and
     the rate max ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density, eps = 1/2."""
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
-    return {"norm": quantum_sobolev_norm(s.root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL),
-            "rho_rate": max(spatial_sobolev_norm(s.field.rho, b.grid.L_x, 2 * n, 3.0 + eps)
+    root, rho = s.states["linear"][1], s.states["vlasov"][1].rho
+    return {"norm": quantum_sobolev_norm(root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL),
+            "rho_rate": max(spatial_sobolev_norm(rho, b.grid.L_x, 2 * n, 3.0 + eps)
                             for eps in (-0.5, 0.5))}
 
 
@@ -479,12 +473,11 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
     op_wick = weyl_quantize(smoothed)   # wick_quantize(f), from the one smoothing
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
-    hess = np.sqrt(
-        np.abs(derivative(f.values.astype(complex), grid.L_x, axis=0, order=2)) ** 2
-        + 2 * np.abs(derivative(derivative(f.values.astype(complex), grid.L_x, axis=0),
-                                grid.L_xi, axis=1)) ** 2
-        + np.abs(derivative(f.values.astype(complex), grid.L_xi, axis=1, order=2)) ** 2
-    )
+    fc = f.values.astype(complex)
+    mixed = derivative(derivative(fc, grid.L_x, axis=0), grid.L_xi, axis=1)
+    hess = np.sqrt(np.abs(derivative(fc, grid.L_x, axis=0, order=2)) ** 2
+                   + 2 * np.abs(mixed) ** 2
+                   + np.abs(derivative(fc, grid.L_xi, axis=1, order=2)) ** 2)
     hess_norm = float(np.sqrt(np.sum(hess**2) * grid.cell))
     # the complex-transform route with the kernel sampled afresh
     reference = husimi_convolve(f, kernel=gaussian_phase_kernel(grid))
@@ -586,33 +579,39 @@ def commutator_report(members: list) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # the probe table and the one member pass
 
-# probe -> (metric of one grid's bundle, reports built from the metrics over N),
-# in the order of config.PROBES; the member adds N and hbar to every metric
+class Probe(NamedTuple):
+    """One probe: the metric of one grid's bundle, the reports built from
+    the metrics over N, the FLOWS that the metric reads (none for a static
+    probe) and, for a time-series probe, the per-snapshot consumer that the
+    bundle runs while it streams them."""
+
+    metric: Callable[[DynamicsBundle], dict]
+    reports: Callable[[list], list[ProbeReport]]
+    flows: tuple[str, ...] = ()
+    snapshot: Callable[[DynamicsBundle, Snapshot], dict] | None = None
+
+
+# probe name -> Probe, in the order of config.PROBES; the member adds N and
+# hbar to every metric
 PROBE_TABLE = {
-    "convergence": (headline_metric, lambda ms: [convergence_report(ms)]),
-    "wick_structure": (wick_structure_metric, lambda ms: [wick_structure_report(ms)]),
-    "wick_square": (lambda b: wick_square_probe(b.gaussian), lambda ms: [wick_square_report(ms)]),
-    "weight_remainder": (weight_remainder_metric, lambda ms: [weight_remainder_report(ms)]),
-    "commutator": (commutator_metric, lambda ms: [commutator_report(ms)]),
-    "b_remainder": (lambda b: b_bound_probe(b.f0, b.args["sign"]),
-                    _slope_report("b_remainder", [1.8, 2.2])),
-    "init_diff": (lambda b: init_diff_probe(b.gaussian), _slope_report("init_diff", [0.8, 1.2])),
-    "positivity_defect": (defect_metric, lambda ms: list(defect_reports(ms))),
-    "sqrt_comparison": (sqrt_metric, lambda ms: [sqrt_comparison_report(ms)]),
-    "regularity": (regularity_metric, lambda ms: [regularity_report(ms)]),
+    "convergence": Probe(headline_metric, lambda ms: [convergence_report(ms)],
+                         ("vlasov", "linear", "hartree")),
+    "wick_structure": Probe(wick_structure_metric, lambda ms: [wick_structure_report(ms)]),
+    "wick_square": Probe(lambda b: wick_square_probe(b.gaussian),
+                         lambda ms: [wick_square_report(ms)]),
+    "weight_remainder": Probe(weight_remainder_metric, lambda ms: [weight_remainder_report(ms)]),
+    "commutator": Probe(commutator_metric, lambda ms: [commutator_report(ms)]),
+    "b_remainder": Probe(lambda b: b_bound_probe(b.f0, b.args["sign"]),
+                         _slope_report("b_remainder", [1.8, 2.2])),
+    "init_diff": Probe(lambda b: init_diff_probe(b.gaussian),
+                       _slope_report("init_diff", [0.8, 1.2])),
+    "positivity_defect": Probe(defect_metric, lambda ms: list(defect_reports(ms)),
+                               ("vlasov", "linear"), defect_snapshot),
+    "sqrt_comparison": Probe(sqrt_metric, lambda ms: [sqrt_comparison_report(ms)],
+                             ("vlasov", "linear", "hartree"), sqrt_snapshot),
+    "regularity": Probe(regularity_metric, lambda ms: [regularity_report(ms)],
+                        ("vlasov", "linear"), regularity_snapshot),
 }
-# series probe -> its per-snapshot consumer, run while the bundle streams its flows
-SNAPSHOT_TABLE = {
-    "positivity_defect": defect_snapshot,
-    "sqrt_comparison": sqrt_snapshot,
-    "regularity": regularity_snapshot,
-}
-# the probes that read the snapshot series
-SERIES_PROBES = frozenset(SNAPSHOT_TABLE)
-# the probes that read a flow; a member evaluates the others first
-FLOW_PROBES = SERIES_PROBES | {"convergence"}
-# the probes that read the nonlinear Hartree flow
-HARTREE_PROBES = frozenset({"convergence", "sqrt_comparison"})
 
 
 def grid_member(args: dict) -> dict:
@@ -628,11 +627,11 @@ def grid_member(args: dict) -> dict:
     """
     bundle = DynamicsBundle(args)
     order = list(PROBE_TABLE)
-    probes = sorted(args["probes"], key=lambda p: (p in FLOW_PROBES, order.index(p)))
+    probes = sorted(args["probes"], key=lambda p: (bool(PROBE_TABLE[p].flows), order.index(p)))
     metrics = {}
     for p in probes:
         try:
-            metrics[p] = {**PROBE_TABLE[p][0](bundle), "N": bundle.grid.N,
+            metrics[p] = {**PROBE_TABLE[p].metric(bundle), "N": bundle.grid.N,
                           "hbar": bundle.grid.hbar}
         except PhaselabError as exc:
             at = "" if exc.t is None else f", t={exc.t:.4g}"
@@ -654,4 +653,4 @@ def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[P
         raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)
                                         for N in sorted(N_list)], jobs)
-    return {p: PROBE_TABLE[p][1]([m[p] for m in members]) for p in probes}
+    return {p: PROBE_TABLE[p].reports([m[p] for m in members]) for p in probes}

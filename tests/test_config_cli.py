@@ -149,6 +149,16 @@ class TestCli:
         assert err.startswith("config-error: profile 'maxwellian'")
         assert "'sigma'" in err
 
+    @pytest.mark.parametrize("override", ["profile.perturbation=true", 'profile.perturbation="x"',
+                                          "profile.perturbation=[1]", "profile.mode=1.7"])
+    def test_non_number_profile_field_exits_2(self, override, tmp_path, capsys):
+        # a profile parameter is a JSON number, and a mode an integer: a
+        # boolean is not read as 1.0, nor 1.7 truncated to 1
+        assert main(["sweep", "--config", str(REPO / "configs" / "quick.json"), "--jobs", "1",
+                     "--out", str(tmp_path / "out"), "--set", 'probes=["b_remainder"]',
+                     "--set", override]) == 2
+        assert capsys.readouterr().err.startswith("config-error: ")
+
     def test_non_finite_profile_exits_2(self, config_file, tmp_path, capsys):
         assert main(["run", "--config", str(config_file), "--set", "profile.sigma_xi=0"]) == 2
         assert capsys.readouterr().err.startswith(
@@ -341,7 +351,8 @@ class TestCli:
             rep.require("lhs_slope", 0.0, [0.85, 1.15])
             return [rep]
 
-        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square", (lambda b: {}, fake_reports))
+        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square",
+                            sweeps.Probe(lambda b: {}, fake_reports))
         code = main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["wick_square"]', "--jobs", "1"])
@@ -357,7 +368,8 @@ class TestCli:
         def broken_reports(members):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square", (lambda b: {}, broken_reports))
+        monkeypatch.setitem(sweeps.PROBE_TABLE, "wick_square",
+                            sweeps.Probe(lambda b: {}, broken_reports))
         code = main(["sweep", "--config", str(config_file),
                      "--set", "sweep_N=[48,64,96,128]",
                      "--set", 'probes=["wick_square"]', "--jobs", "1"])

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab.config import load_config
+from phaselab.config import PROBES, load_config
 from phaselab.errors import ConfigurationError, SupportEscapeError
 from phaselab.sweeps import (
-    SERIES_PROBES,
+    FLOWS,
+    PROBE_TABLE,
     grid_member,
     run_members,
     sweep_reports,
@@ -16,6 +17,8 @@ from phaselab.trajectory import DEFAULT_DT
 
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 SMALL = (48, 64, 96, 128)
+# the probes with a per-snapshot consumer, which read the snapshot series
+SERIES_PROBES = frozenset(p for p, probe in PROBE_TABLE.items() if probe.snapshot)
 
 
 def test_convergence_needs_four_points():
@@ -213,6 +216,22 @@ def test_positivity_defect_alone_carries_the_root(monkeypatch):
     assert [_carries_root(f) for f in flows] == [False, True]
 
 
+# flow name in FLOWS -> the step generator that _count_flows records it by
+STEPPERS = {"vlasov": "vlasov_steps", "linear": "linear_hartree_steps",
+            "hartree": "hartree_steps"}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_probe_alone_starts_its_declared_flows(probe, monkeypatch):
+    # exactly the flows the probe names, each once and in FLOWS order; a
+    # static probe starts none
+    assert set(PROBE_TABLE[probe].flows) <= set(FLOWS)
+    flows = _count_flows(monkeypatch)
+    grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=[probe], pairs=2))
+    assert [f["flow"] for f in flows] == [STEPPERS[n] for n in FLOWS
+                                          if n in PROBE_TABLE[probe].flows]
+
+
 def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     flows = _count_flows(monkeypatch)
     sweep_reports(["convergence"], SMALL, profile=PROFILE, T=0.1)
@@ -333,25 +352,30 @@ def _square_kernels(obj, N: int, seen=None) -> list:
 
 
 def test_flows_hold_only_their_final_state():
-    from phaselab.config import PROBES
-    from phaselab.sweeps import PROBE_TABLE, DynamicsBundle
+    from phaselab.sweeps import DynamicsBundle
 
     N = 48
     b = DynamicsBundle(dict(N=N, profile=PROFILE, T=0.1, probes=PROBES))
     for p in PROBES:
-        PROBE_TABLE[p][0](b)
+        PROBE_TABLE[p].metric(b)
     s = b.streamed
-    final_time = s.times[-1]
     assert len(s.times) > 2
-    assert s.vlasov.snapshot_times == [final_time]
-    assert [id(k) for k in _square_kernels(s.vlasov, N)] == [id(s.vlasov.final().values)]
-    assert len(s.vlasov.fields) == len(s.vlasov.times)
-    for flow in (s.hartree, s.linear):
-        assert flow.snapshot_times == [final_time]
-        held = {id(k) for k in _square_kernels(flow, N)}
-        assert held == {id(flow.final().kernel), id(flow.root_snapshots[-1].kernel)}
-        assert len(flow.times) == len(s.vlasov.times)
-    assert len(s.hartree.fields) == len(s.vlasov.fields)
+    # the trajectories hold logs and fields, and no N x N kernel
+    assert list(s.flows) == list(FLOWS)
+    assert _square_kernels(s.flows, N) == []
+    vlasov, hartree = s.flows["vlasov"], s.flows["hartree"]
+    assert len(vlasov.fields) == len(vlasov.times)
+    assert len(hartree.fields) == len(vlasov.fields)
+    assert all(len(flow.times) == len(vlasov.times) for flow in s.flows.values())
+    # the final states are f(T) and each Hartree flow's op and root
+    assert list(s.final) == list(FLOWS)
+    f, field = s.final["vlasov"]
+    assert field.time == s.times[-1]
+    assert [id(k) for k in _square_kernels(s.final["vlasov"], N)] == [id(f.values)]
+    for name in ("linear", "hartree"):
+        op, root = s.final[name]
+        held = {id(k) for k in _square_kernels(s.final[name], N)}
+        assert held == {id(op.kernel), id(root.kernel)}
     assert _square_kernels(s.series, N) == []
 
 
@@ -367,7 +391,8 @@ def test_streamed_error_names_probe_n_and_t(monkeypatch):
             raise WrapAmbiguityError("antipodal mass")
         return sweeps.regularity_snapshot(b, s)
 
-    monkeypatch.setitem(sweeps.SNAPSHOT_TABLE, "regularity", consumer)
+    monkeypatch.setitem(sweeps.PROBE_TABLE, "regularity",
+                        sweeps.PROBE_TABLE["regularity"]._replace(snapshot=consumer))
     for probes in (["regularity"], ["regularity", "convergence"]):
         with pytest.raises(WrapAmbiguityError,
                            match=r"^probe regularity, N=48, t=0\.05: antipodal mass$"):

@@ -1,12 +1,14 @@
-"""The lint step: every ``def`` and ``class`` of the package is referenced by
-name somewhere in the package, except the entries of ALLOWED, each with the
-reason it stays. A function or class is referenced by a name or an attribute
-read, a method only by an attribute read (``x.name``); an attribute read on a
-plain ``import`` alias (``np.trace``) names the imported module's member and
+"""The lint step: every ``def``, ``class`` and module-level UPPER_CASE
+constant of the package is referenced by name somewhere in the package,
+except the entries of ALLOWED, each with the reason it stays. A function,
+class or constant is referenced by a name read or an attribute read, a
+method only by an attribute read (``x.name``); an attribute read on a plain
+``import`` alias (``np.trace``) names the imported module's member and
 references nothing here. Dunder methods are called by the language and
 exempt."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,13 +29,25 @@ ALLOWED = {
 }
 
 
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
 def unreferenced_defs(sources: dict[str, str]) -> list[str]:
-    """``module.qualname`` of every def and class in the given modules (name
-    -> source) that no expression of any of them reads: a method by an
-    attribute read, any other def by a name or an attribute read."""
+    """``module.qualname`` of every def, class and module-level UPPER_CASE
+    constant in the given modules (name -> source) that no expression of any
+    of them reads: a method by an attribute read, any other def and a
+    constant by a name or an attribute read."""
     defs, names, attrs = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and CONSTANT.fullmatch(name.id)):
+                        defs.append((name.id, f"{module}.{name.id}", False))
         stack = [(tree, "", False)]
         while stack:
             node, scope, in_class = stack.pop()
@@ -46,7 +60,7 @@ def unreferenced_defs(sources: dict[str, str]) -> list[str]:
         aliases = {(a.asname or a.name).split(".")[0]
                    for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and not (
                     isinstance(node.value, ast.Name) and node.value.id in aliases):
@@ -68,6 +82,15 @@ def test_check_finds_an_unreferenced_def():
                "b": "import numpy as np\nfrom a import helper\n"
                     "total = helper()\nnp.trace(total)\n"}
     assert unreferenced_defs(sources) == ["a.A.total", "a.A.trace", "a.A.unused"]
+
+
+def test_check_finds_an_unread_constant():
+    # a module-level UPPER_CASE name that is only stored, or only imported,
+    # is unread; a lower-case one and a class attribute are not constants
+    sources = {"a": "A, B = 1, 2\nC: int = 3\nREAD = A\nlower = 4\n"
+                    "class K:\n    SLOT = 5\n",
+               "b": "from a import B, READ\nfrom a import K\nprint(READ, K)\n"}
+    assert unreferenced_defs(sources) == ["a.B", "a.C"]
 
 
 def test_every_def_has_a_reference():
