@@ -67,20 +67,26 @@ def quantum_rate(v: DensityOperator, rho_sup: float, C_inf: float) -> tuple[floa
     return w12 * np.sqrt(rho_sup) + np.sqrt(C_inf) * pair, w12, pair
 
 
-def fit_c_star(times, left, Lambda) -> float:
-    """Effective Gronwall constant calibrated on the earliest usable interval.
-
-    Uses the first time where both the left side and Lambda have moved;
-    frozen afterwards so envelopes are not self-fulfilling. Never negative.
-    """
+def _implied_rates(times, left, Lambda):
+    """(t, log(left / left0) / Lambda) at each later time t where both the
+    left side and Lambda have moved; none when left0 <= 0."""
     left = np.asarray(left)
     Lambda = np.asarray(Lambda)
     if left[0] <= 0:
-        return 0.0
+        return
     for n in range(1, len(times)):
         if Lambda[n] > 0 and left[n] > 0:
-            return max(float(np.log(left[n] / left[0]) / Lambda[n]), 0.0)
-    return 0.0
+            yield times[n], float(np.log(left[n] / left[0]) / Lambda[n])
+
+
+def fit_c_star(times, left, Lambda) -> float:
+    """Effective Gronwall constant calibrated on the earliest usable interval.
+
+    Uses the implied rate at the first time where both the left side and
+    Lambda have moved; frozen afterwards so envelopes are not
+    self-fulfilling. Never negative.
+    """
+    return max(next((rate for _, rate in _implied_rates(times, left, Lambda)), 0.0), 0.0)
 
 
 def fit_c_star_window(times, left, Lambda) -> float:
@@ -92,17 +98,6 @@ def fit_c_star_window(times, left, Lambda) -> float:
     transients of symmetric twin data, for which the single-first-interval
     rate systematically underestimates the saturated growth rate.
     """
-    times = np.asarray(times)
-    left = np.asarray(left)
-    Lambda = np.asarray(Lambda)
-    if left[0] <= 0 or len(times) < 2:
-        return 0.0
     t_cal = times[0] + 0.5 * (times[-1] - times[0])
-    best = 0.0
-    for n in range(1, len(times)):
-        if times[n] > t_cal:
-            break
-        if Lambda[n] > 0 and left[n] > 0:
-            best = max(best, float(np.log(left[n] / left[0]) / Lambda[n]))
-    return best
+    return max([0.0, *(rate for t, rate in _implied_rates(times, left, Lambda) if t <= t_cal)])
 

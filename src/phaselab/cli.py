@@ -265,12 +265,12 @@ def main(argv=None) -> int:
         if args.verb == "probe":
             return cmd_probe(config, args.name, args.jobs)
         raise ConfigurationError(f"unknown verb {args.verb!r}")
-    except ConfigurationError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PhaselabError as exc:
-        print(f"solver-error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        config = isinstance(exc, ConfigurationError)
+        # a per-snapshot consumer's error names its probe and time (sweeps.stream)
+        at = "" if exc.probe is None else f"probe {exc.probe}, t={exc.t:.4g}: "
+        print(f"{'config' if config else 'solver'}-error: {at}{exc}", file=sys.stderr)
+        return EXIT_CONFIG if config else EXIT_SOLVER
     except Exception as exc:
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()

@@ -8,6 +8,7 @@ any computation starts.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -70,6 +71,8 @@ def _check_types(data: dict):
             )
         if isinstance(value, bool) and expected is not bool:
             raise ConfigurationError(f"config field {key!r} must be a number, not a boolean")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"config field {key!r} must be finite, got {value!r}")
 
 
 def validate(data: dict) -> dict:
@@ -106,8 +109,10 @@ def validate(data: dict) -> dict:
     if "name" not in merged["profile"]:
         raise ConfigurationError("profile needs a 'name' field")
     for key, value in merged["profile"].items():
-        if key != "name" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigurationError(f"profile field {key!r} must be a number, got {value!r}")
+        if key != "name" and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not math.isfinite(value)):
+            raise ConfigurationError(
+                f"profile field {key!r} must be a finite number, got {value!r}")
     return merged
 
 

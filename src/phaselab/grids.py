@@ -259,13 +259,9 @@ def gaussian_phase_kernel(grid: PhaseGrid) -> PhaseField:
             f"grid does not resolve g_h: need dx={grid.dx:.3g} <= sqrt(hbar)={s:.3g} "
             f"and dxi={grid.dxi:.3g} <= sqrt(hbar)"
         )
-    x = grid.x_centered  # storage order, minimal image: row 0 is z_x = 0
-    xi = grid.xi
-    gx = np.zeros_like(x)
-    gxi = np.zeros_like(xi)
-    for n in range(-3, 4):
-        gx += np.exp(-((x + n * grid.L_x) ** 2) / hbar)
-        gxi += np.exp(-((xi + n * grid.L_xi) ** 2) / hbar)
+    # grid.x_centered is in storage order, minimal image: row 0 is z_x = 0
+    gx, gxi = (sum(np.exp(-(d**2) / hbar) for d in _wrapped_offsets(c, 0.0, L))
+               for c, L in ((grid.x_centered, grid.L_x), (grid.xi, grid.L_xi)))
     vals = (math.pi * hbar) ** -1 * np.outer(gx, gxi)
     mass = vals.sum() * grid.cell
     return PhaseField(grid, vals / mass, real=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .budgets import sqrt_field
 from .calculus import (
     momentum_weight_apply,
     quantum_gradient_xi,
@@ -130,19 +129,14 @@ def init_diff_probe(g_field: PhaseField) -> dict:
     grid = g_field.grid
     gap, g2 = _wick_square_gap(g_field)
     lhs = schatten_norm(momentum_weight_apply(gap, 1, "both"), 2)
-    piece_g = max(weighted_sobolev_norm(g_field, 1, 4, 1),
-                  weighted_sobolev_norm(g_field, 3, 2, 0)) ** 2
-    piece_g2 = max(weighted_sobolev_norm(g2, 1, 2, 1),
-                   weighted_sobolev_norm(g2, 2, 2, 0))
-    budget = grid.hbar * (piece_g + piece_g2)
-    return {"lhs": lhs, "budget": budget}
+    return {"lhs": lhs, "budget": grid.hbar * c_init(g_field, g2)}
 
 
-def c_init_value(f0: PhaseField) -> float:
-    """C^init = ||sqrt(f0)||^2_{W^{1,4}_1 cap H^3} + ||f0||_{H^1_1 cap H^2}."""
-    s = sqrt_field(f0)
-    a = max(weighted_sobolev_norm(s, 1, 4, 1), weighted_sobolev_norm(s, 3, 2, 0))
-    b = max(weighted_sobolev_norm(f0, 1, 2, 1), weighted_sobolev_norm(f0, 2, 2, 0))
+def c_init(root: PhaseField, f: PhaseField) -> float:
+    """C^init = ||root||^2_{W^{1,4}_1 cap H^3} + ||f||_{H^1_1 cap H^2}, for a
+    datum f = root^2."""
+    a = max(weighted_sobolev_norm(root, 1, 4, 1), weighted_sobolev_norm(root, 3, 2, 0))
+    b = max(weighted_sobolev_norm(f, 1, 2, 1), weighted_sobolev_norm(f, 2, 2, 0))
     return a**2 + b
 
 

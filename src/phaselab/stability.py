@@ -28,6 +28,7 @@ from .hartree import hartree_steps
 from .norms import h_half_norm, lebesgue_norm, schatten_norm
 from .operators import DensityOperator
 from .reports import ProbeReport
+from .sweeps import stream
 from .trajectory import Trajectory, resolve_steps, series_stride
 from .transforms import wigner_transform
 from .vlasov import vlasov_steps
@@ -35,13 +36,15 @@ from .vlasov import vlasov_steps
 ENVELOPE_SLACK = 1e-9        # rounding allowance of the envelope checks
 
 
-def _twin_report(probe: str, hbar: float, times, left, left_l2, lam, C_inf: float,
+def _twin_report(probe: str, hbar: float, times, series: dict, C_inf: float,
                  l1_init, **details) -> ProbeReport:
     """The tail both twin experiments share: details, the identical-data
-    branch, the fitted envelope and the L2-L1 corollary. ``lam`` is the
-    Gronwall rate at each snapshot time and Lambda its running integral.
-    ``l1_init()`` gives the L1 distance of the initial data; it runs only
-    when they differ."""
+    branch, the fitted envelope and the L2-L1 corollary. ``series`` holds the
+    snapshot series "left", "left_l2" and "lam", the Gronwall rate, whose
+    running integral is Lambda. ``l1_init()`` gives the L1 distance of the
+    initial data; it runs only when they differ."""
+    times = np.asarray(times)
+    left, left_l2, lam = (np.array(series[key]) for key in ("left", "left_l2", "lam"))
     Lambda = cumulative_trapezoid(lam, times)
     report = ProbeReport(probe=probe, hbar=[hbar])
     report.details.update({"times": times, "left": left, "lambda": lam,
@@ -75,31 +78,30 @@ def classical_stability_experiment(f1_0: PhaseField, f2_0: PhaseField, T: float,
 
     Also checks the corollary ||f1 - f2||_L2 <= 2 C_inf^(1/2)
     ||f1^init - f2^init||_L1^(1/2) e^Lambda with the same fitted constant.
-    The two flows step in lockstep; each snapshot pair is read as it comes.
+    The two flows step in lockstep through sweeps.stream.
     """
     if np.min(f1_0.values) < -1e-12 or np.min(f2_0.values) < -1e-12:
         raise ConfigurationError("twin experiment needs nonnegative initial data")
     C_inf = max(lebesgue_norm(f1_0, np.inf), lebesgue_norm(f2_0, np.inf))
     stride = series_stride(resolve_steps(T, dt)[0])
-    times, left, left_l2, lam = [], [], [], []
-    for (t, f1, _), (_, f2, fld2) in zip(
-            vlasov_steps(f1_0, T, dt, sign, Trajectory(), stride),
-            vlasov_steps(f2_0, T, dt, sign, Trajectory(), stride)):
-        times.append(t)
-        left.append(lebesgue_norm(sqrt_field(f1) - sqrt_field(f2), 2))
-        left_l2.append(lebesgue_norm(f1 - f2, 2))
-        lam.append(classical_rate(f2, float(np.max(np.abs(fld2.rho))), C_inf))
-    times = np.asarray(times)
-    return _twin_report("classical_stability", f1_0.grid.hbar, times, np.array(left),
-                        np.array(left_l2), np.array(lam), C_inf,
-                        lambda: lebesgue_norm(f1_0 - f2_0, 1))
+
+    def measure(s) -> dict:
+        (f1, _), (f2, fld2) = s.states["first"], s.states["second"]
+        return {"left": lebesgue_norm(sqrt_field(f1) - sqrt_field(f2), 2),
+                "left_l2": lebesgue_norm(f1 - f2, 2),
+                "lam": classical_rate(f2, float(np.max(np.abs(fld2.rho))), C_inf)}
+    _, times, series = stream({"first": vlasov_steps(f1_0, T, dt, sign, Trajectory(), stride),
+                               "second": vlasov_steps(f2_0, T, dt, sign, Trajectory(), stride)},
+                              {"classical_stability": measure})
+    return _twin_report("classical_stability", f1_0.grid.hbar, times, series["classical_stability"],
+                        C_inf, lambda: lebesgue_norm(f1_0 - f2_0, 1))
 
 
 def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
                                  T: float, dt: float, sign: int = 1) -> ProbeReport:
     """Twin Hartree runs: ||sqrt(op1) - sqrt(op2)||_L2 under the quantum envelope,
     plus the L2-L1 corollary via Powers-Stormer. The two flows step in
-    lockstep; each snapshot pair is read as it comes."""
+    lockstep through sweeps.stream."""
     for op in (op1_0, op2_0):
         if not op.check_positive(1e-8):
             raise ConfigurationError("twin experiment needs positive initial operators")
@@ -108,20 +110,20 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     root2 = operator_sqrt(op2_0)
     tr2 = Trajectory()
     stride = series_stride(resolve_steps(T, dt)[0])
-    times, left, left_l2, lam = [], [], [], []
-    for (t, op1, v1), (_, op2, v2) in zip(
-            hartree_steps(op1_0, T, dt, sign, Trajectory(), stride, root=operator_sqrt(op1_0)),
-            hartree_steps(op2_0, T, dt, sign, tr2, stride, root=root2)):
-        times.append(t)
-        left.append(schatten_norm(v1 - v2, 2))
-        left_l2.append(schatten_norm(op1 - op2, 2))
+
+    def measure(s) -> dict:
+        (op1, v1), (op2, v2) = s.states["first"], s.states["second"]
         # the second flow's last field is the one at its snapshot time t
-        lam.append(quantum_rate(v2, float(np.max(np.abs(tr2.fields[-1].rho))), C_inf)[0])
-    times = np.asarray(times)
+        return {"left": schatten_norm(v1 - v2, 2), "left_l2": schatten_norm(op1 - op2, 2),
+                "lam": quantum_rate(v2, float(np.max(np.abs(tr2.fields[-1].rho))), C_inf)[0]}
+    _, times, series = stream(
+        {"first": hartree_steps(op1_0, T, dt, sign, Trajectory(), stride,
+                                root=operator_sqrt(op1_0)),
+         "second": hartree_steps(op2_0, T, dt, sign, tr2, stride, root=root2)},
+        {"quantum_stability": measure})
     # comparison entry: H^(1/2) norm of the Wigner transform of the initial root v2(0)
-    return _twin_report("quantum_stability", op1_0.grid.hbar, times, np.array(left),
-                        np.array(left_l2), np.array(lam), C_inf,
-                        lambda: schatten_norm(op1_0 - op2_0, 1),
+    return _twin_report("quantum_stability", op1_0.grid.hbar, times, series["quantum_stability"],
+                        C_inf, lambda: schatten_norm(op1_0 - op2_0, 1),
                         h_half_comparison=[h_half_norm(wigner_transform(root2))])
 
 

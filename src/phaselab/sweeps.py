@@ -28,7 +28,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,7 @@ from .norms import (
     lebesgue_norm,
     quantum_sobolev_norm,
     schatten_norm,
+    schatten_norms,
     spatial_lebesgue_norm,
     spatial_sobolev_norm,
     weighted_sobolev_norms,
@@ -58,7 +59,7 @@ from .norms import (
 from .operators import DensityOperator
 from .probes import (
     b_bound_probe,
-    c_init_value,
+    c_init,
     commutator_probe,
     gaussian_commutator_probe,
     grad_e_sup,
@@ -177,34 +178,17 @@ class DynamicsBundle:
 
     @cached_property
     def streamed(self) -> Streamed:
-        """Step the flows that the requested probes read, in lockstep and in
-        FLOWS order. At each snapshot the per-snapshot consumer of every
-        requested probe reads the states by flow name; then they are dropped.
-
-        A PhaselabError raised by a consumer carries that consumer's probe
-        and the snapshot time t.
-        """
+        """Stream the flows that the requested probes read, in FLOWS order,
+        through their per-snapshot consumers (see stream)."""
         probes = {p: PROBE_TABLE[p] for p in PROBE_TABLE if p in self.args["probes"]}
         names = [n for n in FLOWS if any(n in probe.flows for probe in probes.values())]
-        consumers = {p: probe.snapshot for p, probe in probes.items() if probe.snapshot}
+        consumers = {p: partial(probe.snapshot, self)
+                     for p, probe in probes.items() if probe.snapshot}
         steps = resolve_steps(self.args["T"], self.args["dt"])[0]
         stride = series_stride(steps) if consumers else None
         flows = {n: Trajectory() for n in names}
-        steppers = [FLOWS[n](self, flows, stride) for n in names]
-        series = {p: defaultdict(list) for p in consumers}
-        times = []
-        for states in zip(*steppers):
-            snap = Snapshot(states[0][0], {n: state[1:] for n, state in zip(names, states)})
-            times.append(snap.t)
-            for p, consume in consumers.items():
-                try:
-                    values = consume(self, snap)
-                except PhaselabError as exc:
-                    exc.probe, exc.t = p, snap.t
-                    raise
-                for key, value in values.items():
-                    series[p][key].append(value)
-        return Streamed(flows, snap.states, times, series)
+        return Streamed(flows, *stream({n: FLOWS[n](self, flows, stride) for n in names},
+                                       consumers))
 
     @cached_property
     def op_norm(self) -> float:
@@ -213,7 +197,7 @@ class DynamicsBundle:
 
     @cached_property
     def c_init(self) -> float:
-        return c_init_value(self.f0)
+        return c_init(sqrt_field(self.f0), self.f0)
 
 
 class Streamed(NamedTuple):
@@ -230,10 +214,10 @@ class Streamed(NamedTuple):
 
 @dataclass
 class Snapshot:
-    """One snapshot time of a bundle's flows, read by the per-snapshot
-    consumers of the series probes and then dropped. ``states[name]`` is
-    what that flow yields after t: the Vlasov field f and its Poisson data
-    (f, field), or a Hartree flow's op and its carried root (op, root)."""
+    """One snapshot time of lockstep flows, read by the per-snapshot
+    consumers and then dropped. ``states[name]`` is what that flow yields
+    after t: the Vlasov field f and its Poisson data (f, field), or a
+    Hartree flow's op and its carried root (op, root)."""
 
     t: float
     states: dict[str, tuple]
@@ -248,6 +232,29 @@ class Snapshot:
         f, field = self.states["vlasov"]
         return (spatial_sobolev_norm(field.rho, f.grid.L_x, 1, np.inf)
                 * quantum_sobolev_norm(self.op_f, 2, 2, 2))
+
+
+def stream(steppers: dict, consumers: dict) -> tuple[dict, list[float], dict]:
+    """Step the flows (name -> stepping generator of (t, *state)) in lockstep,
+    in dict order. At each snapshot every consumer (name -> function of the
+    Snapshot, returning a dict) reads the states by flow name; then they are
+    dropped. Returns the last states, the times and per consumer its value
+    lists by key. A PhaselabError that a consumer raises carries the
+    consumer's name as ``probe`` and the snapshot time as ``t``."""
+    series = {p: defaultdict(list) for p in consumers}
+    times = []
+    for states in zip(*steppers.values()):
+        snap = Snapshot(states[0][0], {n: state[1:] for n, state in zip(steppers, states)})
+        times.append(snap.t)
+        for p, consume in consumers.items():
+            try:
+                values = consume(snap)
+            except PhaselabError as exc:
+                exc.probe, exc.t = p, snap.t
+                raise
+            for key, value in values.items():
+                series[p][key].append(value)
+    return snap.states, times, series
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +489,9 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
     # the complex-transform route with the kernel sampled afresh
     reference = husimi_convolve(f, kernel=gaussian_phase_kernel(grid))
     identity_gap = schatten_norm(op_wick - weyl_quantize(reference), 2)
-    contraction = {}
-    for p in (1, 2, np.inf):
-        key = "inf" if np.isinf(p) else str(int(p))
-        contraction[key] = (schatten_norm(op_wick, p), lebesgue_norm(f, p))
+    ps = (1, 2, np.inf)
+    contraction = {"inf" if np.isinf(p) else str(p): (norm, lebesgue_norm(f, p))
+                   for p, norm in zip(ps, schatten_norms(op_wick, ps))}
     ev = op_wick.eigenvalues()
     return {
         "gap_op": gap_op, "gap_field": gap_field,
@@ -494,7 +500,7 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
         "identity_gap": identity_gap,
         "contraction": contraction,
         "min_eig": float(ev[0]), "max_eig": float(ev[-1]),
-        "op_norm": schatten_norm(op_wick, np.inf),
+        "op_norm": contraction["inf"][0],
     }
 
 

@@ -165,6 +165,17 @@ class TestCli:
             "config-error: profile 'maxwellian' has non-finite samples")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["T", "dt", "L_x", "L_xi", "profile.sigma_xi"])
+    def test_non_finite_number_exits_2(self, key, value, tmp_path, capsys):
+        code = main(["run", "--config", str(REPO / "configs" / "quick.json"),
+                     "--set", f"{key}={value}", "--set", f"out_dir={tmp_path}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        # the message names the field, before any computation starts
+        assert err.startswith("config-error: ") and "finite" in err
+        assert repr(key.split(".")[-1]) in err
+
     def test_negative_seed_exits_2(self, config_file, capsys):
         assert main(["sweep", "--config", str(config_file), "--seed", "-1",
                      "--set", "sweep_N=[48,64,96,128]",
@@ -390,6 +401,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(
             "solver-error: probe positivity_defect, N=48: momentum-boundary mass")
+
+    def test_twin_consumer_error_names_probe_and_t(self, config_file, monkeypatch, capsys):
+        from phaselab import cli, stability
+        from phaselab.errors import WrapAmbiguityError
+
+        calls = []
+        rate = stability.quantum_rate
+
+        def third_fails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise WrapAmbiguityError("antipodal mass")
+            return rate(*args)
+
+        monkeypatch.setattr(stability, "quantum_rate", third_fails)
+        code = main(["run", "--config", str(config_file), "--set", "experiment=twin-quantum"])
+        assert code == cli.EXIT_SOLVER == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solver-error: probe quantum_stability, t=0.01: antipodal mass"]
 
     def test_probe_registry_covers_every_probe(self):
         from phaselab import sweeps

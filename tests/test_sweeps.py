@@ -399,6 +399,48 @@ def test_streamed_error_names_probe_n_and_t(monkeypatch):
             grid_member(dict(N=48, profile=PROFILE, T=0.1, probes=probes))
 
 
+def test_stream_steps_flows_in_order_and_collects_series():
+    # toy flows: each step logs its flow name; a consumer reads states by name
+    from phaselab.errors import WrapAmbiguityError
+    from phaselab.sweeps import stream
+
+    stepped = []
+
+    def flow(name, scale):
+        for n in range(3):
+            stepped.append(name)
+            yield 0.5 * n, scale * n, -n
+
+    def fail_late(s):
+        if s.t > 0.75:
+            raise WrapAmbiguityError("late")
+        return {}
+
+    final, times, series = stream(
+        {"b": flow("b", 10), "a": flow("a", 1)},
+        {"sum": lambda s: {"total": s.states["a"][0] + s.states["b"][0],
+                           "neg": s.states["b"][1]},
+         "a_only": lambda s: {"a": s.states["a"][0]}})
+    assert stepped == ["b", "a"] * 3
+    assert times == [0.0, 0.5, 1.0]
+    assert final == {"b": (20, -2), "a": (2, -2)}
+    assert series == {"sum": {"total": [0, 11, 22], "neg": [0, -1, -2]},
+                      "a_only": {"a": [0, 1, 2]}}
+    with pytest.raises(WrapAmbiguityError) as info:
+        stream({"a": flow("a", 1)}, {"ok": lambda s: {}, "fails": fail_late})
+    assert (info.value.probe, info.value.t) == ("fails", 1.0)
+
+
+def test_wick_structure_member_takes_two_eigvalsh(monkeypatch):
+    # one Gram eigvalsh serves both the Schatten inf-norm and op_norm; the
+    # other is the spectrum of the Wick operator
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    grid_member(dict(N=64, profile=PROFILE, T=0.5, probes=["wick_structure"]))
+    assert len(calls) == 2
+
+
 def test_sweep_rejects_unknown_settings_and_probes():
     # a misspelled setting is not dropped in silence, and an unknown probe is
     # a configuration error, not a ValueError from inside a member
