@@ -39,7 +39,7 @@ def classical_rate(f2: PhaseField, rho_sup: float, C_inf: float) -> float:
            + C_inf^(1/2) ||grad_xi sqrt(f2)||_{L^{3,1}_x L^1_xi}.
     """
     g = f2.grid
-    grad = derivative(sqrt_field(f2).values.astype(complex), g.L_xi, axis=1).real
+    grad = derivative(sqrt_field(f2).values, g.L_xi, axis=1)
     m32 = mixed_norm(PhaseField(g, np.abs(grad), real=True), 3, 2)
     l31 = lorentz_norm(np.sum(np.abs(grad), axis=1) * g.dxi, g.dx, 3, 1)
     return np.sqrt(rho_sup) * m32 + np.sqrt(C_inf) * l31

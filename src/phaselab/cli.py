@@ -162,14 +162,10 @@ def _write_reports(reports: list[ProbeReport], out_dir: Path) -> int:
 
 
 def cmd_sweep(config: dict, jobs: int) -> int:
-    if len(config["sweep_N"]) < 4:
-        raise ConfigurationError("sweep needs at least 4 grid sizes in sweep_N")
-    if not config["probes"]:
-        raise ConfigurationError("sweep needs a nonempty probe list")
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     settings = {key: config[key] for key in ("profile", "T", "sign", "dt", "seed", "L_x", "L_xi")}
     by_probe = sweep_reports(config["probes"], config["sweep_N"], jobs, **settings)
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = [rep for name in config["probes"] for rep in by_probe[name]]
     code = _write_reports(reports, out_dir)
     write_csv(out_dir / "sweep_summary.csv", CSV_COLUMNS,
@@ -211,7 +207,8 @@ def _read_report(fp: Path) -> dict | None:
     if not (isinstance(data, dict) and {"probe", "hbar", "lhs"} <= set(data)):
         return None
     series = [data["hbar"], data["lhs"], data.get("budget", []), data.get("ratio", [])]
-    if not all(isinstance(s, list) and all(isinstance(v, (int, float)) for v in s)
+    # a JSON boolean parses as a bool, which is not a number here
+    if not all(isinstance(s, list) and all(type(v) in (int, float) for v in s)
                for s in series) or len(data["hbar"]) != len(data["lhs"]):
         raise ValueError(f"malformed report file {fp}")
     return data

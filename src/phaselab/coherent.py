@@ -20,7 +20,7 @@ import numpy as np
 
 from .budgets import sqrt_field
 from .errors import ConfigurationError
-from .grids import PhaseField, PhaseGrid, gaussian_phase_kernel
+from .grids import PhaseField, PhaseGrid, _wrapped_offsets, gaussian_phase_kernel
 from .operators import DensityOperator
 from .transforms import weyl_quantize
 
@@ -39,11 +39,8 @@ class CoherentState:
 def _wave_packet_values(grid: PhaseGrid, x0: float, xi0: float) -> np.ndarray:
     """(pi hbar)^{-1/4} exp(-|y-x0|^2/(2 hbar)) exp(i y xi0 / hbar), wrapped."""
     hbar = grid.hbar
-    y = grid.x
-    psi = np.zeros(grid.N, dtype=complex)
-    for n in range(-3, 4):
-        yy = y + n * grid.L_x
-        psi += np.exp(-((yy - x0) ** 2) / (2 * hbar)) * np.exp(1j * yy * xi0 / hbar)
+    psi = sum(np.exp(-(d**2) / (2 * hbar)) * np.exp(1j * (d + x0) * xi0 / hbar)
+              for d in _wrapped_offsets(grid.x, x0, grid.L_x))
     return (math.pi * hbar) ** -0.25 * psi
 
 

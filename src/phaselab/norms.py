@@ -99,7 +99,7 @@ def spatial_sobolev_norm(values: np.ndarray, L: float, k: int, p: float) -> floa
     dx = L / N
     total = 0.0
     for j in range(k + 1):
-        dv = derivative(values.astype(complex), L, axis=0, order=j) if j else values
+        dv = derivative(values, L, axis=0, order=j) if j else values
         total += spatial_lebesgue_norm(dv, dx, p) ** 2
     return float(math.sqrt(total))
 

@@ -33,8 +33,8 @@ from .transforms import weyl_quantize
 def phase_gradient_magnitude(f: PhaseField) -> PhaseField:
     """|grad f| over the phase space (both axes, spectral)."""
     g = f.grid
-    dx_ = derivative(f.values.astype(complex), g.L_x, axis=0)
-    dxi = derivative(f.values.astype(complex), g.L_xi, axis=1)
+    dx_ = derivative(f.values, g.L_x, axis=0)
+    dxi = derivative(f.values, g.L_xi, axis=1)
     return PhaseField(g, np.sqrt(np.abs(dx_) ** 2 + np.abs(dxi) ** 2), real=True)
 
 
@@ -75,13 +75,12 @@ def weight_remainder_probe(f: PhaseField) -> dict:
     op_f = weyl_quantize(f)
     op_wf = weyl_quantize(f.copy_with(f.values * xi_w[None, :]))
     lhs1 = schatten_norm(op_wf - momentum_weight_apply(op_f, 1, "right"), 2)
-    budget1 = 0.5 * hbar * lebesgue_norm(
-        f.copy_with(derivative(f.values.astype(complex), grid.L_x, axis=0), real=False), 2)
+    budget1 = 0.5 * hbar * lebesgue_norm(f.copy_with(derivative(f.values, grid.L_x, axis=0)), 2)
     op_w2f = weyl_quantize(f.copy_with(f.values * (xi_w**2)[None, :]))
     sandwich = momentum_weight_apply(op_f, 1, "both")
     lhs2 = schatten_norm(sandwich - op_w2f, 2)
     budget2 = 0.25 * hbar**2 * lebesgue_norm(
-        f.copy_with(derivative(f.values.astype(complex), grid.L_x, axis=0, order=2), real=False), 2)
+        f.copy_with(derivative(f.values, grid.L_x, axis=0, order=2)), 2)
     return {"lhs1": lhs1, "budget1": budget1, "lhs2": lhs2, "budget2": budget2}
 
 
@@ -141,10 +140,9 @@ def c_init(root: PhaseField, f: PhaseField) -> float:
 
 
 def grad_e_sup(grid: PhaseGrid, E: np.ndarray) -> float:
-    return float(np.max(np.abs(derivative(E.astype(complex), grid.L_x, axis=0).real)))
+    return float(np.max(np.abs(derivative(E, grid.L_x, axis=0))))
 
 
 def hessian_xi_norm(f: PhaseField) -> float:
     g = f.grid
-    d2 = derivative(f.values.astype(complex), g.L_xi, axis=1, order=2)
-    return lebesgue_norm(f.copy_with(d2, real=False), 2)
+    return lebesgue_norm(f.copy_with(derivative(f.values, g.L_xi, axis=1, order=2)), 2)

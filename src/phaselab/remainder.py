@@ -28,6 +28,7 @@ def grad_on_half_lattice(grid: PhaseGrid, V: np.ndarray) -> np.ndarray:
     Even entries are the spectral gradient at primal nodes, odd entries its
     band-limited interpolation at the midpoints.
     """
+    # complex route: the Taylor defect cancels to O(hbar^2), which magnifies a rounding move
     gv = derivative(V.astype(complex), grid.L_x, axis=0)
     out = np.empty(2 * grid.N, dtype=float)
     out[0::2] = gv.real

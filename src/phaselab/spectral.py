@@ -23,15 +23,18 @@ def derivative_multiplier(N: int, L: float, order: int) -> np.ndarray:
     if order % 2 == 1:
         mult[N // 2] = 0.0
         return mult
-    return mult.real.astype(complex)
+    return mult.real
 
 
 def derivative(values: np.ndarray, L: float, axis: int, order: int = 1) -> np.ndarray:
-    """Spectral derivative along one axis of periodic samples."""
-    out = fourier_multiplier(values, derivative_multiplier(values.shape[axis], L, order), axis)
-    if not np.iscomplexobj(values):
-        return out.real
-    return out
+    """Spectral derivative along one axis of periodic samples: real data go
+    through the real-input transforms and give a real result, complex data
+    through the complex ones."""
+    N = values.shape[axis]
+    mult = derivative_multiplier(N, L, order)
+    if np.iscomplexobj(values):
+        return fourier_multiplier(values, mult, axis)
+    return apply_shift(values, mult[: N // 2 + 1], axis)
 
 
 def _unit_phasor(theta: np.ndarray) -> np.ndarray:
@@ -59,10 +62,12 @@ def shift_phase(N: int, L: float, s, axis: int) -> np.ndarray:
 
 
 def apply_shift(values: np.ndarray, phase: np.ndarray, axis: int) -> np.ndarray:
-    """Translate real periodic samples by the shift that ``phase`` encodes.
+    """Apply a half-spectrum multiplier (modes 0..N/2), a shift phase or a
+    derivative multiplier, to real periodic samples along an axis.
 
-    irfft reads only the real part of the Nyquist coefficient, so that mode
-    moves as cos(pi N s / L), the real part of the full complex-FFT shift.
+    irfft reads only the real part of the Nyquist coefficient, so a shift
+    moves that mode as cos(pi N s / L), the real part of the full
+    complex-FFT shift.
     """
     N = values.shape[axis]
     if phase.ndim == 1:

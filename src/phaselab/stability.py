@@ -21,7 +21,7 @@ from .budgets import (
     quantum_rate,
     sqrt_field,
 )
-from .calculus import operator_sqrt
+from .calculus import operator_sqrt, spatial_density
 from .errors import ConfigurationError
 from .grids import PhaseField
 from .hartree import hartree_steps
@@ -108,18 +108,16 @@ def quantum_stability_experiment(op1_0: DensityOperator, op2_0: DensityOperator,
     C_inf = max(schatten_norm(op1_0, np.inf), schatten_norm(op2_0, np.inf))
     # each flow carries the square root of its datum, taken once at t = 0
     root2 = operator_sqrt(op2_0)
-    tr2 = Trajectory()
     stride = series_stride(resolve_steps(T, dt)[0])
 
     def measure(s) -> dict:
         (op1, v1), (op2, v2) = s.states["first"], s.states["second"]
-        # the second flow's last field is the one at its snapshot time t
         return {"left": schatten_norm(v1 - v2, 2), "left_l2": schatten_norm(op1 - op2, 2),
-                "lam": quantum_rate(v2, float(np.max(np.abs(tr2.fields[-1].rho))), C_inf)[0]}
+                "lam": quantum_rate(v2, float(np.max(np.abs(spatial_density(op2)))), C_inf)[0]}
     _, times, series = stream(
         {"first": hartree_steps(op1_0, T, dt, sign, Trajectory(), stride,
                                 root=operator_sqrt(op1_0)),
-         "second": hartree_steps(op2_0, T, dt, sign, tr2, stride, root=root2)},
+         "second": hartree_steps(op2_0, T, dt, sign, Trajectory(), stride, root=root2)},
         {"quantum_stability": measure})
     # comparison entry: H^(1/2) norm of the Wigner transform of the initial root v2(0)
     return _twin_report("quantum_stability", op1_0.grid.hbar, times, series["quantum_stability"],

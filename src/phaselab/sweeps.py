@@ -23,7 +23,6 @@ and the final states, not a trajectory.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -278,12 +277,9 @@ def headline_metric(b: DynamicsBundle) -> dict:
     s = b.streamed
     fT, opT, tilT = (s.final[name][0] for name in ("vlasov", "hartree", "linear"))
     op_f0, opfT = weyl_quantize(b.f0), weyl_quantize(fT)
-    wT = wigner_transform(opT)
-    diff = wT.values - fT.values
-    err_wigner = float(np.sqrt(np.sum(np.abs(diff) ** 2) * b.grid.cell))
     return {
         "dt": b.dt,
-        "err_wigner": err_wigner,
+        "err_wigner": lebesgue_norm(wigner_transform(opT) - fT, 2),
         "err_weyl": schatten_norm(opT - opfT, 2),
         "gap_nonlinear": schatten_norm(opT - tilT, 2),
         "gap_positivity": schatten_norm(tilT - opfT, 2),
@@ -393,11 +389,10 @@ def sqrt_metric(b: DynamicsBundle) -> dict:
     Lambda = cumulative_trapezoid(np.asarray(series["lam"]), times)
     c_series = np.array([w12 * (b.c_init + term)
                          for w12, term in zip(series["w12"], series["term"])])
-    # raw envelope with unit constants: hbar * sqrt(int c^2 e^{2(Lambda(t)-Lambda(s))})
-    env0 = np.zeros(len(times))
-    for n in range(1, len(times)):
-        seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
-        env0[n] = b.grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
+    # raw envelope with unit constants: hbar * sqrt(int c^2 e^{2(Lambda(t)-Lambda(s))}),
+    # with e^{2 Lambda(t)} taken out of the integral
+    growth = np.exp(Lambda)
+    env0 = b.grid.hbar * growth * np.sqrt(cumulative_trapezoid((c_series / growth) ** 2, times))
     return {
         "times": times, "left": np.array(series["left"]), "env0": env0,
         "sqrt_two_routes_gap": max(schatten_norm(operator_sqrt(op) - root, 2)
@@ -480,12 +475,10 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
     op_wick = weyl_quantize(smoothed)   # wick_quantize(f), from the one smoothing
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
-    fc = f.values.astype(complex)
-    mixed = derivative(derivative(fc, grid.L_x, axis=0), grid.L_xi, axis=1)
-    hess = np.sqrt(np.abs(derivative(fc, grid.L_x, axis=0, order=2)) ** 2
-                   + 2 * np.abs(mixed) ** 2
-                   + np.abs(derivative(fc, grid.L_xi, axis=1, order=2)) ** 2)
-    hess_norm = float(np.sqrt(np.sum(hess**2) * grid.cell))
+    mixed = derivative(derivative(f.values, grid.L_x, axis=0), grid.L_xi, axis=1)
+    hess_sq = (derivative(f.values, grid.L_x, axis=0, order=2) ** 2 + 2 * mixed**2
+               + derivative(f.values, grid.L_xi, axis=1, order=2) ** 2)
+    hess_norm = float(np.sqrt(np.sum(hess_sq) * grid.cell))
     # the complex-transform route with the kernel sampled afresh
     reference = husimi_convolve(f, kernel=gaussian_phase_kernel(grid))
     identity_gap = schatten_norm(op_wick - weyl_quantize(reference), 2)
@@ -647,16 +640,19 @@ def grid_member(args: dict) -> dict:
 
 def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[ProbeReport]]:
     """Reports of the requested probes from one member pass over the grid
-    ladder; ``settings`` go to every member (see MEMBER_DEFAULTS)."""
+    ladder; ``settings`` go to every member (see MEMBER_DEFAULTS). The probe
+    list must not be empty, and the ladder needs at least 4 grid sizes."""
     probes = tuple(probes)
+    if not probes:
+        raise ConfigurationError("sweep needs a nonempty probe list")
+    if len(N_list) < 4:
+        raise ConfigurationError("sweep needs at least 4 grid sizes")
     unknown = sorted(set(settings) - set(MEMBER_DEFAULTS) - {"profile", "T"})
     if unknown:
         raise ConfigurationError(f"unknown sweep settings {unknown}")
     unknown = [p for p in probes if p not in PROBE_TABLE]
     if unknown:
         raise ConfigurationError(f"unknown probes {unknown}; known: {tuple(PROBE_TABLE)}")
-    if "convergence" in probes and len(N_list) < 4:
-        raise ConfigurationError("convergence sweep needs at least 4 grid sizes")
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)
                                         for N in sorted(N_list)], jobs)
     return {p: PROBE_TABLE[p].reports([m[p] for m in members]) for p in probes}

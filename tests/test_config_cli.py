@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -212,11 +213,23 @@ class TestCli:
                      "--set", "probes=[]"]) == 2
 
     def test_solver_guard_exits_3(self, config_file):
-        # momentum support too wide: support escape during the run
+        # momentum support too wide: the sampled datum fails its boundary
+        # amplitude check (a TruncationError) before the first step
         code = main(["run", "--config", str(config_file),
                      "--set", 'profile={"name":"gaussian","sigma_xi":2.2}',
                      "--set", "T=1.0", "--set", "dt=0.05"])
         assert code == 3
+
+    def test_guard_trips_mid_run_exits_3(self, tmp_path, capsys):
+        # a datum that samples cleanly and then pushes momentum-boundary mass
+        # past the support-escape guard during the run
+        code = main(["run", "--config", str(REPO / "configs" / "quick.json"),
+                     "--set", 'profile={"name":"gaussian","a":3,"sigma_x":0.4,"sigma_xi":0.6}',
+                     "--set", "T=1.0", "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver-error: momentum-boundary mass ")
+        assert err.rstrip().endswith("at t=0.875")
 
     def test_sweep_probe_and_report(self, config_file, tmp_path):
         code = main(["sweep", "--config", str(config_file),
@@ -291,6 +304,24 @@ class TestCli:
             assert main(["report", str(rdir)]) == 2, name
             assert capsys.readouterr().err == (
                 f"io-error: malformed report file {rdir / 'report.json'}\n"), name
+
+    @pytest.mark.parametrize("series", ["hbar", "lhs", "budget", "ratio"])
+    def test_report_rejects_boolean_numbers(self, series, tmp_path, capsys):
+        # a JSON boolean is no number; an infinite ratio, which a report with
+        # a budget <= 0 carries, still is
+        report = {"probe": "x", "hbar": [0.1, 0.05], "lhs": [1.0, 0.5],
+                  "budget": [2.0, 1.0], "ratio": [0.5, 0.5]}
+        rdir = tmp_path / "reports"
+        rdir.mkdir()
+        fp = rdir / "report.json"
+        report[series][0] = math.inf
+        fp.write_text(json.dumps(report))
+        assert main(["report", str(rdir)]) == 0
+        report[series][0] = True
+        fp.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["report", str(rdir)]) == 2
+        assert capsys.readouterr().err == f"io-error: malformed report file {fp}\n"
 
     def test_main_rate_emitted(self, config_file, tmp_path):
         code = main(["sweep", "--config", str(config_file),

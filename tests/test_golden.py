@@ -1,6 +1,7 @@
 """The golden ledger (tests/golden): the default sweep and the two twin
 experiments must reproduce every committed report number. Regenerate the
-ledger with ``python tests/golden/regen.py``."""
+ledger with ``python tests/golden/regen.py``; ``pytest tests/test_golden.py -s``
+prints each output file's largest relative move without regenerating it."""
 
 import json
 
@@ -13,8 +14,9 @@ from golden.regen import COMMANDS, LEDGER, ROUNDING, compare, leaves, produce
 def test_reports_match_the_golden_ledger(folder, tmp_path):
     assert produce(folder, tmp_path) == [0] * len(COMMANDS[folder])
     moves, broken = compare(LEDGER / folder, tmp_path)
-    summary = [f"{name}: largest relative move {rel:.3e} at {path}"
+    summary = [f"{folder}/{name}: largest relative move {rel:.3e} at {path}"
                for name, (rel, path) in moves.items()]
+    print("", *summary, sep="\n")
     assert not broken, "\n".join(summary + broken)
 
 

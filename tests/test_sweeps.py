@@ -26,6 +26,18 @@ def test_convergence_needs_four_points():
         sweep_reports(["convergence"], (48, 64, 96), profile=PROFILE, T=0.1)
 
 
+def test_every_sweep_needs_probes_and_four_points_before_any_member(monkeypatch):
+    from phaselab import sweeps
+
+    ran = []
+    monkeypatch.setattr(sweeps, "run_members", lambda *a, **k: ran.append(a))
+    with pytest.raises(ConfigurationError, match="at least 4 grid sizes"):
+        sweep_reports(["wick_square"], (48, 64, 96))
+    with pytest.raises(ConfigurationError, match="nonempty probe list"):
+        sweep_reports([], SMALL)
+    assert ran == []
+
+
 def test_headline_member_t_zero():
     # at T = 0 the error equals the initial Wick-square gap
     m = grid_member(dict(N=48, profile=PROFILE, T=0.0, sign=1,
@@ -242,12 +254,39 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     assert not any(_carries_root(f) for f in flows if f["flow"] == "vlasov_steps")
 
 
+def _envelope(c, Lambda, times) -> np.ndarray:
+    """sqrt(int_0^t c(s)^2 e^{2 (Lambda(t) - Lambda(s))} ds) at each time t,
+    with e^{2 Lambda(t)} taken out of the integral."""
+    from phaselab.budgets import cumulative_trapezoid
+
+    growth = np.exp(Lambda)
+    return growth * np.sqrt(cumulative_trapezoid((c / growth) ** 2, times))
+
+
+def test_envelope_matches_the_prefix_integrals():
+    # the reference integrates c^2 e^{2 (Lambda(t) - Lambda(s))} afresh over
+    # every prefix [0, t]
+    import math
+
+    from phaselab.budgets import cumulative_trapezoid
+
+    rng = np.random.default_rng(7)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, 40))])
+    c = rng.uniform(0.1, 2.0, len(times))
+    lam = rng.uniform(0.0, 1.0, len(times))
+    Lambda = cumulative_trapezoid(lam, times)
+    Lambda *= 20.0 / Lambda[-1]
+    want = np.zeros(len(times))
+    for n in range(1, len(times)):
+        seg = c[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
+        want[n] = math.sqrt(np.trapezoid(seg, times[: n + 1]))
+    np.testing.assert_allclose(_envelope(c, Lambda, times), want, rtol=1e-13, atol=0)
+
+
 def _stored_series(args: dict) -> dict:
     """The series metrics the stored way: every flow evolved with all its
     snapshots at the member's stride, then each snapshot read from the
     stored lists."""
-    import math
-
     from phaselab.budgets import SQRT_WRAP_TOL, cumulative_trapezoid, quantum_rate
     from phaselab.calculus import operator_sqrt, spatial_density
     from phaselab.hartree import evolve_hartree, evolve_linear_hartree
@@ -286,10 +325,7 @@ def _stored_series(args: dict) -> dict:
         w12s.append(w12)
     Lambda = cumulative_trapezoid(np.array(lam), times)
     c_series = np.array([w12 * (b.c_init + term) for w12, term in zip(w12s, terms)])
-    env0 = np.zeros(len(times))
-    for n in range(1, len(times)):
-        seg = c_series[: n + 1] ** 2 * np.exp(2.0 * (Lambda[n] - Lambda[: n + 1]))
-        env0[n] = grid.hbar * math.sqrt(np.trapezoid(seg, times[: n + 1]))
+    env0 = grid.hbar * _envelope(c_series, Lambda, times)
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
     rho_rates = [max(spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - 0.5),
                      spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + 0.5))
