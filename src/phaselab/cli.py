@@ -199,17 +199,28 @@ def cmd_probe(config: dict, name: str, jobs: int) -> int:
     return EXIT_OK
 
 
+def _numbers(series, infinite: bool) -> bool:
+    """Whether a report series is a list of numbers: no JSON boolean (it
+    parses as a bool), no NaN, and no infinity unless ``infinite``."""
+    return isinstance(series, list) and all(
+        type(v) is int
+        or (type(v) is float and (math.isfinite(v) or (infinite and not math.isnan(v))))
+        for v in series)
+
+
 def _read_report(fp: Path) -> dict | None:
     """The probe report in a JSON file, or None for other JSON. ValueError
-    when the file is not JSON, a report series is not a list of numbers, or
-    hbar and lhs differ in length."""
+    when the file is not JSON, a report series is not a list of finite
+    numbers (ratio may be infinite: finalize_ratios writes inf for a budget
+    <= 0), or hbar and lhs differ in length."""
     data = json.loads(fp.read_text())
     if not (isinstance(data, dict) and {"probe", "hbar", "lhs"} <= set(data)):
         return None
-    series = [data["hbar"], data["lhs"], data.get("budget", []), data.get("ratio", [])]
-    # a JSON boolean parses as a bool, which is not a number here
-    if not all(isinstance(s, list) and all(type(v) in (int, float) for v in s)
-               for s in series) or len(data["hbar"]) != len(data["lhs"]):
+    finite = [data["hbar"], data["lhs"], data.get("budget", [])]
+    well_formed = (all(_numbers(s, infinite=False) for s in finite)
+                   and _numbers(data.get("ratio", []), infinite=True)
+                   and len(data["hbar"]) == len(data["lhs"]))
+    if not well_formed:
         raise ValueError(f"malformed report file {fp}")
     return data
 

@@ -9,12 +9,12 @@ semiclassical limit; the operator norm (p = inf) carries no h factor.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .calculus import (
     WRAP_GUARD_TOL,
-    momentum_weight_apply,
     momentum_weight_multiplier,
     quantum_gradient_x,
     quantum_gradient_xi,
@@ -47,34 +47,31 @@ def mixed_norm(f: PhaseField, p: float, q: float) -> float:
     return float((np.sum(inner**p) * g.dx) ** (1.0 / p))
 
 
-def _phase_derivative(f: PhaseField, ax: int, axi: int, spec: np.ndarray) -> np.ndarray:
-    """d_x^ax d_xi^axi f from ``spec``, the 2-d spectrum of f: the half
-    spectrum (rfft2) of a real field, with a real result, else fft2."""
-    g = f.grid
-    mult = (derivative_multiplier(g.N, g.L_x, ax)[:, None]
-            * derivative_multiplier(g.N, g.L_xi, axi)[None, :spec.shape[1]])
-    if f.real:
-        return np.fft.irfft2(spec * mult, s=f.values.shape)
-    return np.fft.ifft2(spec * mult)
-
-
 def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
     """W^{k,p}_n norms (sum_{|alpha|<=k} ||<xi>^n d^alpha f||_{L^p}^2)^(1/2),
     one per exponent in ``ps``, from a single pass over the derivatives.
 
     The outer exponent is 2 for every p, matching the weighted-space
     convention used by the stability budgets. Derivatives are spectral: one
-    forward 2-d transform, then one inverse per multi-index.
+    forward 2-d transform (the half spectrum in xi of a real field, with real
+    derivatives), one inverse x-transform per x-order and one inverse
+    xi-transform per multi-index.
     """
     if k > 4:
         raise ConfigurationError("weighted Sobolev norms support k <= 4")
     g = f.grid
     weight = (1.0 + g.xi**2) ** (n / 2.0)
-    spec = np.fft.rfft2(f.values) if f.real else np.fft.fft2(f.values)
+    if f.real:
+        spec = np.fft.rfft2(f.values)
+        inverse_xi = partial(np.fft.irfft, n=g.N, axis=1)
+    else:
+        spec = np.fft.fft2(f.values)
+        inverse_xi = partial(np.fft.ifft, axis=1)
     totals = [0.0] * len(ps)
     for ax in range(k + 1):
+        x_part = np.fft.ifft(spec * derivative_multiplier(g.N, g.L_x, ax)[:, None], axis=0)
         for axi in range(k + 1 - ax):
-            dv = _phase_derivative(f, ax, axi, spec)
+            dv = inverse_xi(x_part * derivative_multiplier(g.N, g.L_xi, axi)[:spec.shape[1]])
             dv *= weight
             for i, p in enumerate(ps):
                 totals[i] += spatial_lebesgue_norm(dv, g.cell, p) ** 2
@@ -87,6 +84,10 @@ def weighted_sobolev_norm(f: PhaseField, k: int, p: float, n: int) -> float:
 
 
 def spatial_lebesgue_norm(values: np.ndarray, dx: float, p: float) -> float:
+    """L^p norm of samples with cell measure dx; p = inf gives max|values|,
+    p = 2 takes one vdot pass."""
+    if p == 2:
+        return float(math.sqrt(np.vdot(values, values).real * dx))
     v = np.abs(values)
     if math.isinf(p):
         return float(v.max())
@@ -151,7 +152,7 @@ def _gram_singular_values(op: DensityOperator) -> np.ndarray:
 
 def _hilbert_schmidt(K: np.ndarray, g) -> float:
     """Rescaled Hilbert-Schmidt norm h^{1/2} dx ||K||_F: needs no singular values."""
-    hs = math.sqrt(float(np.sum(np.abs(K) ** 2))) * g.dx
+    hs = math.sqrt(np.vdot(K, K).real) * g.dx
     return float(g.h ** 0.5 * hs)
 
 
@@ -193,17 +194,17 @@ def schatten_norm(op: DensityOperator, p: float) -> float:
 def weighted_schatten_norms(op: DensityOperator, ps, n: int) -> list[float]:
     """||op||_{L^p(<p>^n)} = schatten_norm(op <p>^n, p) for each p in ``ps``.
 
-    When every p is 2 the weight takes one axis-1 FFT pass, by Parseval:
-    ||K <p>^n||_HS = ||fft(K, axis=1) <p>^n||_HS / sqrt(N).
+    The weight takes one axis-1 FFT pass: op <p>^n has the kernel
+    ifft(fft(K, axis=1) <p>^n, axis=1), and the inverse transform is sqrt(N)
+    times a unitary one, so fft(K, axis=1) <p>^n / sqrt(N) has the same
+    singular values.
     """
     if n == 0:
         return schatten_norms(op, ps)
-    if all(p == 2 for p in ps):
-        g = op.grid
-        Y = np.fft.fft(op.kernel, axis=1)
-        Y *= momentum_weight_multiplier(g, n)
-        return [_hilbert_schmidt(Y, g) / math.sqrt(g.N)] * len(ps)
-    return schatten_norms(momentum_weight_apply(op, n, side="right"), ps)
+    g = op.grid
+    Y = np.fft.fft(op.kernel, axis=1)
+    Y *= momentum_weight_multiplier(g, n) / math.sqrt(g.N)
+    return schatten_norms(DensityOperator(g, Y, hermitian=False), ps)
 
 
 def weighted_schatten_norm(op: DensityOperator, p: float, n: int) -> float:

@@ -23,9 +23,9 @@ and the final states, not a trajectory.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -85,13 +85,24 @@ def run_members(fn, arg_list, jobs: int = 1):
     The pool gets the members in decreasing N, so the largest grid, the
     critical path, starts first. Results keep the argument order, so
     aggregation is deterministic regardless of completion order.
+
+    The parent's heap is frozen while the pool runs: a forked worker's
+    collections then skip the inherited objects instead of touching, and so
+    copying, their pages. The pool module is imported here, not at module
+    level, so a one-job run never loads multiprocessing.
     """
     if jobs <= 1 or len(arg_list) <= 1:
         return [fn(a) for a in arg_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     order = sorted(range(len(arg_list)), key=lambda i: -arg_list[i]["N"])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {i: pool.submit(fn, arg_list[i]) for i in order}
-        return [futures[i].result() for i in range(len(arg_list))]
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {i: pool.submit(fn, arg_list[i]) for i in order}
+            return [futures[i].result() for i in range(len(arg_list))]
+    finally:
+        gc.unfreeze()
 
 
 def _report(probe: str, members, lhs, budget, band=None,

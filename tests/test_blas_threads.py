@@ -1,5 +1,6 @@
-"""The BLAS thread pin: importing phaselab sets OpenBLAS to one thread, so
-report bytes do not depend on the caller's OPENBLAS_NUM_THREADS."""
+"""The BLAS thread pin: importing phaselab runs OpenBLAS on one thread, so
+report bytes do not depend on the caller's OPENBLAS_NUM_THREADS, and starts
+no BLAS thread where numpy has not been loaded before."""
 
 import ctypes
 import os
@@ -25,21 +26,43 @@ pytestmark = pytest.mark.skipif(not _has_openblas_symbols(),
                                 reason="numpy does not bundle scipy-openblas")
 
 
-def _run(args, threads: int) -> subprocess.CompletedProcess:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+# prints OpenBLAS's thread count
+PRINT_THREADS = (
+    "import ctypes\n"
+    "from numpy._core import _multiarray_umath\n"
+    "get_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_\n"
+    "get_threads.argtypes, get_threads.restype = [], ctypes.c_int\n"
+    "print(get_threads())")
+
+
+def _run(args, threads: int | None) -> subprocess.CompletedProcess:
+    """Run Python in a fresh interpreter with OPENBLAS_NUM_THREADS at
+    ``threads``, or unset for None."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True,
                           text=True, check=True)
 
 
 def test_import_pins_one_thread():
-    code = ("import ctypes, phaselab\n"
-            "from numpy._core import _multiarray_umath\n"
-            "get_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_\n"
-            "get_threads.argtypes, get_threads.restype = [], ctypes.c_int\n"
-            "print(get_threads())")
+    assert _run(["-c", "import phaselab\n" + PRINT_THREADS], threads=2).stdout.strip() == "1"
+
+
+def test_pin_holds_when_numpy_came_first():
+    code = "import numpy, phaselab\n" + PRINT_THREADS
     assert _run(["-c", code], threads=2).stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc task list")
+@pytest.mark.parametrize("threads", [2, None])
+def test_import_starts_no_blas_thread(threads):
+    # one OS thread, and the caller's variable as the caller left it
+    code = ("import os, phaselab\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _run(["-c", code], threads).stdout.split() == ["1", str(threads)]
 
 
 def test_reports_independent_of_caller_threads(tmp_path):

@@ -314,7 +314,7 @@ class TestCli:
         rdir = tmp_path / "reports"
         rdir.mkdir()
         fp = rdir / "report.json"
-        report[series][0] = math.inf
+        report["ratio"][0] = math.inf
         fp.write_text(json.dumps(report))
         assert main(["report", str(rdir)]) == 0
         report[series][0] = True
@@ -322,6 +322,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", str(rdir)]) == 2
         assert capsys.readouterr().err == f"io-error: malformed report file {fp}\n"
+
+    @pytest.mark.parametrize("series, value", [
+        *((s, math.nan) for s in ("hbar", "lhs", "budget", "ratio")),
+        *((s, v) for s in ("hbar", "lhs", "budget") for v in (math.inf, -math.inf))])
+    def test_report_rejects_nan_and_infinite_numbers(self, series, value, tmp_path, capsys):
+        # json reads NaN and Infinity; neither is a report number, bar an
+        # infinite ratio
+        report = {"probe": "x", "hbar": [0.1, 0.05], "lhs": [1.0, 0.5],
+                  "budget": [2.0, 1.0], "ratio": [0.5, 0.5]}
+        rdir = tmp_path / "reports"
+        rdir.mkdir()
+        fp = rdir / "report.json"
+        report[series][0] = value
+        fp.write_text(json.dumps(report))
+        assert main(["report", str(rdir)]) == 2
+        assert capsys.readouterr().err == f"io-error: malformed report file {fp}\n"
+        assert not (rdir / "merged_reports.csv").exists()
 
     def test_main_rate_emitted(self, config_file, tmp_path):
         code = main(["sweep", "--config", str(config_file),

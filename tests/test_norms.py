@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,22 +58,11 @@ def test_sobolev_weight_order(grid32, rng):
     assert n2 >= n0
 
 
-def test_sobolev_norms_share_one_derivative_pass(grid32, rng, monkeypatch):
-    from phaselab import norms
-
+def test_sobolev_norms_share_one_derivative_pass(grid32, rng):
     f = PhaseField(grid32, band_limited_field(32, rng, max_mode=6))
     ps = (np.inf, 2, 4)
     separate = [weighted_sobolev_norm(f, 4, p, 4) for p in ps]
-    calls = []
-    phase_derivative = norms._phase_derivative
-
-    def counted(*args):
-        calls.append(1)
-        return phase_derivative(*args)
-
-    monkeypatch.setattr(norms, "_phase_derivative", counted)
     assert weighted_sobolev_norms(f, 4, ps, 4) == separate
-    assert len(calls) == 15          # |alpha| <= 4 in two variables, once each
 
 
 class TestLorentz:
@@ -143,6 +134,16 @@ class TestSchatten:
         assert schatten_norms(op, ps) == separate
         assert weighted_schatten_norms(op, ps, 3) == weighted
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_weighted_norms_match_the_weighted_kernel(self, grid32, rng, n):
+        # the axis-1 spectrum route against op <p>^n built in position space
+        from phaselab.calculus import momentum_weight_apply
+
+        op = DensityOperator(grid32, band_limited_field(32, rng, max_mode=10, real=False))
+        ps = (1, 2, 2.5, 3.5, np.inf)
+        expected = schatten_norms(momentum_weight_apply(op, n, "right"), ps)
+        np.testing.assert_allclose(weighted_schatten_norms(op, ps, n), expected, rtol=1e-12)
 
 
 class TestQuantumSobolev:
@@ -223,9 +224,15 @@ def test_quantum_sobolev_fft_count(grid64, rng, count_ffts):
     assert len(calls) == 10
 
 
-def test_weighted_sobolev_fft_count(grid64, rng, count_ffts):
-    """One forward real 2-d transform, then one inverse per |alpha| <= 4."""
+def test_weighted_sobolev_fft_count(grid64, rng, monkeypatch):
+    """One forward real 2-d transform, one inverse x-transform per x-order
+    (5 at k = 4) and one inverse xi-transform per |alpha| <= 4 (15)."""
     f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10))
-    calls = count_ffts()
+    calls = Counter()
+    for name in ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft", "rfft2", "irfft2"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name, kwargs.get("axis")] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     weighted_sobolev_norms(f, 4, (np.inf, 2), 4)
-    assert len(calls) == 16
+    assert calls == {("rfft2", None): 1, ("ifft", 0): 5, ("irfft", 1): 15}

@@ -1,4 +1,8 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from phaselab.sweeps import (
 )
 from phaselab.trajectory import DEFAULT_DT
 
+ROOT = Path(__file__).resolve().parents[1]
 PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 SMALL = (48, 64, 96, 128)
 # the probes with a per-snapshot consumer, which read the snapshot series
@@ -563,9 +568,8 @@ def test_static_sweeps_honour_jobs(probe, monkeypatch):
 
 
 def test_pool_gets_largest_grid_first(monkeypatch):
+    import concurrent.futures
     from concurrent.futures import Future
-
-    from phaselab import sweeps
 
     submitted = []
 
@@ -590,10 +594,44 @@ def test_pool_gets_largest_grid_first(monkeypatch):
             submitted.extend(a["N"] for a in args)
             return map(fn, args)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     results = run_members(lambda a: a["N"], [dict(N=N) for N in SMALL], jobs=2)
     assert submitted == sorted(SMALL, reverse=True)
     assert results == list(SMALL)
+
+
+def _worker_freeze_count(arg):
+    """A pool member: the garbage collector's frozen-object count in the
+    worker, or a ValueError for a negative N."""
+    if arg["N"] < 0:
+        raise ValueError("member failed")
+    return gc.get_freeze_count()
+
+
+def test_pool_freezes_the_heap_only_while_it_runs():
+    import multiprocessing
+
+    counts = run_members(_worker_freeze_count, [dict(N=48), dict(N=64)], jobs=2)
+    if multiprocessing.get_start_method() == "fork":
+        # the workers forked from the frozen heap
+        assert all(c > 0 for c in counts)
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ValueError, match="member failed"):
+        run_members(_worker_freeze_count, [dict(N=48), dict(N=-1)], jobs=2)
+    assert gc.get_freeze_count() == 0
+
+
+def test_cli_import_loads_no_pool_module():
+    # the pool modules load only when a sweep runs members in a pool, so the
+    # set-up and a one-job sweep skip them
+    code = ("import sys, phaselab.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+            " or m.split('.')[0] == 'multiprocessing'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ten_probe_sweep_is_one_member_pass(monkeypatch):
