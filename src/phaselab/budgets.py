@@ -101,3 +101,16 @@ def fit_c_star_window(times, left, Lambda) -> float:
     t_cal = times[0] + 0.5 * (times[-1] - times[0])
     return max([0.0, *(rate for t, rate in _implied_rates(times, left, Lambda) if t <= t_cal)])
 
+
+def fit_envelope_scale(left, env) -> tuple[float, slice] | None:
+    """Constant of a raw envelope env calibrated on its earliest usable time.
+
+    c* = left / env at the first time after t = 0 where both are positive;
+    frozen afterwards, so the envelope c* env is tested only at the later
+    times, whose slice is returned with it. None when no time is usable or
+    none follows it.
+    """
+    fit = next((i for i in range(1, len(env)) if env[i] > 0 and left[i] > 0), None)
+    if fit is None or fit + 1 >= len(env):
+        return None
+    return left[fit] / env[fit], slice(fit + 1, len(env))

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, WrapAmbiguityError
-from .grids import PhaseGrid
+from .grids import PhaseField, PhaseGrid
 from .operators import DensityOperator, require_positive
 from .spectral import derivative, fourier_multiplier
 from .transforms import _chord_indices, chord_matrix, scatter_chords
@@ -36,24 +36,37 @@ def quantum_gradient_x(op: DensityOperator) -> DensityOperator:
     return DensityOperator(g, scatter_chords(g, D), hermitian=False)
 
 
+def _band_share(band: float, total: float) -> float:
+    return 0.0 if total == 0 else float(band / total)
+
+
 def wrap_mass(op: DensityOperator) -> float:
     """Relative kernel mass on the antipodal chords |x - y| near L_x / 2."""
     a = np.abs(op.kernel)
-    total = np.sum(a)
-    if total == 0:
-        return 0.0
-    return float(np.sum(a.take(_chord_indices(op.grid.N)["wrap_band"])) / total)
+    return _band_share(np.sum(a.take(_chord_indices(op.grid.N)["wrap_band"])), np.sum(a))
 
 
-def require_unwrapped(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL):
-    """The wrap guard of every minimal-image chord product: raise when the
-    kernel carries more than ``wrap_tol`` of its mass near the antipodal cut,
-    where the shortest chord is ambiguous."""
-    wm = wrap_mass(op)
+def chord_wrap_mass(column_mass: np.ndarray) -> float:
+    """wrap_mass read from the column masses sum_i |D[i, col]| of a chord
+    matrix (see chord_matrix): the wrap band is the three whole chord columns
+    |c| = N/2 - 1, N/2 (columns N/2 - 1, N/2 + 1 and N/2)."""
+    half = len(column_mass) // 2
+    return _band_share(np.sum(column_mass[half - 1:half + 2]), np.sum(column_mass))
+
+
+def check_wrap(wm: float, wrap_tol: float = WRAP_GUARD_TOL):
+    """The wrap guard of every minimal-image chord product: raise when a
+    kernel carries a share ``wm`` above ``wrap_tol`` of its mass near the
+    antipodal cut, where the shortest chord is ambiguous."""
     if wm > wrap_tol:
         raise WrapAmbiguityError(
             f"kernel mass {wm:.3e} near the antipodal cut exceeds {wrap_tol:.1e}"
         )
+
+
+def require_unwrapped(op: DensityOperator, wrap_tol: float = WRAP_GUARD_TOL):
+    """check_wrap on the kernel of ``op``."""
+    check_wrap(wrap_mass(op), wrap_tol)
 
 
 @lru_cache(maxsize=1)
@@ -109,6 +122,12 @@ def spatial_density(op: DensityOperator) -> np.ndarray:
     if op.hermitian:
         return rho.real.copy()
     return rho.copy()
+
+
+def xi_marginal(f: PhaseField) -> np.ndarray:
+    """rho(x) = sum_k f(x, xi_k) dxi: the spatial density of a phase-space
+    field, equal to spatial_density(weyl_quantize(f)) up to rounding."""
+    return f.values.sum(axis=1) * f.grid.dxi
 
 
 @lru_cache(maxsize=8)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .calculus import (
     WRAP_GUARD_TOL,
+    check_wrap,
+    chord_wrap_mass,
     momentum_weight_multiplier,
     quantum_gradient_x,
     quantum_gradient_xi,
@@ -23,6 +25,7 @@ from .errors import ConfigurationError
 from .grids import PhaseField
 from .operators import DensityOperator
 from .spectral import derivative, derivative_multiplier, modes
+from .transforms import chord_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +58,41 @@ def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
     convention used by the stability budgets. Derivatives are spectral: one
     forward 2-d transform (the half spectrum in xi of a real field, with real
     derivatives), one inverse x-transform per x-order and one inverse
-    xi-transform per multi-index.
+    xi-transform per multi-index. When every p is 2 and n = 0 the norm is
+    Parseval's sum over the forward transform, with no inverse transform.
     """
     if k > 4:
         raise ConfigurationError("weighted Sobolev norms support k <= 4")
     g = f.grid
+    spec = np.fft.rfft2(f.values) if f.real else np.fft.fft2(f.values)
+    cols = spec.shape[1]
+    if n == 0 and all(p == 2 for p in ps):
+        power = spec.real**2 + spec.imag**2
+        if f.real:
+            power[:, 1:g.N // 2] *= 2.0   # each of these columns stands for its mirror too
+        wx = np.array([derivative_multiplier(g.N, g.L_x, a) for a in range(k + 1)])
+        wxi = np.array([derivative_multiplier(g.N, g.L_xi, a)[:cols] for a in range(k + 1)])
+        total = _sobolev_sum(power, np.abs(wx) ** 2, np.abs(wxi) ** 2, k) * g.cell / g.N**2
+        return [float(math.sqrt(total))] * len(ps)
+    inverse_xi = partial(np.fft.irfft, n=g.N, axis=1) if f.real else partial(np.fft.ifft, axis=1)
     weight = (1.0 + g.xi**2) ** (n / 2.0)
-    if f.real:
-        spec = np.fft.rfft2(f.values)
-        inverse_xi = partial(np.fft.irfft, n=g.N, axis=1)
-    else:
-        spec = np.fft.fft2(f.values)
-        inverse_xi = partial(np.fft.ifft, axis=1)
     totals = [0.0] * len(ps)
     for ax in range(k + 1):
         x_part = np.fft.ifft(spec * derivative_multiplier(g.N, g.L_x, ax)[:, None], axis=0)
         for axi in range(k + 1 - ax):
-            dv = inverse_xi(x_part * derivative_multiplier(g.N, g.L_xi, axi)[:spec.shape[1]])
+            dv = inverse_xi(x_part * derivative_multiplier(g.N, g.L_xi, axi)[:cols])
             dv *= weight
             for i, p in enumerate(ps):
                 totals[i] += spatial_lebesgue_norm(dv, g.cell, p) ** 2
     return [float(math.sqrt(t)) for t in totals]
+
+
+def _sobolev_sum(power: np.ndarray, wx: np.ndarray, wy: np.ndarray, k: int) -> float:
+    """sum over ax + ay <= k of sum_{a, b} wx[ax, a] power[a, b] wy[ay, b]:
+    the squared Sobolev sum of a spectrum with power ``power``, where row j
+    of wx and of wy is the squared multiplier of order j along each axis."""
+    M = wx @ power @ wy.T
+    return float(sum(M[ax, ay] for ax in range(k + 1) for ay in range(k + 1 - ax)))
 
 
 def weighted_sobolev_norm(f: PhaseField, k: int, p: float, n: int) -> float:
@@ -156,18 +173,34 @@ def _hilbert_schmidt(K: np.ndarray, g) -> float:
     return float(g.h ** 0.5 * hs)
 
 
+def _check_indices(ps):
+    if any(p < 1 for p in ps):
+        raise ConfigurationError("Schatten index must satisfy p >= 1")
+
+
+def _power_norm(sv: np.ndarray, g, p: float) -> float:
+    """h^{1/p} (sum sv^p)^{1/p} of descending operator singular values;
+    p = inf gives the largest, with no h factor."""
+    if math.isinf(p):
+        return float(sv[0]) if len(sv) else 0.0
+    return float(g.h ** (1.0 / p) * np.sum(sv**p) ** (1.0 / p))
+
+
 def schatten_norms(op: DensityOperator, ps) -> list[float]:
     """Rescaled Schatten norms ||op||_{L^p} = h^{1/p} (sum sigma_i^p)^{1/p},
     one per index in ``ps``, from a single set of singular values.
 
     Operator singular values are dx times the kernel-matrix ones; p = inf
     returns the largest singular value with no h factor, p = 2 needs no
-    singular values. For p > 2 they come from the Gram matrix (one Hermitian
-    eigvalsh), for p < 2 from an SVD; each route runs at most once per call,
-    and every norm has the same bits whichever other indices share the call.
+    singular values. An operator flagged Hermitian takes them as |lambda|
+    from one eigvalsh (see hermitian_schatten_norms). Otherwise, for p > 2
+    they come from the Gram matrix (one Hermitian eigvalsh), for p < 2 from
+    an SVD; each route runs at most once per call, and every norm has the
+    same bits whichever other indices share the call.
     """
-    if any(p < 1 for p in ps):
-        raise ConfigurationError("Schatten index must satisfy p >= 1")
+    _check_indices(ps)
+    if op.hermitian and any(p != 2 for p in ps):
+        return hermitian_schatten_norms(op, ps)[1]
     g = op.grid
     by_route = {}
     out = []
@@ -178,12 +211,21 @@ def schatten_norms(op: DensityOperator, ps) -> list[float]:
         gram = p > 2
         if gram not in by_route:
             by_route[gram] = _gram_singular_values(op) if gram else op.singular_values()
-        sv = by_route[gram]
-        if math.isinf(p):
-            out.append(float(sv[0]) if len(sv) else 0.0)
-        else:
-            out.append(float(g.h ** (1.0 / p) * np.sum(sv**p) ** (1.0 / p)))
+        out.append(_power_norm(by_route[gram], g, p))
     return out
+
+
+def hermitian_schatten_norms(op: DensityOperator, ps) -> tuple[np.ndarray, list[float]]:
+    """The eigenvalues of an operator flagged Hermitian, ascending, and its
+    rescaled Schatten norms, one per index in ``ps``, from one eigvalsh:
+    the singular values are |lambda|. p = 2 is the Hilbert-Schmidt norm of
+    the kernel, as in schatten_norms."""
+    _check_indices(ps)
+    g = op.grid
+    ev = op.eigenvalues()
+    sv = np.sort(np.abs(ev))[::-1]
+    return ev, [_hilbert_schmidt(op.kernel, g) if p == 2 else _power_norm(sv, g, p)
+                for p in ps]
 
 
 def schatten_norm(op: DensityOperator, p: float) -> float:
@@ -218,13 +260,16 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
 
     For p < inf: (sum_alpha ||grad^alpha op||^p_{L^p(m)})^(1/p); for p = inf
     the sup over alpha. m = <p>^n applied on the right. At p = 2, n = 0 this
-    equals ||f_op||_{H^k} exactly. ``wrap_tol`` relaxes the xi-gradient wrap
-    guard; operator square roots carry a float64 noise floor near sqrt(eps)
-    that is harmless to norm budgets but would trip the strict default.
+    equals ||f_op||_{H^k} exactly, and is taken in the chord domain (see
+    _chord_sobolev_norm). ``wrap_tol`` relaxes the xi-gradient wrap guard;
+    operator square roots carry a float64 noise floor near sqrt(eps) that is
+    harmless to norm budgets but would trip the strict default.
     """
     if k > 2:
         raise ConfigurationError("quantum Sobolev norms support k <= 2")
     tol = WRAP_GUARD_TOL if wrap_tol is None else wrap_tol
+    if p == 2 and n == 0:
+        return _chord_sobolev_norm(op, k, tol)
     # each multi-index (ax, axi), x-gradients first, extends a shared prefix
     terms = []
     grad_x = op
@@ -240,3 +285,34 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
     if math.isinf(p):
         return float(max(terms))
     return float(np.sum(np.array(terms) ** p) ** (1.0 / p))
+
+
+def _chord_sobolev_norm(op: DensityOperator, k: int, wrap_tol: float) -> float:
+    """The quantum H^k norm (p = 2, n = 0) from one chord-matrix gather and
+    one axis-0 FFT.
+
+    In the chord matrix D (see chord_matrix) the x-gradient is the spectral
+    derivative along axis 0 and the xi-gradient multiplies column col by its
+    chord c dx / (i hbar); the gather only permutes kernel entries. So by
+    Parseval the squared norm is h dx^2 / N times the sum over
+    ax + axi <= k of |k_x|^{2 ax} |c dx / hbar|^{2 axi} |fft(D, axis=0)|^2,
+    with the Nyquist mode of k_x zeroed, as the repeated first-order
+    derivative does. Each wrap guard of the gradient chain is read from
+    column sums of |D|, in the chain's order: the x-gradient of D by one
+    inverse transform when k = 2.
+    """
+    g = op.grid
+    N = g.N
+    D = chord_matrix(op)
+    mult = derivative_multiplier(N, g.L_x, 1)
+    chord = np.abs(((np.arange(N) + N // 2) % N) - N // 2) * (g.dx / g.hbar)
+    spec = np.fft.fft(D, axis=0)
+    for ax in range(k):
+        grad = D if ax == 0 else np.fft.ifft(spec * (mult**ax)[:, None], axis=0)
+        mass = np.sum(np.abs(grad), axis=0)
+        for axi in range(k - ax):
+            check_wrap(chord_wrap_mass(mass * chord**axi), wrap_tol)
+    orders = 2 * np.arange(k + 1)[:, None]
+    total = _sobolev_sum(spec.real**2 + spec.imag**2, np.abs(mult) ** orders,
+                         chord ** orders, k)
+    return float(math.sqrt(g.h * g.dx**2 / N * total))

@@ -7,19 +7,18 @@ slope fits live in the sweeps module.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .calculus import (
-    momentum_weight_apply,
-    quantum_gradient_xi,
-    spatial_density,
-)
+from .calculus import momentum_weight_apply, quantum_gradient_xi, xi_marginal
 from .coherent import husimi_convolve, wick_quantize
 from .grids import PhaseField, PhaseGrid
 from .norms import (
     lebesgue_norm,
     quantum_sobolev_norm,
     schatten_norm,
+    schatten_norms,
     spatial_lebesgue_norm,
     weighted_sobolev_norm,
 )
@@ -38,23 +37,33 @@ def phase_gradient_magnitude(f: PhaseField) -> PhaseField:
     return PhaseField(g, np.sqrt(np.abs(dx_) ** 2 + np.abs(dxi) ** 2), real=True)
 
 
-def _wick_square_gap(g_field: PhaseField) -> tuple[DensityOperator, PhaseField]:
-    """(wick(g^2) - wick(g)^2, g^2)."""
+class WickSquare(NamedTuple):
+    """A real symbol g, its Wick operator wick(g), its square g^2 and the
+    Wick-square gap wick(g^2) - wick(g)^2, flagged Hermitian."""
+
+    symbol: PhaseField
+    wick: DensityOperator
+    square: PhaseField
+    gap: DensityOperator
+
+
+def wick_square_data(g_field: PhaseField) -> WickSquare:
+    """The WickSquare of g_field: two Wick quantizations and one product."""
     wg = wick_quantize(g_field)
+    wg2 = wg @ wg
+    wg2.hermitian = True   # the square of a Hermitian operator
     g2 = g_field.copy_with(g_field.values**2)
-    return wick_quantize(g2) - (wg @ wg), g2
+    return WickSquare(g_field, wg, g2, wick_quantize(g2) - wg2)
 
 
-def wick_square_probe(g_field: PhaseField) -> dict:
+def wick_square_probe(w: WickSquare) -> dict:
     """Lemma on Wick squares: ||wick(g^2) - wick(g)^2||_{L^p} vs hbar ||grad g||^2_{L^{2p}}
-    for p = 1, 2, inf."""
-    grid = g_field.grid
-    hbar = grid.hbar
-    diff, _ = _wick_square_gap(g_field)
-    gradmag = phase_gradient_magnitude(g_field)
+    for p = 1, 2, inf, the three norms from one spectrum of the gap."""
+    hbar = w.symbol.grid.hbar
+    gradmag = phase_gradient_magnitude(w.symbol)
+    ps = (1, 2, np.inf)
     out = {}
-    for p in (1, 2, np.inf):
-        lhs = schatten_norm(diff, p)
+    for p, lhs in zip(ps, schatten_norms(w.gap, ps)):
         two_p = np.inf if np.isinf(p) else 2 * p
         budget = hbar * lebesgue_norm(gradmag, two_p) ** 2
         key = "inf" if np.isinf(p) else str(int(p))
@@ -97,11 +106,10 @@ def gaussian_commutator_probe(f: PhaseField) -> dict:
     return {"lhs": lhs, "budget": budget}
 
 
-def commutator_probe(op_src: DensityOperator, mu: DensityOperator) -> dict:
-    """Semiclassical commutator bound:
-    (1/hbar) ||[V_op, mu]||_L2 <= C ||rho||_{L^2_x} ||grad_xi mu||_{W^{1,2}}."""
-    grid = op_src.grid
-    rho = spatial_density(op_src).real
+def commutator_probe(rho: np.ndarray, mu: DensityOperator) -> dict:
+    """Semiclassical commutator bound for the potential V of the density rho:
+    (1/hbar) ||[V, mu]||_L2 <= C ||rho||_{L^2_x} ||grad_xi mu||_{W^{1,2}}."""
+    grid = mu.grid
     snap = solve_poisson(grid, rho, +1)
     lhs = schatten_norm(potential_commutator(mu, snap.V), 2) / grid.hbar
     budget = spatial_lebesgue_norm(rho, grid.dx, 2) * quantum_sobolev_norm(
@@ -113,8 +121,7 @@ def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
     """B-remainder size: (1/hbar)||B_f(op_f)||_L2 vs
     hbar ||grad E_f||_inf ||grad_xi^2 f||_L2 (the paper's two-sided content)."""
     grid = f.grid
-    rho = f.values.sum(axis=1) * grid.dxi
-    snap = solve_poisson(grid, rho, sign)
+    snap = solve_poisson(grid, xi_marginal(f), sign)
     op = weyl_quantize(f)
     B = b_remainder(op, snap.V)
     lhs = schatten_norm(B, 2) / grid.hbar
@@ -122,13 +129,11 @@ def b_bound_probe(f: PhaseField, sign: int = 1) -> dict:
     return {"lhs": lhs, "budget": budget}
 
 
-def init_diff_probe(g_field: PhaseField) -> dict:
+def init_diff_probe(w: WickSquare) -> dict:
     """Weighted Wick-square gap:
     ||<p>(wick(g^2) - wick(g)^2)<p>||_L2 vs hbar * C_init-style budget."""
-    grid = g_field.grid
-    gap, g2 = _wick_square_gap(g_field)
-    lhs = schatten_norm(momentum_weight_apply(gap, 1, "both"), 2)
-    return {"lhs": lhs, "budget": grid.hbar * c_init(g_field, g2)}
+    lhs = schatten_norm(momentum_weight_apply(w.gap, 1, "both"), 2)
+    return {"lhs": lhs, "budget": w.symbol.grid.hbar * c_init(w.symbol, w.square)}
 
 
 def c_init(root: PhaseField, f: PhaseField) -> float:

@@ -37,26 +37,28 @@ from .budgets import (
     SQRT_WRAP_TOL,
     cumulative_trapezoid,
     fit_c_star,
+    fit_envelope_scale,
     quantum_rate,
     sqrt_field,
 )
-from .calculus import operator_sqrt, spatial_density
+from .calculus import operator_sqrt, spatial_density, xi_marginal
 from .coherent import husimi_convolve, wick_quantize, wick_square_datum
 from .config import DEFAULTS
 from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, gaussian_phase_kernel, make_grid, sample_field
 from .hartree import hartree_steps, linear_hartree_steps
 from .norms import (
+    hermitian_schatten_norms,
     lebesgue_norm,
     quantum_sobolev_norm,
     schatten_norm,
-    schatten_norms,
     spatial_lebesgue_norm,
     spatial_sobolev_norm,
     weighted_sobolev_norms,
 )
 from .operators import DensityOperator
 from .probes import (
+    WickSquare,
     b_bound_probe,
     c_init,
     commutator_probe,
@@ -65,6 +67,7 @@ from .probes import (
     hessian_xi_norm,
     init_diff_probe,
     weight_remainder_probe,
+    wick_square_data,
     wick_square_probe,
 )
 from .reports import ProbeReport, fit_loglog
@@ -146,6 +149,10 @@ FLOWS = {
 }
 
 
+# the bundle's cached data that only the static probes read
+STATIC_DATA = ("gaussian", "gaussian_wick")
+
+
 class DynamicsBundle:
     """One grid and everything its probes read.
 
@@ -183,6 +190,12 @@ class DynamicsBundle:
                             tail_tol=1e-4)
 
     @cached_property
+    def gaussian_wick(self) -> WickSquare:
+        """wick(g), g^2 and the Wick-square gap of the Gaussian g, which the
+        wick_structure, wick_square and init_diff probes share."""
+        return wick_square_data(self.gaussian)
+
+    @cached_property
     def dt(self) -> float:
         return resolve_steps(self.args["T"], self.args["dt"])[1]
 
@@ -190,6 +203,10 @@ class DynamicsBundle:
     def streamed(self) -> Streamed:
         """Stream the flows that the requested probes read, in FLOWS order,
         through their per-snapshot consumers (see stream)."""
+        # no flow probe reads the static probes' Gaussian data: drop them
+        # before the flows are held
+        for name in STATIC_DATA:
+            self.__dict__.pop(name, None)
         probes = {p: PROBE_TABLE[p] for p in PROBE_TABLE if p in self.args["probes"]}
         names = [n for n in FLOWS if any(n in probe.flows for probe in probes.values())]
         consumers = {p: partial(probe.snapshot, self)
@@ -416,12 +433,11 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
                      [float(m["env0"][-1]) for m in members])
     ratios = []
     for m in members:
-        left, env0, times = m["left"], m["env0"], m["times"]
-        fit_idx = next((i for i in range(1, len(times)) if env0[i] > 0 and left[i] > 0), None)
-        if fit_idx is None or fit_idx + 1 >= len(times):
+        left, env0 = m["left"], m["env0"]
+        fit = fit_envelope_scale(left, env0)
+        if fit is None:
             continue
-        c_star = left[fit_idx] / env0[fit_idx]
-        later = slice(fit_idx + 1, len(times))
+        c_star, later = fit
         ratios.append(float(np.max(left[later] / (c_star * env0[later]))))
     report.require("left_under_fitted_envelope", max(ratios, default=0.0), 1.0 + RATIO_SLACK)
     report.require("sqrt_commutes_with_flow",
@@ -483,7 +499,7 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
     f, grid = b.gaussian, b.grid
     op_f = weyl_quantize(f)
     smoothed = husimi_convolve(f)
-    op_wick = weyl_quantize(smoothed)   # wick_quantize(f), from the one smoothing
+    op_wick = b.gaussian_wick.wick   # weyl_quantize(smoothed)
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
     mixed = derivative(derivative(f.values, grid.L_x, axis=0), grid.L_xi, axis=1)
@@ -494,9 +510,9 @@ def wick_structure_metric(b: DynamicsBundle) -> dict:
     reference = husimi_convolve(f, kernel=gaussian_phase_kernel(grid))
     identity_gap = schatten_norm(op_wick - weyl_quantize(reference), 2)
     ps = (1, 2, np.inf)
+    ev, norms = hermitian_schatten_norms(op_wick, ps)
     contraction = {"inf" if np.isinf(p) else str(p): (norm, lebesgue_norm(f, p))
-                   for p, norm in zip(ps, schatten_norms(op_wick, ps))}
-    ev = op_wick.eigenvalues()
+                   for p, norm in zip(ps, norms)}
     return {
         "gap_op": gap_op, "gap_field": gap_field,
         "gap_equality_error": abs(gap_op - gap_field),
@@ -571,9 +587,10 @@ def commutator_metric(b: DynamicsBundle) -> dict:
     for _ in range(b.args["pairs"]):
         fsrc = field_from_modes(grid.N, random_mode_block(rng, 4))
         fmu = field_from_modes(grid.N, random_mode_block(rng, 4))
-        src = wick_quantize(PhaseField(grid, fsrc**2 + 0.3))
+        # the density of wick(src), read off its smoothed symbol
+        rho = xi_marginal(husimi_convolve(PhaseField(grid, fsrc**2 + 0.3)))
         mu = wick_quantize(PhaseField(grid, fmu))
-        r = commutator_probe(src, mu)
+        r = commutator_probe(rho, mu)
         ratios.append(r["lhs"] / r["budget"])
     return {"ratio_mean": float(np.mean(ratios)), "ratio_max": float(np.max(ratios))}
 
@@ -607,13 +624,13 @@ PROBE_TABLE = {
     "convergence": Probe(headline_metric, lambda ms: [convergence_report(ms)],
                          ("vlasov", "linear", "hartree")),
     "wick_structure": Probe(wick_structure_metric, lambda ms: [wick_structure_report(ms)]),
-    "wick_square": Probe(lambda b: wick_square_probe(b.gaussian),
+    "wick_square": Probe(lambda b: wick_square_probe(b.gaussian_wick),
                          lambda ms: [wick_square_report(ms)]),
     "weight_remainder": Probe(weight_remainder_metric, lambda ms: [weight_remainder_report(ms)]),
     "commutator": Probe(commutator_metric, lambda ms: [commutator_report(ms)]),
     "b_remainder": Probe(lambda b: b_bound_probe(b.f0, b.args["sign"]),
                          _slope_report("b_remainder", [1.8, 2.2])),
-    "init_diff": Probe(lambda b: init_diff_probe(b.gaussian),
+    "init_diff": Probe(lambda b: init_diff_probe(b.gaussian_wick),
                        _slope_report("init_diff", [0.8, 1.2])),
     "positivity_defect": Probe(defect_metric, lambda ms: list(defect_reports(ms)),
                                ("vlasov", "linear"), defect_snapshot),

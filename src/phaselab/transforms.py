@@ -65,15 +65,29 @@ def _chord_indices(N: int) -> dict:
     return tables
 
 
-def _chord_slices(f_values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+def _chord_slices(f_values: np.ndarray, grid: PhaseGrid, real: bool) -> np.ndarray:
     """Momentum-FFT of the symbol, B[i, m] = (1/L) sum_k f[i,k] e^{2 pi i k m / N},
-    in rows 0..N-1, over its half-lattice interpolant Bmid in rows N..2N-1."""
+    in rows 0..N-1, over its half-lattice interpolant Bmid in rows N..2N-1.
+
+    A real symbol has B[:, -m] = conj(B[:, m]): its columns m = 0..N/2 come
+    from one rfft along xi and are interpolated alone, the others are their
+    conjugate mirrors, and the self-mirrored Nyquist column of Bmid is taken
+    real. Its Weyl kernel is then exactly Hermitian.
+    """
     N = grid.N
     S = np.empty((2 * N, N), dtype=complex)
     B = S[:N]
-    np.fft.ifft(np.fft.ifftshift(f_values, axes=1), axis=1, out=B)
-    B *= N / grid.L_x
-    half_shift(B, axis=0, direction=+1, out=S[N:])
+    if not real:
+        np.fft.ifft(np.fft.ifftshift(f_values, axes=1), axis=1, out=B)
+        B *= N / grid.L_x
+        half_shift(B, axis=0, direction=+1, out=S[N:])
+        return S
+    cols = N // 2 + 1
+    np.conjugate(np.fft.rfft(np.fft.ifftshift(f_values, axes=1), axis=1), out=B[:, :cols])
+    B[:, :cols] *= 1.0 / grid.L_x
+    S[N:, :cols] = half_shift(B[:, :cols], axis=0, direction=+1)
+    S[N:, N // 2].imag = 0.0
+    np.conjugate(S[:, N // 2 - 1:0:-1], out=S[:, cols:])
     return S
 
 
@@ -81,7 +95,7 @@ def weyl_quantize(f: PhaseField) -> DensityOperator:
     """Weyl quantization: kernel op_f(x, y) from the midpoint-Fourier formula."""
     grid = f.grid
     idx = _chord_indices(grid.N)
-    S = _chord_slices(f.values, grid)
+    S = _chord_slices(f.values, grid, f.real)
     K = S.take(idx["weyl_flat"])
     # antipodal chord: average the two equally short midpoint images
     va, vb = S.take(idx["anti_src"])

@@ -17,6 +17,7 @@ from phaselab.calculus import (
     quantum_gradient_xi,
     spatial_density,
     wrap_mass,
+    xi_marginal,
 )
 from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
@@ -122,6 +123,17 @@ class TestSpatialDensity:
         op = weyl_quantize(PhaseField(grid32, band_limited_field(32, rng, max_mode=8)))
         assert np.sum(spatial_density(op)) * grid32.dx == pytest.approx(
             (grid32.h * op.trace()).real, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [10, 64])
+    def test_weyl_density_is_the_xi_marginal(self, N, rng):
+        # h diag(op_f) = sum_k f(x, xi_k) dxi, also with mass at both Nyquist modes
+        from phaselab import make_grid
+
+        grid = make_grid(N, 2 * np.pi, 3.0)
+        f = PhaseField(grid, band_limited_field(N, rng, max_mode=N // 2) + 3.0)
+        rho = xi_marginal(f)
+        np.testing.assert_allclose(spatial_density(weyl_quantize(f)), rho, rtol=1e-13,
+                                   atol=1e-14 * np.max(np.abs(rho)))
 
 
 class TestOperatorSqrt:

@@ -135,6 +135,28 @@ class TestSchatten:
         assert weighted_schatten_norms(op, ps, 3) == weighted
         assert len(calls) == 2
 
+    def test_hermitian_route_matches_svd_and_gram(self, grid64, rng, monkeypatch):
+        # sigma = |lambda| from one eigvalsh against the SVD (p < 2) and Gram
+        # (p > 2) routes of the same kernel unflagged; a norm has the same
+        # bits whatever other indices share the call
+        from phaselab.coherent import wick_quantize
+
+        ps = (1, 1.5, 3, np.inf)
+        ops = [weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=12))),
+               wick_quantize(PhaseField(grid64, np.abs(band_limited_field(64, rng, 8))))]
+        for op in ops:
+            assert op.hermitian
+            general = DensityOperator(grid64, op.kernel, hermitian=False)
+            np.testing.assert_allclose(schatten_norms(op, ps), schatten_norms(general, ps),
+                                       rtol=1e-13)
+            assert schatten_norms(op, ps) == [schatten_norm(op, p) for p in ps]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        schatten_norms(ops[0], (1, 2, 3, np.inf))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_weighted_norms_match_the_weighted_kernel(self, grid32, rng, n):
         # the axis-1 spectrum route against op <p>^n built in position space
@@ -184,6 +206,44 @@ class TestQuantumSobolev:
         else:
             assert abs(value - oracle) <= 1e-13 * oracle
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_chord_route_matches_the_gradient_chain(self, grid64, rng, k):
+        # p = 2, n = 0 in the chord domain against each multi-index built by
+        # the kernel-space gradients, for a Hermitian and a general operator
+        indices = [(ax, axi) for ax in range(k + 1) for axi in range(k + 1 - ax)]
+        for real in (True, False):
+            f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10, real=real),
+                           real=real)
+            op = weyl_quantize(f)
+            terms = [schatten_norm(apply_quantum_gradients(op, ax, axi), 2)
+                     for ax, axi in indices]
+            oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
+            assert quantum_sobolev_norm(op, k, 2, 0) == pytest.approx(oracle, rel=1e-13)
+
+    def test_chord_route_raises_the_chain_wrap_error(self, grid32):
+        # the wrap guard reads chord-column masses, in the chain's order: a
+        # kernel whose antipodal share passes the guard, as does that of its
+        # x-gradient, while its xi-gradient, which zeroes the diagonal,
+        # carries only antipodal mass
+        from phaselab.calculus import quantum_gradient_xi
+        from phaselab.errors import WrapAmbiguityError
+
+        K = np.diag(1.0 + 0.5 * np.cos(grid32.x)).astype(complex)
+        for scale, k in ((1.0, 1), (1e-12, 2)):
+            K[0, 16] = K[16, 0] = scale
+            op = DensityOperator(grid32, K.copy(), hermitian=True)
+            with pytest.raises(WrapAmbiguityError) as chain:
+                gop = op
+                for _ in range(k):
+                    gop = quantum_gradient_xi(gop)
+            with pytest.raises(WrapAmbiguityError) as chord:
+                quantum_sobolev_norm(op, k, 2, 0)
+            assert str(chord.value) == str(chain.value)
+        # at k = 1 only the kernel itself is guarded
+        assert quantum_sobolev_norm(op, 1, 2, 0) == pytest.approx(
+            float(np.sqrt(sum(schatten_norm(apply_quantum_gradients(op, ax, axi), 2) ** 2
+                              for ax, axi in [(0, 0), (0, 1), (1, 0)]))), rel=1e-13)
+
     def test_antipodal_mass_trips_the_wrap_guard(self, grid32):
         from phaselab.errors import WrapAmbiguityError
 
@@ -222,6 +282,25 @@ def test_quantum_sobolev_fft_count(grid64, rng, count_ffts):
     calls = count_ffts()
     quantum_sobolev_norm(op, 2, 2, 2)
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_parseval_sobolev_matches_the_transform_route(grid64, rng, real):
+    # every p = 2 at n = 0 sums the forward spectrum; a p = 4 beside it sends
+    # the p = 2 norm through the inverse transforms
+    f = PhaseField(grid64, band_limited_field(64, rng, max_mode=32, real=real), real=real)
+    for k in range(5):
+        parseval = weighted_sobolev_norms(f, k, (2, 2), 0)
+        assert parseval[0] == parseval[1]
+        assert parseval[0] == pytest.approx(weighted_sobolev_norms(f, k, (2, 4), 0)[0],
+                                            rel=1e-13)
+
+
+def test_parseval_sobolev_takes_one_transform(grid64, rng, count_ffts):
+    f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10))
+    calls = count_ffts()
+    weighted_sobolev_norm(f, 3, 2, 0)
+    assert calls == [(64, 64)]
 
 
 def test_weighted_sobolev_fft_count(grid64, rng, monkeypatch):

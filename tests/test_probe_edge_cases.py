@@ -4,7 +4,8 @@ from phaselab import PhaseField, make_grid, sample_field
 from phaselab.budgets import quantum_rate, sqrt_field
 from phaselab.coherent import wick_quantize
 from phaselab.norms import lebesgue_norm
-from phaselab.probes import commutator_probe, init_diff_probe, wick_square_probe
+from phaselab.calculus import spatial_density
+from phaselab.probes import commutator_probe, init_diff_probe, wick_square_data, wick_square_probe
 from phaselab.operators import DensityOperator
 from phaselab.sweeps import grid_member
 from phaselab.trajectory import Trajectory
@@ -14,14 +15,14 @@ PROFILE = {"name": "maxwellian", "perturbation": 0.1, "sigma_xi": 0.42}
 
 
 def test_wick_square_constant_symbol_vanishes(grid32):
-    out = wick_square_probe(PhaseField(grid32, np.full((32, 32), 1.7)))
+    out = wick_square_probe(wick_square_data(PhaseField(grid32, np.full((32, 32), 1.7))))
     assert out["lhs_p2"] < 1e-12
     assert out["lhs_p1"] < 1e-10
     assert out["lhs_pinf"] < 1e-12
 
 
 def test_init_diff_constant_symbol_vanishes(grid32):
-    out = init_diff_probe(PhaseField(grid32, np.full((32, 32), 0.8)))
+    out = init_diff_probe(wick_square_data(PhaseField(grid32, np.full((32, 32), 0.8))))
     assert out["lhs"] < 1e-12
 
 
@@ -34,13 +35,13 @@ def test_commutator_probe_trivial_cases(grid32, rng):
                               hermitian=True)
     src = wick_quantize(PhaseField(
         grid32, np.abs(band_limited_field(32, rng, max_mode=6)) + 0.3))
-    out = commutator_probe(src, mu_diag)
+    out = commutator_probe(spatial_density(src), mu_diag)
     assert out["lhs"] < 1e-12
 
     # uniform density gives a constant potential
     uniform = wick_quantize(PhaseField(grid32, np.ones((32, 32))))
     mu = wick_quantize(PhaseField(grid32, band_limited_field(32, rng, max_mode=6)))
-    out2 = commutator_probe(uniform, mu)
+    out2 = commutator_probe(spatial_density(uniform), mu)
     assert out2["lhs"] < 1e-12
 
 

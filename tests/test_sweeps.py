@@ -259,13 +259,14 @@ def test_headline_alone_evolves_three_flows_with_two_snapshots(monkeypatch):
     assert not any(_carries_root(f) for f in flows if f["flow"] == "vlasov_steps")
 
 
-def _envelope(c, Lambda, times) -> np.ndarray:
-    """sqrt(int_0^t c(s)^2 e^{2 (Lambda(t) - Lambda(s))} ds) at each time t,
-    with e^{2 Lambda(t)} taken out of the integral."""
+def _envelope(c, Lambda, times, scale=1.0) -> np.ndarray:
+    """scale * sqrt(int_0^t c(s)^2 e^{2 (Lambda(t) - Lambda(s))} ds) at each
+    time t, with e^{2 Lambda(t)} taken out of the integral. The scale
+    multiplies e^{Lambda(t)} before the root, in sqrt_metric's order."""
     from phaselab.budgets import cumulative_trapezoid
 
     growth = np.exp(Lambda)
-    return growth * np.sqrt(cumulative_trapezoid((c / growth) ** 2, times))
+    return scale * growth * np.sqrt(cumulative_trapezoid((c / growth) ** 2, times))
 
 
 def test_envelope_matches_the_prefix_integrals():
@@ -330,7 +331,7 @@ def _stored_series(args: dict) -> dict:
         w12s.append(w12)
     Lambda = cumulative_trapezoid(np.array(lam), times)
     c_series = np.array([w12 * (b.c_init + term) for w12, term in zip(w12s, terms)])
-    env0 = grid.hbar * _envelope(c_series, Lambda, times)
+    env0 = _envelope(c_series, Lambda, times, grid.hbar)
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
     rho_rates = [max(spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - 0.5),
                      spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + 0.5))
@@ -472,14 +473,55 @@ def test_stream_steps_flows_in_order_and_collects_series():
     assert (info.value.probe, info.value.t) == ("fails", 1.0)
 
 
-def test_wick_structure_member_takes_two_eigvalsh(monkeypatch):
-    # one Gram eigvalsh serves both the Schatten inf-norm and op_norm; the
-    # other is the spectrum of the Wick operator
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+def _count_linalg(monkeypatch) -> dict:
+    """Count the svd, eigh and eigvalsh calls from here on."""
+    calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_wick_structure_member_takes_one_eigvalsh(monkeypatch):
+    # the Wick operator is flagged Hermitian: one eigvalsh gives its least and
+    # largest eigenvalue and its Schatten 1- and inf-norms, with no SVD
+    calls = _count_linalg(monkeypatch)
     grid_member(dict(N=64, profile=PROFILE, T=0.5, probes=["wick_structure"]))
-    assert len(calls) == 2
+    assert calls == {"svd": 0, "eigh": 0, "eigvalsh": 1}
+
+
+def test_default_member_decomposition_count(monkeypatch):
+    # one N = 64 member of all ten probes: one eigvalsh each for the Wick
+    # operator, the Wick-square gap and ||op0||_inf, one Gram eigvalsh per
+    # snapshot for the quantum rate (9), one eigh per Hartree flow at T,
+    # and no SVD
+    calls = _count_linalg(monkeypatch)
+    grid_member(dict(N=64, profile=PROFILE, T=0.5, probes=PROBES))
+    assert calls == {"svd": 0, "eigh": 2, "eigvalsh": 12}
+
+
+def test_static_data_released_before_the_flows(monkeypatch):
+    # while the flows stream, the bundle holds f0, vt and op0, and none of
+    # the Gaussian data of the static probes
+    from phaselab import sweeps
+
+    N = 48
+    held = []
+
+    def consumer(b, s):
+        held.append({id(k) for k in _square_kernels(b, N)})
+        return sweeps.regularity_snapshot(b, s)
+
+    monkeypatch.setitem(sweeps.PROBE_TABLE, "regularity",
+                        sweeps.PROBE_TABLE["regularity"]._replace(snapshot=consumer))
+    b = sweeps.DynamicsBundle(dict(N=N, profile=PROFILE, T=0.1, probes=PROBES, pairs=2))
+    for p in ("wick_structure", "wick_square", "init_diff", "regularity"):
+        PROBE_TABLE[p].metric(b)
+    vt, op0 = b.wick_datum
+    assert held and all(ids == {id(b.f0.values), id(vt.kernel), id(op0.kernel)}
+                        for ids in held)
 
 
 def test_sweep_rejects_unknown_settings_and_probes():
@@ -504,14 +546,9 @@ def test_member_error_names_probe_and_n(monkeypatch):
 def test_sqrt_comparison_dense_kernel_count(monkeypatch):
     """One eigh per flow at time T checks the carried square roots; nothing
     else in the square-root analysis takes an eigh or an SVD."""
-    calls = {"eigh": 0, "svd": 0}
-    for name in calls:
-        def counted(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _kernel(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = _count_linalg(monkeypatch)
     grid_member(dict(N=64, profile=PROFILE, T=0.5, probes=("sqrt_comparison",)))
-    assert calls == {"eigh": 2, "svd": 0}
+    assert (calls["eigh"], calls["svd"]) == (2, 0)
 
 
 def test_headline_and_weyl_terms_share_end_quantizations(monkeypatch):

@@ -130,13 +130,15 @@ def _oracle_tables(N):
 
 
 def _oracle_weyl(f):
-    from phaselab.spectral import half_shift
+    # the momentum slices and their interpolants come from _chord_slices, so
+    # that the oracle pins the gathers from them bit for bit
+    from phaselab.transforms import _chord_slices
 
     grid = f.grid
     N = grid.N
     idx = _oracle_tables(N)
-    B = np.fft.ifft(np.fft.ifftshift(f.values.astype(complex), axes=1), axis=1) * (N / grid.L_x)
-    Bmid = half_shift(B, axis=0, direction=+1)
+    S = _chord_slices(f.values, grid, f.real)
+    B, Bmid = S[:N], S[N:]
     rows = np.where(idx["even"], idx["row_even"], idx["row_odd"])
     K = np.where(idx["even"], B[rows, idx["col"]], Bmid[rows, idx["col"]])
     src = Bmid if idx["anti_odd"] else B
@@ -183,6 +185,18 @@ def test_flat_gathers_match_fancy_index_oracles(N, real, rng):
     assert np.array_equal(scatter_chords(grid, D), op.kernel)
     assert np.array_equal(wigner_transform(op).values, _oracle_wigner(op).real if real
                           else _oracle_wigner(op))
+
+
+@pytest.mark.parametrize("N", [10, 64, 128])   # N/2 odd: the antipodal chord reads Bmid
+def test_real_symbol_kernels_are_exactly_hermitian(N, rng):
+    # the half-spectrum route of a real symbol against the complex route of
+    # the same samples, with mass at both Nyquist modes and the antipodal chord
+    grid = make_grid(N, 2 * np.pi, 2 * np.pi)
+    values = band_limited_field(N, rng, max_mode=N // 2)
+    K = weyl_quantize(PhaseField(grid, values)).kernel
+    assert np.array_equal(K, K.conj().T)
+    Kc = weyl_quantize(PhaseField(grid, values.astype(complex), real=False)).kernel
+    assert np.max(np.abs(K - Kc)) <= 1e-15 * np.max(np.abs(Kc))
 
 
 def _oracle_mode_block(rng, max_mode):
