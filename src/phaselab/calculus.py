@@ -48,8 +48,9 @@ def wrap_mass(op: DensityOperator) -> float:
 
 def chord_wrap_mass(column_mass: np.ndarray) -> float:
     """wrap_mass read from the column masses sum_i |D[i, col]| of a chord
-    matrix (see chord_matrix): the wrap band is the three whole chord columns
-    |c| = N/2 - 1, N/2 (columns N/2 - 1, N/2 + 1 and N/2)."""
+    matrix (see chord_matrix), whose columns may be cyclically shifted: the
+    wrap band is the three whole chord columns |c| = N/2 - 1, N/2 (columns
+    N/2 - 1, N/2 + 1 and N/2)."""
     half = len(column_mass) // 2
     return _band_share(np.sum(column_mass[half - 1:half + 2]), np.sum(column_mass))
 
@@ -135,7 +136,8 @@ def _kinetic_circulant(grid: PhaseGrid) -> np.ndarray:
     """C[m, j] = t[(j - m) mod N], t = ifft(|xi|^2 / 2): the kernel of the
     kinetic multiplier, transposed. t is real and even, so C is real."""
     t = np.fft.ifft(grid.fourier_momenta**2 / 2.0).real
-    C = t[_chord_indices(grid.N)["col"].T]
+    m = np.arange(grid.N)
+    C = t[(m[None, :] - m[:, None]) % grid.N]
     C.flags.writeable = False
     return C
 

@@ -114,6 +114,28 @@ def husimi_convolve(f: PhaseField, kernel: PhaseField | None = None) -> PhaseFie
     return PhaseField(g, conv, real=False)
 
 
+def husimi_marginal(f: PhaseField) -> np.ndarray:
+    """xi_marginal(husimi_convolve(f)) of a real symbol f, the spatial density
+    of wick(f), from the xi-sums of f: the marginal reads only the xi-mode 0
+    column of the smoothing, so one real transform pair along x takes it."""
+    g = f.grid
+    spec = np.fft.rfft(f.values.sum(axis=1)) * _gaussian_half_spectrum(g)[:g.N // 2 + 1, 0]
+    return np.fft.irfft(spec, n=g.N) * g.dxi
+
+
+def husimi_mode_block(grid: PhaseGrid, block: np.ndarray) -> np.ndarray:
+    """The mode block of husimi_convolve applied to field_from_modes(N,
+    block): the block times the smoothing's spectrum at its modes |a|, |b| <=
+    M, with the columns b < 0 read by conjugate mirroring, as the real
+    inverse transform does."""
+    M = (block.shape[0] - 1) // 2
+    a = np.arange(-M, M + 1)[:, None]
+    b = np.arange(-M, M + 1)[None, :]
+    spec = _gaussian_half_spectrum(grid)
+    mirrored = np.where(b >= 0, spec[a % grid.N, np.abs(b)], spec[-a % grid.N, np.abs(b)].conj())
+    return block * mirrored
+
+
 def wick_quantize(f: PhaseField) -> DensityOperator:
     """Wick quantization via the Gaussian-convolution identity wick(f) = weyl(g_h * f).
 

@@ -25,7 +25,7 @@ from .errors import ConfigurationError
 from .grids import PhaseField
 from .operators import DensityOperator
 from .spectral import derivative, derivative_multiplier, modes
-from .transforms import chord_matrix
+from .transforms import _chord_indices
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,8 @@ def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
             power[:, 1:g.N // 2] *= 2.0   # each of these columns stands for its mirror too
         wx = np.array([derivative_multiplier(g.N, g.L_x, a) for a in range(k + 1)])
         wxi = np.array([derivative_multiplier(g.N, g.L_xi, a)[:cols] for a in range(k + 1)])
-        total = _sobolev_sum(power, np.abs(wx) ** 2, np.abs(wxi) ** 2, k) * g.cell / g.N**2
+        weighted = np.abs(wx) ** 2 @ power @ (np.abs(wxi) ** 2).T
+        total = _triangle_sum(weighted, k) * g.cell / g.N**2
         return [float(math.sqrt(total))] * len(ps)
     inverse_xi = partial(np.fft.irfft, n=g.N, axis=1) if f.real else partial(np.fft.ifft, axis=1)
     weight = (1.0 + g.xi**2) ** (n / 2.0)
@@ -87,11 +88,10 @@ def weighted_sobolev_norms(f: PhaseField, k: int, ps, n: int) -> list[float]:
     return [float(math.sqrt(t)) for t in totals]
 
 
-def _sobolev_sum(power: np.ndarray, wx: np.ndarray, wy: np.ndarray, k: int) -> float:
-    """sum over ax + ay <= k of sum_{a, b} wx[ax, a] power[a, b] wy[ay, b]:
-    the squared Sobolev sum of a spectrum with power ``power``, where row j
-    of wx and of wy is the squared multiplier of order j along each axis."""
-    M = wx @ power @ wy.T
+def _triangle_sum(M: np.ndarray, k: int) -> float:
+    """sum of M[ax, ay] over ax + ay <= k: the squared Sobolev sum when
+    M[ax, ay] is the power of a spectrum weighted by the squared multipliers
+    of order ax and ay along its two axes."""
     return float(sum(M[ax, ay] for ax in range(k + 1) for ay in range(k + 1 - ax)))
 
 
@@ -260,16 +260,17 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
 
     For p < inf: (sum_alpha ||grad^alpha op||^p_{L^p(m)})^(1/p); for p = inf
     the sup over alpha. m = <p>^n applied on the right. At p = 2, n = 0 this
-    equals ||f_op||_{H^k} exactly, and is taken in the chord domain (see
-    _chord_sobolev_norm). ``wrap_tol`` relaxes the xi-gradient wrap guard;
-    operator square roots carry a float64 noise floor near sqrt(eps) that is
-    harmless to norm budgets but would trip the strict default.
+    equals ||f_op||_{H^k} exactly. Every p = 2 norm, whatever n, is taken in
+    the chord domain (see _chord_sobolev_norm); other p build each gradient
+    prefix once. ``wrap_tol`` relaxes the xi-gradient wrap guard; operator
+    square roots carry a float64 noise floor near sqrt(eps) that is harmless
+    to norm budgets but would trip the strict default.
     """
     if k > 2:
         raise ConfigurationError("quantum Sobolev norms support k <= 2")
     tol = WRAP_GUARD_TOL if wrap_tol is None else wrap_tol
-    if p == 2 and n == 0:
-        return _chord_sobolev_norm(op, k, tol)
+    if p == 2:
+        return _chord_sobolev_norm(op, k, n, tol)
     # each multi-index (ax, axi), x-gradients first, extends a shared prefix
     terms = []
     grad_x = op
@@ -287,32 +288,51 @@ def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
     return float(np.sum(np.array(terms) ** p) ** (1.0 / p))
 
 
-def _chord_sobolev_norm(op: DensityOperator, k: int, wrap_tol: float) -> float:
-    """The quantum H^k norm (p = 2, n = 0) from one chord-matrix gather and
-    one axis-0 FFT.
+def _chord_sobolev_norm(op: DensityOperator, k: int, n: int, wrap_tol: float) -> float:
+    """The quantum W^{k,2}(<p>^n) norm from one chord gather, one axis-0 FFT
+    and, for n > 0, one axis-1 FFT per xi-order.
 
-    In the chord matrix D (see chord_matrix) the x-gradient is the spectral
-    derivative along axis 0 and the xi-gradient multiplies column col by its
-    chord c dx / (i hbar); the gather only permutes kernel entries. So by
-    Parseval the squared norm is h dx^2 / N times the sum over
-    ax + axi <= k of |k_x|^{2 ax} |c dx / hbar|^{2 axi} |fft(D, axis=0)|^2,
-    with the Nyquist mode of k_x zeroed, as the repeated first-order
-    derivative does. Each wrap guard of the gradient chain is read from
-    column sums of |D|, in the chain's order: the x-gradient of D by one
-    inverse transform when k = 2.
+    C[i, col] = K[i, (i - col) mod N] holds the chord c = i - j (the minimal
+    image of col) in column col, as chord_matrix does, but indexed by x
+    rather than by the midpoint; the gather only permutes kernel entries.
+    The x-gradient is the spectral derivative along axis 0, its Nyquist mode
+    zeroed as the repeated first-order derivative does, and the xi-gradient
+    multiplies column col by c dx / (i hbar). The axis-1 FFT of
+    fft(C, axis=0) (c dx / hbar)^axi holds the kernel's 2-d spectrum
+    K^(q + b, -b) at [q, b], so both |k_x(q)|^{2 ax} and the right weight
+    <p_b>^{2 n} (<p> is even) are diagonal, and by Parseval the squared norm
+    is h dx^2 / N^2 times their weighted sum of its power over ax + axi <= k.
+    At n = 0 Parseval along the chord leaves h dx^2 / N times the sum of
+    |k_x|^{2 ax} |c dx / hbar|^{2 axi} |fft(C, axis=0)|^2. Each wrap guard of
+    the gradient chain is read from column sums of |C|, in the chain's
+    order: the x-gradient of C by one inverse transform when k = 2.
     """
     g = op.grid
     N = g.N
-    D = chord_matrix(op)
+    # C, transformed along axis 0 in place once its column masses are read
+    spec = np.take(op.kernel, _chord_indices(N)["row_flat"])
     mult = derivative_multiplier(N, g.L_x, 1)
-    chord = np.abs(((np.arange(N) + N // 2) % N) - N // 2) * (g.dx / g.hbar)
-    spec = np.fft.fft(D, axis=0)
-    for ax in range(k):
-        grad = D if ax == 0 else np.fft.ifft(spec * (mult**ax)[:, None], axis=0)
-        mass = np.sum(np.abs(grad), axis=0)
+    chord = (((np.arange(N) + N // 2) % N) - N // 2) * (g.dx / g.hbar)
+    masses = [np.sum(np.abs(spec), axis=0)]
+    np.fft.fft(spec, axis=0, out=spec)
+    work = np.empty_like(spec) if k == 2 or n else None
+    if k == 2:
+        grad = np.fft.ifft(np.multiply(spec, mult[:, None], out=work), axis=0, out=work)
+        masses.append(np.sum(np.abs(grad), axis=0))
+    for ax, mass in enumerate(masses[:k]):
         for axi in range(k - ax):
-            check_wrap(chord_wrap_mass(mass * chord**axi), wrap_tol)
+            check_wrap(chord_wrap_mass(mass * np.abs(chord) ** axi), wrap_tol)
     orders = 2 * np.arange(k + 1)[:, None]
-    total = _sobolev_sum(spec.real**2 + spec.imag**2, np.abs(mult) ** orders,
-                         chord ** orders, k)
-    return float(math.sqrt(g.h * g.dx**2 / N * total))
+    if n == 0:
+        cols = (spec.real**2 + spec.imag**2) @ (np.abs(chord) ** orders).T
+        scale = g.h * g.dx**2 / N
+    else:
+        weight = np.repeat(momentum_weight_multiplier(g, n) ** 2, 2)
+        cols = np.empty((N, k + 1))
+        for axi in range(k + 1):
+            squares = np.fft.fft(np.multiply(spec, chord**axi, out=work), axis=1,
+                                 out=work).view(float)
+            np.square(squares, out=squares)
+            cols[:, axi] = squares @ weight   # real and imaginary parts side by side
+        scale = g.h * g.dx**2 / N**2
+    return float(math.sqrt(scale * _triangle_sum(np.abs(mult) ** orders @ cols, k)))

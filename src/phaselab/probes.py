@@ -38,10 +38,12 @@ def phase_gradient_magnitude(f: PhaseField) -> PhaseField:
 
 
 class WickSquare(NamedTuple):
-    """A real symbol g, its Wick operator wick(g), its square g^2 and the
-    Wick-square gap wick(g^2) - wick(g)^2, flagged Hermitian."""
+    """A real symbol g, its Husimi smoothing g_h * g, its Wick operator
+    wick(g) = weyl(g_h * g), its square g^2 and the Wick-square gap
+    wick(g^2) - wick(g)^2, flagged Hermitian."""
 
     symbol: PhaseField
+    smoothed: PhaseField
     wick: DensityOperator
     square: PhaseField
     gap: DensityOperator
@@ -49,11 +51,12 @@ class WickSquare(NamedTuple):
 
 def wick_square_data(g_field: PhaseField) -> WickSquare:
     """The WickSquare of g_field: two Wick quantizations and one product."""
-    wg = wick_quantize(g_field)
+    smoothed = husimi_convolve(g_field)
+    wg = weyl_quantize(smoothed)
     wg2 = wg @ wg
     wg2.hermitian = True   # the square of a Hermitian operator
     g2 = g_field.copy_with(g_field.values**2)
-    return WickSquare(g_field, wg, g2, wick_quantize(g2) - wg2)
+    return WickSquare(g_field, smoothed, wg, g2, wick_quantize(g2) - wg2)
 
 
 def wick_square_probe(w: WickSquare) -> dict:

@@ -139,17 +139,17 @@ def field_from_modes(N: int, block: np.ndarray) -> np.ndarray:
     """Synthesize the real part of sum_{a,b} c[a,b] exp(2 pi i (a i + b k) / N)
     on an N x N grid; for a Hermitian-symmetric block the sum is real.
 
-    The real part is the sum over the block's Hermitian part, (c[a,b] +
-    conj c[-a,-b]) / 2, which is the block itself when it is Hermitian. That
-    sum is one real inverse transform of its columns b = 0..M.
+    With the N x (2M+1) phasor table P[i, a] = exp(2 pi i a i / N) the sum is
+    P c P^T, so its real part is Re P Re(c P^T) - Im P Im(c P^T): one real
+    (N x 2(2M+1)) (2(2M+1) x N) product, no N x N transform.
     """
     M = (block.shape[0] - 1) // 2
     if N <= 2 * M:
         raise ValueError("grid too small for the mode block")
-    herm = (block + block[::-1, ::-1].conj()) / 2
-    spec = np.zeros((N, N // 2 + 1), dtype=complex)
-    spec[np.arange(-M, M + 1) % N, :M + 1] = herm[:, M:]
-    return np.fft.irfft2(spec, s=(N, N)) * N**2
+    # a i reduced mod N before scaling keeps every phase in [0, 2 pi)
+    P = _unit_phasor(np.outer(np.arange(N), np.arange(-M, M + 1)) % N * (2.0 * np.pi / N))
+    Z = block @ P.T
+    return np.hstack([P.real, -P.imag]) @ np.vstack([Z.real, Z.imag])
 
 
 def band_limited_field(N: int, rng: np.random.Generator, max_mode: int | None = None,

@@ -41,8 +41,8 @@ from .budgets import (
     quantum_rate,
     sqrt_field,
 )
-from .calculus import operator_sqrt, spatial_density, xi_marginal
-from .coherent import husimi_convolve, wick_quantize, wick_square_datum
+from .calculus import operator_sqrt, spatial_density
+from .coherent import husimi_convolve, husimi_marginal, husimi_mode_block, wick_square_datum
 from .config import DEFAULTS
 from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, gaussian_phase_kernel, make_grid, sample_field
@@ -263,16 +263,27 @@ class Snapshot:
 
 def stream(steppers: dict, consumers: dict) -> tuple[dict, list[float], dict]:
     """Step the flows (name -> stepping generator of (t, *state)) in lockstep,
-    in dict order. At each snapshot every consumer (name -> function of the
-    Snapshot, returning a dict) reads the states by flow name; then they are
-    dropped. Returns the last states, the times and per consumer its value
-    lists by key. A PhaselabError that a consumer raises carries the
-    consumer's name as ``probe`` and the snapshot time as ``t``."""
+    in dict order, until one of them ends. At each snapshot every consumer
+    (name -> function of the Snapshot, returning a dict) reads the states by
+    flow name; then they are dropped, so no state of a snapshot outlives the
+    next one's consumers. Returns the last states, the times and per consumer
+    its value lists by key. A PhaselabError that a consumer raises carries
+    the consumer's name as ``probe`` and the snapshot time as ``t``."""
     series = {p: defaultdict(list) for p in consumers}
     times = []
-    for states in zip(*steppers.values()):
-        snap = Snapshot(states[0][0], {n: state[1:] for n, state in zip(steppers, states)})
-        times.append(snap.t)
+    states = None
+    while True:
+        # not zip: its cached result tuple would keep the previous states
+        # alive at every other snapshot
+        step = {}
+        for name, flow in steppers.items():
+            step[name] = next(flow, None)
+            if step[name] is None:
+                return states, times, series
+        t = next(iter(step.values()))[0]
+        states = {name: state[1:] for name, state in step.items()}
+        snap = Snapshot(t, states)
+        times.append(t)
         for p, consume in consumers.items():
             try:
                 values = consume(snap)
@@ -281,7 +292,7 @@ def stream(steppers: dict, consumers: dict) -> tuple[dict, list[float], dict]:
                 raise
             for key, value in values.items():
                 series[p][key].append(value)
-    return snap.states, times, series
+        del snap   # and what the consumers cached on it, before the flows step on
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +509,7 @@ def regularity_report(members: list) -> ProbeReport:
 def wick_structure_metric(b: DynamicsBundle) -> dict:
     f, grid = b.gaussian, b.grid
     op_f = weyl_quantize(f)
-    smoothed = husimi_convolve(f)
-    op_wick = b.gaussian_wick.wick   # weyl_quantize(smoothed)
+    smoothed, op_wick = b.gaussian_wick.smoothed, b.gaussian_wick.wick
     gap_op = schatten_norm(op_f - op_wick, 2)
     gap_field = lebesgue_norm(f - smoothed, 2)
     mixed = derivative(derivative(f.values, grid.L_x, axis=0), grid.L_xi, axis=1)
@@ -586,10 +596,11 @@ def commutator_metric(b: DynamicsBundle) -> dict:
     ratios = []
     for _ in range(b.args["pairs"]):
         fsrc = field_from_modes(grid.N, random_mode_block(rng, 4))
-        fmu = field_from_modes(grid.N, random_mode_block(rng, 4))
-        # the density of wick(src), read off its smoothed symbol
-        rho = xi_marginal(husimi_convolve(PhaseField(grid, fsrc**2 + 0.3)))
-        mu = wick_quantize(PhaseField(grid, fmu))
+        # the density of wick(src) from the xi-sums of src, and wick(mu) as
+        # the Weyl quantization of mu smoothed in its mode block
+        rho = husimi_marginal(PhaseField(grid, fsrc**2 + 0.3))
+        smoothed_mu = field_from_modes(grid.N, husimi_mode_block(grid, random_mode_block(rng, 4)))
+        mu = weyl_quantize(PhaseField(grid, smoothed_mu))
         r = commutator_probe(rho, mu)
         ratios.append(r["lhs"] / r["budget"])
     return {"ratio_mean": float(np.mean(ratios)), "ratio_max": float(np.max(ratios))}

@@ -56,10 +56,13 @@ def _chord_indices(N: int) -> dict:
     cc = ((j + N // 2) % N) - N // 2               # chord per column
     codd = cc % 2
     diag_flat = ((i + ((cc + codd) >> 1)) % N) * N + (i - ((cc - codd) >> 1)) % N
+    # row gather: K.flat[row_flat[i, col]] = K[i, (i - col) mod N] holds the
+    # chord of column col too, indexed by x rather than by the midpoint
+    row_flat = i * N + col
     # kernel entries within one cell of the antipodal cut, for the wrap guard
     wrap_band = np.flatnonzero(np.abs(np.abs(c) - half) <= 1)
-    tables = dict(c=c, col=col, weyl_flat=weyl_flat, anti_pos=anti_pos, anti_src=anti_src,
-                  diag_flat=diag_flat, wrap_band=wrap_band)
+    tables = dict(c=c, row_flat=row_flat, weyl_flat=weyl_flat, anti_pos=anti_pos,
+                  anti_src=anti_src, diag_flat=diag_flat, wrap_band=wrap_band)
     for a in tables.values():
         a.flags.writeable = False
     return tables

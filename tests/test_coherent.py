@@ -187,6 +187,26 @@ class TestHusimiRoutes:
         scale = np.max(np.abs(full.values))
         assert np.max(np.abs(real.values - full.values)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("N", [64, 96, 256])
+    def test_mode_space_routes_match_the_2d_routes(self, N):
+        # the commutator probe's data: the density of wick(src) from the
+        # xi-sums of src, and the smoothed symbol of a mode block, against
+        # xi_marginal(husimi_convolve(...)) and husimi_convolve
+        from phaselab.calculus import xi_marginal
+        from phaselab.coherent import husimi_marginal, husimi_mode_block
+        from phaselab.spectral import field_from_modes, random_mode_block
+
+        grid = make_grid(N, 2 * np.pi, 2 * np.pi)
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            src = PhaseField(grid, field_from_modes(N, random_mode_block(rng, 4)) ** 2 + 0.3)
+            np.testing.assert_allclose(husimi_marginal(src), xi_marginal(husimi_convolve(src)),
+                                       rtol=1e-13, atol=0)
+            block = random_mode_block(rng, 4)
+            smoothed = husimi_convolve(PhaseField(grid, field_from_modes(N, block))).values
+            direct = field_from_modes(N, husimi_mode_block(grid, block))
+            assert np.max(np.abs(direct - smoothed)) <= 1e-13 * np.max(np.abs(smoothed))
+
     def test_unresolved_grid_raises_every_time(self):
         coarse = make_grid(8, 2 * np.pi, 32 * np.pi)   # dxi >> sqrt(hbar)
         f = PhaseField(coarse, np.ones((8, 8)))

@@ -201,30 +201,32 @@ class TestQuantumSobolev:
             terms.append(schatten_norm(gop, 2))
         oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
         value = quantum_sobolev_norm(op, 2, 2, n)
-        if n == 0:
-            assert value == oracle
-        else:
-            assert abs(value - oracle) <= 1e-13 * oracle
+        assert abs(value - oracle) <= 1e-13 * oracle
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_chord_route_matches_the_gradient_chain(self, grid64, rng, k):
-        # p = 2, n = 0 in the chord domain against each multi-index built by
-        # the kernel-space gradients, for a Hermitian and a general operator
+        # p = 2 in the chord domain against each multi-index built by the
+        # kernel-space gradients and weighted on the right by <p>^n, n = 0, 1,
+        # 3, for a Hermitian and a general operator
+        from phaselab.calculus import momentum_weight_apply
+
         indices = [(ax, axi) for ax in range(k + 1) for axi in range(k + 1 - ax)]
         for real in (True, False):
             f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10, real=real),
                            real=real)
             op = weyl_quantize(f)
-            terms = [schatten_norm(apply_quantum_gradients(op, ax, axi), 2)
-                     for ax, axi in indices]
-            oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
-            assert quantum_sobolev_norm(op, k, 2, 0) == pytest.approx(oracle, rel=1e-13)
+            grads = [apply_quantum_gradients(op, ax, axi) for ax, axi in indices]
+            for n in (0, 1, 3):
+                terms = [schatten_norm(momentum_weight_apply(gop, n, side="right"), 2)
+                         for gop in grads]
+                oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
+                assert quantum_sobolev_norm(op, k, 2, n) == pytest.approx(oracle, rel=1e-13)
 
     def test_chord_route_raises_the_chain_wrap_error(self, grid32):
         # the wrap guard reads chord-column masses, in the chain's order: a
         # kernel whose antipodal share passes the guard, as does that of its
         # x-gradient, while its xi-gradient, which zeroes the diagonal,
-        # carries only antipodal mass
+        # carries only antipodal mass; the same at the weight order n = 2
         from phaselab.calculus import quantum_gradient_xi
         from phaselab.errors import WrapAmbiguityError
 
@@ -236,13 +238,24 @@ class TestQuantumSobolev:
                 gop = op
                 for _ in range(k):
                     gop = quantum_gradient_xi(gop)
-            with pytest.raises(WrapAmbiguityError) as chord:
-                quantum_sobolev_norm(op, k, 2, 0)
-            assert str(chord.value) == str(chain.value)
+            for n in (0, 2):
+                with pytest.raises(WrapAmbiguityError) as chord:
+                    quantum_sobolev_norm(op, k, 2, n)
+                assert str(chord.value) == str(chain.value)
         # at k = 1 only the kernel itself is guarded
-        assert quantum_sobolev_norm(op, 1, 2, 0) == pytest.approx(
-            float(np.sqrt(sum(schatten_norm(apply_quantum_gradients(op, ax, axi), 2) ** 2
-                              for ax, axi in [(0, 0), (0, 1), (1, 0)]))), rel=1e-13)
+        for n in (0, 2):
+            assert quantum_sobolev_norm(op, 1, 2, n) == pytest.approx(float(np.sqrt(sum(
+                weighted_schatten_norm(apply_quantum_gradients(op, ax, axi), 2, n) ** 2
+                for ax, axi in [(0, 0), (0, 1), (1, 0)]))), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 3, np.inf])
+    def test_other_p_take_the_gradient_chain(self, grid32, rng, p):
+        # p != 2 builds each gradient prefix once in kernel space
+        op = weyl_quantize(PhaseField(grid32, band_limited_field(32, rng, max_mode=6)))
+        terms = np.array([weighted_schatten_norm(apply_quantum_gradients(op, ax, axi), p, 1)
+                          for ax, axi in [(0, 0), (0, 1), (1, 0)]])
+        oracle = terms.max() if np.isinf(p) else np.sum(terms**p) ** (1 / p)
+        assert quantum_sobolev_norm(op, 1, p, 1) == pytest.approx(oracle, rel=1e-12)
 
     def test_antipodal_mass_trips_the_wrap_guard(self, grid32):
         from phaselab.errors import WrapAmbiguityError
@@ -276,12 +289,12 @@ def test_h_half_between_l2_and_h1(grid64, rng):
 
 
 def test_quantum_sobolev_fft_count(grid64, rng, count_ffts):
-    """k = 2: two x-gradients (an FFT pair each) on the shared prefixes, and
-    one axis-1 FFT per weighted Hilbert-Schmidt norm of the six multi-indices."""
+    """k = 2, p = 2, n = 2 in the chord domain: one axis-0 FFT, one inverse for
+    the wrap guard of the x-gradient and one axis-1 FFT per xi-order (three)."""
     op = weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=10)))
     calls = count_ffts()
     quantum_sobolev_norm(op, 2, 2, 2)
-    assert len(calls) == 10
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("real", [True, False])

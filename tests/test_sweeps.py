@@ -473,6 +473,31 @@ def test_stream_steps_flows_in_order_and_collects_series():
     assert (info.value.probe, info.value.t) == ("fails", 1.0)
 
 
+def test_stream_holds_no_state_of_the_previous_snapshot(grid32):
+    # each toy flow yields fresh operators: when the consumers read snapshot
+    # n + 1, no operator of snapshot n is alive
+    import weakref
+
+    from phaselab.operators import DensityOperator
+    from phaselab.sweeps import stream
+
+    def flow():
+        for n in range(5):
+            yield 0.5 * n, *(DensityOperator(grid32, np.eye(32)) for _ in range(2))
+
+    previous = []
+
+    def consume(s):
+        alive = sum(ref() is not None for ref in previous)
+        previous[:] = [weakref.ref(op) for state in s.states.values() for op in state]
+        return {"alive": alive}
+
+    final, times, series = stream({"a": flow(), "b": flow()}, {"c": consume})
+    assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert series["c"]["alive"] == [0] * 5
+    assert all(ref() is op for ref, op in zip(previous, [*final["a"], *final["b"]]))
+
+
 def _count_linalg(monkeypatch) -> dict:
     """Count the svd, eigh and eigvalsh calls from here on."""
     calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
