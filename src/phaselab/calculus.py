@@ -1,9 +1,9 @@
-"""Quantum gradients, momentum weights, spatial densities, operator roots.
+"""Quantum xi-gradients, momentum weights, spatial densities, operator roots.
 
-The quantum gradients are the commutators grad_x op = [grad, op] and
-grad_xi op = [x/(i hbar), op]; on kernels these act as the spectral midpoint
-derivative and as multiplication by the minimal-image chord, and they
-intertwine exactly with the Wigner transform.
+The package computes one quantum gradient, grad_xi op = [x/(i hbar), op]: on
+kernels it multiplies by the minimal-image chord, and it intertwines exactly
+with the Wigner transform. The x-gradient [grad, op] is taken only inside the
+chord-domain quantum Sobolev norms (norms._chord_sobolev_norm).
 """
 
 from __future__ import annotations
@@ -15,25 +15,10 @@ import numpy as np
 from .errors import ConfigurationError, WrapAmbiguityError
 from .grids import PhaseField, PhaseGrid
 from .operators import DensityOperator, require_positive
-from .spectral import derivative, fourier_multiplier
-from .transforms import _chord_indices, chord_matrix, scatter_chords
+from .spectral import fourier_multiplier
+from .transforms import _chord_indices
 
 WRAP_GUARD_TOL = 1e-8
-
-
-def quantum_gradient_x(op: DensityOperator) -> DensityOperator:
-    """[grad, op]: the midpoint derivative (d/dx + d/dy) of the kernel.
-
-    Applied along each circulant diagonal of the kernel (a chord slice is a
-    smooth periodic function of its midpoint), which intertwines exactly with
-    the Wigner transform: f_{grad_x op} = d_x f_op on the grid. A raw spectral
-    derivative over the kernel rows and columns would alias the half-integer
-    midpoint frequencies carried by odd spatial symbol modes.
-    """
-    g = op.grid
-    D = chord_matrix(op)
-    D = derivative(D, g.L_x, axis=0)
-    return DensityOperator(g, scatter_chords(g, D), hermitian=False)
 
 
 def _band_share(band: float, total: float) -> float:

@@ -210,16 +210,21 @@ def _numbers(series, infinite: bool) -> bool:
 
 def _read_report(fp: Path) -> dict | None:
     """The probe report in a JSON file, or None for other JSON. ValueError
-    when the file is not JSON, a report series is not a list of finite
-    numbers (ratio may be infinite: finalize_ratios writes inf for a budget
-    <= 0), or hbar and lhs differ in length."""
+    when the file is not JSON, the probe is no string, a series is not a list
+    of finite numbers (ratio may be infinite: finalize_ratios writes inf for a
+    budget <= 0), hbar and lhs differ in length or budget or ratio outruns
+    them, the slope is neither null nor finite, or a verdict is no bool."""
     data = json.loads(fp.read_text())
     if not (isinstance(data, dict) and {"probe", "hbar", "lhs"} <= set(data)):
         return None
     finite = [data["hbar"], data["lhs"], data.get("budget", [])]
-    well_formed = (all(_numbers(s, infinite=False) for s in finite)
+    well_formed = (isinstance(data["probe"], str)
+                   and all(_numbers(s, infinite=False) for s in finite)
                    and _numbers(data.get("ratio", []), infinite=True)
-                   and len(data["hbar"]) == len(data["lhs"]))
+                   and len(data["hbar"]) == len(data["lhs"])
+                   and max(len(data.get(s, [])) for s in ("budget", "ratio")) <= len(data["hbar"])
+                   and (data.get("slope") is None or _numbers([data["slope"]], infinite=False))
+                   and type(data.get("passed", True)) is bool)
     if not well_formed:
         raise ValueError(f"malformed report file {fp}")
     return data

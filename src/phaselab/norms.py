@@ -18,8 +18,6 @@ from .calculus import (
     check_wrap,
     chord_wrap_mass,
     momentum_weight_multiplier,
-    quantum_gradient_x,
-    quantum_gradient_xi,
 )
 from .errors import ConfigurationError
 from .grids import PhaseField
@@ -241,51 +239,27 @@ def weighted_schatten_norms(op: DensityOperator, ps, n: int) -> list[float]:
     times a unitary one, so fft(K, axis=1) <p>^n / sqrt(N) has the same
     singular values.
     """
-    if n == 0:
-        return schatten_norms(op, ps)
     g = op.grid
     Y = np.fft.fft(op.kernel, axis=1)
     Y *= momentum_weight_multiplier(g, n) / math.sqrt(g.N)
     return schatten_norms(DensityOperator(g, Y, hermitian=False), ps)
 
 
-def weighted_schatten_norm(op: DensityOperator, p: float, n: int) -> float:
-    """||op||_{L^p(<p>^n)}; see weighted_schatten_norms."""
-    return weighted_schatten_norms(op, (p,), n)[0]
-
-
 def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
                          wrap_tol: float | None = None) -> float:
-    """Quantum Sobolev norm combining all |alpha| <= k quantum gradients.
-
-    For p < inf: (sum_alpha ||grad^alpha op||^p_{L^p(m)})^(1/p); for p = inf
-    the sup over alpha. m = <p>^n applied on the right. At p = 2, n = 0 this
-    equals ||f_op||_{H^k} exactly. Every p = 2 norm, whatever n, is taken in
-    the chord domain (see _chord_sobolev_norm); other p build each gradient
-    prefix once. ``wrap_tol`` relaxes the xi-gradient wrap guard; operator
-    square roots carry a float64 noise floor near sqrt(eps) that is harmless
-    to norm budgets but would trip the strict default.
+    """Quantum Sobolev norm (sum_{|alpha| <= k} ||grad^alpha op||^2_{L^2(m)})^(1/2),
+    m = <p>^n applied on the right, taken in the chord domain (see
+    _chord_sobolev_norm); p != 2 or k > 2 raises ConfigurationError. At n = 0
+    it equals ||f_op||_{H^k} exactly. ``wrap_tol`` relaxes the xi-gradient
+    wrap guard; operator square roots carry a float64 noise floor near
+    sqrt(eps) that is harmless to norm budgets but would trip the strict
+    default.
     """
     if k > 2:
         raise ConfigurationError("quantum Sobolev norms support k <= 2")
-    tol = WRAP_GUARD_TOL if wrap_tol is None else wrap_tol
-    if p == 2:
-        return _chord_sobolev_norm(op, k, n, tol)
-    # each multi-index (ax, axi), x-gradients first, extends a shared prefix
-    terms = []
-    grad_x = op
-    for ax in range(k + 1):
-        gop = grad_x
-        for axi in range(k + 1 - ax):
-            if axi:
-                gop = quantum_gradient_xi(gop, tol)
-            terms.append(weighted_schatten_norm(gop, p, n))
-        del gop   # released before the next x-gradient is built: one kernel less at peak
-        if ax < k:
-            grad_x = quantum_gradient_x(grad_x)
-    if math.isinf(p):
-        return float(max(terms))
-    return float(np.sum(np.array(terms) ** p) ** (1.0 / p))
+    if p != 2:
+        raise ConfigurationError(f"quantum Sobolev norms support p = 2 only, got p = {p}")
+    return _chord_sobolev_norm(op, k, n, WRAP_GUARD_TOL if wrap_tol is None else wrap_tol)
 
 
 def _chord_sobolev_norm(op: DensityOperator, k: int, n: int, wrap_tol: float) -> float:

@@ -83,7 +83,8 @@ MEMBER_DEFAULTS = {**{key: DEFAULTS[key] for key in ("sign", "dt", "seed", "L_x"
 
 
 def run_members(fn, arg_list, jobs: int = 1):
-    """Evaluate fn over the argument list, optionally in a process pool.
+    """Evaluate fn over the argument list, optionally in a process pool of at
+    most one worker per member (a forking pool starts all at the first submit).
 
     The pool gets the members in decreasing N, so the largest grid, the
     critical path, starts first. Results keep the argument order, so
@@ -94,14 +95,15 @@ def run_members(fn, arg_list, jobs: int = 1):
     copying, their pages. The pool module is imported here, not at module
     level, so a one-job run never loads multiprocessing.
     """
-    if jobs <= 1 or len(arg_list) <= 1:
+    workers = min(jobs, len(arg_list))
+    if workers <= 1:
         return [fn(a) for a in arg_list]
     from concurrent.futures import ProcessPoolExecutor
 
     order = sorted(range(len(arg_list)), key=lambda i: -arg_list[i]["N"])
     gc.freeze()
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(fn, arg_list[i]) for i in order}
             return [futures[i].result() for i in range(len(arg_list))]
     finally:
@@ -462,8 +464,9 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
 
 
 def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
-    """The W^k(m) norm of the root carried by the linear Hartree flow, and
-    the rate max ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density, eps = 1/2."""
+    """The W^{k,q}(<p>^{2n}) norm of the root carried by the linear Hartree
+    flow, q = 2 being the only legal value, and the rate max
+    ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density, eps = 1/2."""
     k, q, n = b.args["k"], b.args["q"], b.args["n"]
     root, rho = s.states["linear"][1], s.states["vlasov"][1].rho
     return {"norm": quantum_sobolev_norm(root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL),

@@ -118,13 +118,6 @@ def chord_matrix(op: DensityOperator) -> np.ndarray:
     return np.take(op.kernel, _chord_indices(op.grid.N)["diag_flat"])
 
 
-def scatter_chords(grid: PhaseGrid, Dmat: np.ndarray) -> np.ndarray:
-    """Inverse of chord_matrix: rebuild the kernel from its diagonals."""
-    K = np.empty((grid.N, grid.N), dtype=complex)
-    K.put(_chord_indices(grid.N)["diag_flat"], Dmat)
-    return K
-
-
 def wigner_transform(op: DensityOperator) -> PhaseField:
     """Wigner transform: exact inverse of weyl_quantize on the grid."""
     grid = op.grid

@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 
-from phaselab.calculus import quantum_gradient_x, quantum_gradient_xi
+from phaselab.calculus import quantum_gradient_xi
 from phaselab.coherent import CoherentState, _wave_packet_values
 from phaselab.grids import PhaseField, PhaseGrid
 from phaselab.operators import DensityOperator
-from phaselab.spectral import fourier_multiplier, shift
+from phaselab.spectral import derivative, fourier_multiplier, shift
+from phaselab.transforms import _chord_indices, chord_matrix
 
 
 def identity_operator(grid: PhaseGrid) -> DensityOperator:
@@ -98,6 +99,29 @@ def free_schroedinger(op0: DensityOperator, t: float) -> DensityOperator:
     K = fourier_multiplier(op0.kernel, phase, axis=0)
     K = fourier_multiplier(K, phase.conj(), axis=1)
     return DensityOperator(g, K, hermitian=op0.hermitian)
+
+
+def scatter_chords(grid: PhaseGrid, Dmat: np.ndarray) -> np.ndarray:
+    """Inverse of chord_matrix: rebuild the kernel from its diagonals."""
+    K = np.empty((grid.N, grid.N), dtype=complex)
+    K.put(_chord_indices(grid.N)["diag_flat"], Dmat)
+    return K
+
+
+def quantum_gradient_x(op: DensityOperator) -> DensityOperator:
+    """[grad, op]: the midpoint derivative (d/dx + d/dy) of the kernel, built
+    in kernel space, against which the chord-domain quantum Sobolev norms are
+    checked.
+
+    Applied along each circulant diagonal of the kernel (a chord slice is a
+    smooth periodic function of its midpoint), which intertwines exactly with
+    the Wigner transform: f_{grad_x op} = d_x f_op on the grid. A raw spectral
+    derivative over the kernel rows and columns would alias the half-integer
+    midpoint frequencies carried by odd spatial symbol modes.
+    """
+    g = op.grid
+    D = derivative(chord_matrix(op), g.L_x, axis=0)
+    return DensityOperator(g, scatter_chords(g, D), hermitian=False)
 
 
 def apply_quantum_gradients(op: DensityOperator, ax: int, axi: int,

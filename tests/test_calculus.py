@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import coherent_projector, identity_operator
+from oracles import coherent_projector, identity_operator, quantum_gradient_x
 from phaselab import (
     NotPositiveError,
     PhaseField,
@@ -13,7 +13,6 @@ from phaselab.calculus import (
     kinetic_energy,
     momentum_weight_apply,
     operator_sqrt,
-    quantum_gradient_x,
     quantum_gradient_xi,
     spatial_density,
     wrap_mass,

@@ -293,10 +293,22 @@ class TestCli:
         bad.mkdir()
         (bad / "broken.json").write_text("{not json")
         assert main(["report", str(bad)]) == 2
-        # parsed reports whose series cannot be read: ragged, non-numeric, scalar
+        # parsed reports whose fields cannot be read: ragged, non-numeric and
+        # scalar series, a budget or ratio longer than hbar, a non-string
+        # probe, a slope that is no finite number, a verdict that is no bool
+        good = '"probe": "x", "hbar": [0.1, 0.2], "lhs": [1.0, 0.5]'
         for name, text in [("ragged", '{"probe": "x", "hbar": [0.1, 0.2], "lhs": [1.0]}'),
                            ("text", '{"probe": "x", "hbar": [0.1, 0.2], "lhs": [1.0, "a"]}'),
-                           ("scalar", '{"probe": "x", "hbar": 0.1, "lhs": [1.0]}')]:
+                           ("scalar", '{"probe": "x", "hbar": 0.1, "lhs": [1.0]}'),
+                           ("long_budget", '{%s, "budget": [1.0, 1.0, 1.0]}' % good),
+                           ("long_ratio", '{%s, "ratio": [1.0, 1.0, 1.0]}' % good),
+                           ("list_probe", '{"probe": ["x"], "hbar": [0.1], "lhs": [1.0]}'),
+                           ("text_slope", '{%s, "slope": "abc"}' % good),
+                           ("nan_slope", '{%s, "slope": NaN}' % good),
+                           ("inf_slope", '{%s, "slope": Infinity}' % good),
+                           ("bool_slope", '{%s, "slope": true}' % good),
+                           ("text_passed", '{%s, "passed": "yes"}' % good),
+                           ("null_passed", '{%s, "passed": null}' % good)]:
             capsys.readouterr()
             rdir = tmp_path / name
             rdir.mkdir()

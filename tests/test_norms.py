@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import apply_quantum_gradients, coherent_projector, identity_operator
-from phaselab import PhaseField, make_grid, weyl_quantize
+from phaselab import ConfigurationError, PhaseField, make_grid, weyl_quantize
 from phaselab.norms import (
     h_half_norm,
     lebesgue_norm,
@@ -16,7 +16,6 @@ from phaselab.norms import (
     schatten_norm,
     schatten_norms,
     spatial_sobolev_norm,
-    weighted_schatten_norm,
     weighted_schatten_norms,
     weighted_sobolev_norm,
     weighted_sobolev_norms,
@@ -122,7 +121,7 @@ class TestSchatten:
         op = DensityOperator(grid32, band_limited_field(32, rng, max_mode=10, real=False))
         ps = (1, 2.5, 3.5, np.inf)
         separate = [schatten_norm(op, p) for p in ps]
-        weighted = [weighted_schatten_norm(op, p, 3) for p in ps]
+        weighted = [weighted_schatten_norms(op, (p,), 3)[0] for p in ps]
         calls = []
         svd = DensityOperator.singular_values
 
@@ -185,7 +184,7 @@ class TestQuantumSobolev:
         op = weyl_quantize(f)
         assert quantum_sobolev_norm(op, 0, 2, 0) == pytest.approx(
             schatten_norm(op, 2), rel=1e-12)
-        assert weighted_schatten_norm(op, 2, 0) == pytest.approx(
+        assert weighted_schatten_norms(op, (2,), 0)[0] == pytest.approx(
             schatten_norm(op, 2), rel=1e-12)
 
     @pytest.mark.parametrize("n", [0, 2])
@@ -245,17 +244,15 @@ class TestQuantumSobolev:
         # at k = 1 only the kernel itself is guarded
         for n in (0, 2):
             assert quantum_sobolev_norm(op, 1, 2, n) == pytest.approx(float(np.sqrt(sum(
-                weighted_schatten_norm(apply_quantum_gradients(op, ax, axi), 2, n) ** 2
+                weighted_schatten_norms(apply_quantum_gradients(op, ax, axi), (2,), n)[0] ** 2
                 for ax, axi in [(0, 0), (0, 1), (1, 0)]))), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1, 3, np.inf])
-    def test_other_p_take_the_gradient_chain(self, grid32, rng, p):
-        # p != 2 builds each gradient prefix once in kernel space
+    def test_other_p_are_rejected(self, grid32, rng, p):
+        # the chord route is the only one: p != 2 is refused, as k > 2 is
         op = weyl_quantize(PhaseField(grid32, band_limited_field(32, rng, max_mode=6)))
-        terms = np.array([weighted_schatten_norm(apply_quantum_gradients(op, ax, axi), p, 1)
-                          for ax, axi in [(0, 0), (0, 1), (1, 0)]])
-        oracle = terms.max() if np.isinf(p) else np.sum(terms**p) ** (1 / p)
-        assert quantum_sobolev_norm(op, 1, p, 1) == pytest.approx(oracle, rel=1e-12)
+        with pytest.raises(ConfigurationError, match="p = 2 only"):
+            quantum_sobolev_norm(op, 1, p, 1)
 
     def test_antipodal_mass_trips_the_wrap_guard(self, grid32):
         from phaselab.errors import WrapAmbiguityError

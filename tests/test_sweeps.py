@@ -167,9 +167,10 @@ def test_regularity_sweep_small():
 
 
 def test_regularity_fractional_schatten_indices():
-    rep = sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.1,
-                        k=1, q=2.5, n=1)["regularity"][0]
-    assert rep.passed, rep.tolerance
+    # the quantum Sobolev norms take p = 2 alone, so q = 2.5 stops the first member
+    with pytest.raises(ConfigurationError) as err:
+        sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.1, k=1, q=2.5, n=1)
+    assert f"probe regularity, N={min(SMALL)}" in str(err.value)
 
 
 def test_homogeneous_norms_constant():
@@ -670,13 +671,20 @@ def _worker_freeze_count(arg):
     return gc.get_freeze_count()
 
 
-def test_pool_freezes_the_heap_only_while_it_runs():
+def test_pool_freezes_the_heap_only_while_it_runs(monkeypatch):
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    counts = run_members(_worker_freeze_count, [dict(N=48), dict(N=64)], jobs=2)
+    spawned = []
+    spawn = ProcessPoolExecutor._spawn_process
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process",
+                        lambda pool: spawned.append(1) or spawn(pool))
+    # more jobs than members: the pool still starts one worker per member
+    counts = run_members(_worker_freeze_count, [dict(N=48), dict(N=64)], jobs=3)
     if multiprocessing.get_start_method() == "fork":
-        # the workers forked from the frozen heap
+        # the workers forked from the frozen heap, all at the first submit
         assert all(c > 0 for c in counts)
+        assert len(spawned) == 2
     assert gc.get_freeze_count() == 0
     with pytest.raises(ValueError, match="member failed"):
         run_members(_worker_freeze_count, [dict(N=48), dict(N=-1)], jobs=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import identity_operator
+from oracles import identity_operator, scatter_chords
 from phaselab import PhaseField, make_grid, weyl_quantize, wigner_transform
 from phaselab.norms import lebesgue_norm, schatten_norm
 from phaselab.operators import DensityOperator
@@ -172,7 +172,7 @@ def _oracle_wigner(op):
 @pytest.mark.parametrize("N", [10, 64])   # N/2 odd takes the half-lattice antipodal path
 @pytest.mark.parametrize("real", [True, False])
 def test_flat_gathers_match_fancy_index_oracles(N, real, rng):
-    from phaselab.transforms import chord_matrix, scatter_chords
+    from phaselab.transforms import chord_matrix
 
     grid = make_grid(N, 2 * np.pi, 2 * np.pi)
     # full-band data: the Nyquist modes and the antipodal chord carry mass

@@ -5,7 +5,8 @@ class or constant is referenced by a name read or an attribute read, a
 method only by an attribute read (``x.name``); an attribute read on a plain
 ``import`` alias (``np.trace``) names the imported module's member and
 references nothing here. Dunder methods are called by the language and
-exempt."""
+exempt. The test references in ``tests/oracles.py`` are held to the same
+rule over the test sources, with no exceptions."""
 
 import ast
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src/phaselab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # module.qualified name -> why it stays without a reference in the package
 ALLOWED = {
@@ -98,3 +100,9 @@ def test_every_def_has_a_reference():
     assert [name for name in found if name not in ALLOWED] == []
     # an allowed name that is gone or has gained a reference leaves the list
     assert sorted(ALLOWED) == [name for name in found if name in ALLOWED]
+
+
+def test_every_oracle_has_a_test():
+    # a test reference leaves with the last test that reads it
+    found = unreferenced_defs({p.stem: p.read_text() for p in TESTS})
+    assert [name for name in found if name.startswith("oracles.")] == []
