@@ -19,9 +19,9 @@ from .spectral import derivative
 
 def cumulative_trapezoid(values, times) -> np.ndarray:
     """Running trapezoid integral of a series from 0, accumulated step by step."""
+    values = np.asarray(values, dtype=float)
     out = np.zeros(len(times))
-    for n in range(1, len(times)):
-        out[n] = out[n - 1] + 0.5 * (values[n] + values[n - 1]) * (times[n] - times[n - 1])
+    np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times), out=out[1:])
     return out
 
 
@@ -62,7 +62,7 @@ def quantum_rate(v: DensityOperator, rho_sup: float, C_inf: float) -> tuple[floa
     by max. Returns (lambda, ||grad_xi v||_{W^{1,2}}, the weighted pair).
     """
     grad = quantum_gradient_xi(v, SQRT_WRAP_TOL)
-    w12 = quantum_sobolev_norm(grad, 1, 2, 0, wrap_tol=SQRT_WRAP_TOL)
+    w12 = quantum_sobolev_norm(grad, 1, wrap_tol=SQRT_WRAP_TOL)
     pair = max(weighted_schatten_norms(grad, QUANTUM_PAIR, QUANTUM_WEIGHT_N))
     return w12 * np.sqrt(rho_sup) + np.sqrt(C_inf) * pair, w12, pair
 

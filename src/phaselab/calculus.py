@@ -3,7 +3,7 @@
 The package computes one quantum gradient, grad_xi op = [x/(i hbar), op]: on
 kernels it multiplies by the minimal-image chord, and it intertwines exactly
 with the Wigner transform. The x-gradient [grad, op] is taken only inside the
-chord-domain quantum Sobolev norms (norms._chord_sobolev_norm).
+chord-domain quantum Sobolev norms (norms.quantum_sobolev_norm).
 """
 
 from __future__ import annotations

@@ -44,20 +44,14 @@ def dump_raw_array(path_base: str | Path, arr: np.ndarray, grid: PhaseGrid,
                    label: str = "") -> tuple[Path, Path]:
     """Raw little-endian float64 dump with a JSON sidecar (shape, grid, hbar).
 
-    Complex arrays are stored as interleaved (real, imag) float64 pairs.
+    Complex arrays are stored as interleaved (real, imag) float64 pairs, the
+    memory layout of complex128.
     """
     path_base = Path(path_base)
     path_base.parent.mkdir(parents=True, exist_ok=True)
-    arr = np.asarray(arr)
     complex_data = np.iscomplexobj(arr)
-    if complex_data:
-        flat = np.empty(arr.size * 2, dtype="<f8")
-        flat[0::2] = arr.real.ravel()
-        flat[1::2] = arr.imag.ravel()
-    else:
-        flat = arr.astype("<f8").ravel()
     bin_path = path_base.with_suffix(".bin")
-    bin_path.write_bytes(flat.tobytes())
+    bin_path.write_bytes(np.ascontiguousarray(arr, "<c16" if complex_data else "<f8").tobytes())
     sidecar = {
         "label": label,
         "shape": list(arr.shape),
@@ -72,10 +66,9 @@ def dump_raw_array(path_base: str | Path, arr: np.ndarray, grid: PhaseGrid,
 
 
 def load_raw_array(path_base: str | Path) -> np.ndarray:
+    """The array that dump_raw_array wrote, bit for bit, as a read-only view."""
     path_base = Path(path_base)
     sidecar = json.loads(path_base.with_suffix(".json").read_text())
-    flat = np.frombuffer(path_base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    shape = tuple(sidecar["shape"])
-    if sidecar["dtype"] == "complex128-interleaved":
-        return (flat[0::2] + 1j * flat[1::2]).reshape(shape)
-    return flat.reshape(shape)
+    dtype = "<c16" if sidecar["dtype"] == "complex128-interleaved" else "<f8"
+    data = np.frombuffer(path_base.with_suffix(".bin").read_bytes(), dtype=dtype)
+    return data.reshape(tuple(sidecar["shape"]))

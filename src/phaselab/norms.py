@@ -245,26 +245,15 @@ def weighted_schatten_norms(op: DensityOperator, ps, n: int) -> list[float]:
     return schatten_norms(DensityOperator(g, Y, hermitian=False), ps)
 
 
-def quantum_sobolev_norm(op: DensityOperator, k: int, p: float, n: int = 0,
-                         wrap_tol: float | None = None) -> float:
+def quantum_sobolev_norm(op: DensityOperator, k: int, *, n: int = 0,
+                         wrap_tol: float = WRAP_GUARD_TOL) -> float:
     """Quantum Sobolev norm (sum_{|alpha| <= k} ||grad^alpha op||^2_{L^2(m)})^(1/2),
-    m = <p>^n applied on the right, taken in the chord domain (see
-    _chord_sobolev_norm); p != 2 or k > 2 raises ConfigurationError. At n = 0
-    it equals ||f_op||_{H^k} exactly. ``wrap_tol`` relaxes the xi-gradient
-    wrap guard; operator square roots carry a float64 noise floor near
-    sqrt(eps) that is harmless to norm budgets but would trip the strict
-    default.
-    """
-    if k > 2:
-        raise ConfigurationError("quantum Sobolev norms support k <= 2")
-    if p != 2:
-        raise ConfigurationError(f"quantum Sobolev norms support p = 2 only, got p = {p}")
-    return _chord_sobolev_norm(op, k, n, WRAP_GUARD_TOL if wrap_tol is None else wrap_tol)
-
-
-def _chord_sobolev_norm(op: DensityOperator, k: int, n: int, wrap_tol: float) -> float:
-    """The quantum W^{k,2}(<p>^n) norm from one chord gather, one axis-0 FFT
-    and, for n > 0, one axis-1 FFT per xi-order.
+    m = <p>^n applied on the right, from one chord gather, one axis-0 FFT
+    and, for n > 0, one axis-1 FFT per xi-order; p = 2 and k <= 2 only, and
+    k > 2 raises ConfigurationError. At n = 0 it equals ||f_op||_{H^k}
+    exactly. ``wrap_tol`` relaxes the xi-gradient wrap guard; operator square
+    roots carry a float64 noise floor near sqrt(eps) that is harmless to norm
+    budgets but would trip the strict default.
 
     C[i, col] = K[i, (i - col) mod N] holds the chord c = i - j (the minimal
     image of col) in column col, as chord_matrix does, but indexed by x
@@ -281,6 +270,8 @@ def _chord_sobolev_norm(op: DensityOperator, k: int, n: int, wrap_tol: float) ->
     the gradient chain is read from column sums of |C|, in the chain's
     order: the x-gradient of C by one inverse transform when k = 2.
     """
+    if k > 2:
+        raise ConfigurationError("quantum Sobolev norms support k <= 2")
     g = op.grid
     N = g.N
     # C, transformed along axis 0 in place once its column masses are read

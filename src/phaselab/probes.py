@@ -116,7 +116,7 @@ def commutator_probe(rho: np.ndarray, mu: DensityOperator) -> dict:
     snap = solve_poisson(grid, rho, +1)
     lhs = schatten_norm(potential_commutator(mu, snap.V), 2) / grid.hbar
     budget = spatial_lebesgue_norm(rho, grid.dx, 2) * quantum_sobolev_norm(
-        quantum_gradient_xi(mu), 1, 2, 0)
+        quantum_gradient_xi(mu), 1)
     return {"lhs": lhs, "budget": budget}
 
 

@@ -260,7 +260,7 @@ class Snapshot:
         """||rho||_{W^{1,inf}} ||op_f||_{W^{2,2}_2}, with rho the Vlasov density."""
         f, field = self.states["vlasov"]
         return (spatial_sobolev_norm(field.rho, f.grid.L_x, 1, np.inf)
-                * quantum_sobolev_norm(self.op_f, 2, 2, 2))
+                * quantum_sobolev_norm(self.op_f, 2, n=2))
 
 
 def stream(steppers: dict, consumers: dict) -> tuple[dict, list[float], dict]:
@@ -464,12 +464,12 @@ def sqrt_comparison_report(members: list) -> ProbeReport:
 
 
 def regularity_snapshot(b: DynamicsBundle, s: Snapshot) -> dict:
-    """The W^{k,q}(<p>^{2n}) norm of the root carried by the linear Hartree
-    flow, q = 2 being the only legal value, and the rate max
-    ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density, eps = 1/2."""
-    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    """The W^{k,2}(<p>^{2n}) norm of the root carried by the linear Hartree
+    flow and the rate max ||rho||_{W^{2n, 3 +- eps}} of the Vlasov density,
+    eps = 1/2."""
+    k, n = b.args["k"], b.args["n"]
     root, rho = s.states["linear"][1], s.states["vlasov"][1].rho
-    return {"norm": quantum_sobolev_norm(root, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL),
+    return {"norm": quantum_sobolev_norm(root, k, n=2 * n, wrap_tol=SQRT_WRAP_TOL),
             "rho_rate": max(spatial_sobolev_norm(rho, b.grid.L_x, 2 * n, 3.0 + eps)
                             for eps in (-0.5, 0.5))}
 
@@ -683,7 +683,9 @@ def grid_member(args: dict) -> dict:
 def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[ProbeReport]]:
     """Reports of the requested probes from one member pass over the grid
     ladder; ``settings`` go to every member (see MEMBER_DEFAULTS). The probe
-    list must not be empty, and the ladder needs at least 4 grid sizes."""
+    list must not be empty, the ladder needs at least 4 grid sizes and q,
+    the regularity index, must be 2. A PhaselabError from building a probe's
+    reports is re-raised as the same class with the probe in front."""
     probes = tuple(probes)
     if not probes:
         raise ConfigurationError("sweep needs a nonempty probe list")
@@ -692,9 +694,17 @@ def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[P
     unknown = sorted(set(settings) - set(MEMBER_DEFAULTS) - {"profile", "T"})
     if unknown:
         raise ConfigurationError(f"unknown sweep settings {unknown}")
+    if settings.get("q", 2) != 2:
+        raise ConfigurationError(f"quantum Sobolev norms support q = 2 only, got {settings['q']}")
     unknown = [p for p in probes if p not in PROBE_TABLE]
     if unknown:
         raise ConfigurationError(f"unknown probes {unknown}; known: {tuple(PROBE_TABLE)}")
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)
                                         for N in sorted(N_list)], jobs)
-    return {p: PROBE_TABLE[p].reports([m[p] for m in members]) for p in probes}
+    reports = {}
+    for p in probes:
+        try:
+            reports[p] = PROBE_TABLE[p].reports([m[p] for m in members])
+        except PhaselabError as exc:
+            raise type(exc)(f"probe {p}: {exc}") from exc
+    return reports

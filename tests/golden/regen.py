@@ -1,5 +1,6 @@
-"""The golden ledger: every report that the default sweep and the two twin
-experiments write, as recorded from the code that last regenerated it.
+"""The golden ledger: every report that the default sweep, the two twin
+experiments and the three flow runs write, as recorded from the code that
+last regenerated it.
 
     python tests/golden/regen.py
 
@@ -30,7 +31,8 @@ ROOT = LEDGER.parents[1]
 COMMANDS = {
     "default": [["sweep", "--config", "configs/default.json", "--seed", "1", "--jobs", "1"]],
     "quick": [["run", "--config", "configs/quick.json", "--set", f"experiment={experiment}"]
-              for experiment in ("twin-classical", "twin-quantum")],
+              for experiment in ("twin-classical", "twin-quantum",
+                                 "vlasov", "hartree", "linear-hartree")],
 }
 
 # The pinned single OpenBLAS thread makes bits reproducible on one machine,
@@ -56,6 +58,20 @@ ROUNDING = {
     "wick_structure.json/details/members[]/min_eig":
         (1e-12, "the least eigenvalue, about 1e-8, of an operator of norm about 0.9 "
                 "carries the eigensolver's absolute error of order eps ||op||"),
+    "vlasov_trajectory.csv[]/min_value":
+        (1e-13, "the least value of f, about 6e-13, carries the shifts' absolute "
+                "error of order eps max f"),
+    "vlasov_trajectory.csv[]/momentum":
+        (1e-13, "a first moment that the grid's one unpaired edge row makes about "
+                "-1.4e-12, summed with absolute error of order eps ||xi f||_1"),
+    "vlasov_trajectory.csv[]/boundary_fraction":
+        (1e-13, "the edge rows' share of the mass, about 2.8e-12, whose f values "
+                "carry the shifts' absolute error of order eps max f"),
+    "hartree_trajectory.csv[]/min_eigenvalue":
+        (1e-12, "the least eigenvalue, about 7e-11, of an operator of norm below 2 "
+                "carries the eigensolver's absolute error of order eps ||op||"),
+    "linear_hartree_trajectory.csv[]/min_eigenvalue":
+        (1e-12, "as hartree_trajectory.csv"),
 }
 
 

@@ -462,6 +462,17 @@ class TestCli:
         assert err[0].startswith(
             "solver-error: probe positivity_defect, N=48: momentum-boundary mass")
 
+    def test_report_error_names_probe(self, config_file, capsys):
+        from phaselab import cli
+
+        # sign = 0 switches the interaction off: the B-remainder is 0 at every
+        # N, so its slope fit has no data, which shows in the report phase
+        code = main(["probe", "--config", str(config_file), "--name", "b_remainder",
+                     "--set", "sweep_N=[48,64,96,128]", "--set", "sign=0", "--jobs", "1"])
+        assert code == cli.EXIT_CONFIG == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config-error: probe b_remainder: slope fits need positive finite data"]
+
     def test_twin_consumer_error_names_probe_and_t(self, config_file, monkeypatch, capsys):
         from phaselab import cli, stability
         from phaselab.errors import WrapAmbiguityError
@@ -529,3 +540,17 @@ class TestIo:
         dump_raw_array(tmp_path / "real", arr, grid32)
         back = load_raw_array(tmp_path / "real")
         np.testing.assert_array_equal(back, arr)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_raw_array_keeps_every_bit(self, tmp_path, grid32, complex_data):
+        # signed zeros, NaN and infinities, in either part of a complex entry,
+        # come back bit for bit
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.5])
+        arr = np.empty((6, 6), dtype=complex if complex_data else float)
+        arr.real = special[:, None]
+        if complex_data:
+            arr.imag = special[None, :]
+        dump_raw_array(tmp_path / "special", arr, grid32)
+        back = load_raw_array(tmp_path / "special")
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()

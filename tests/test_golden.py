@@ -1,7 +1,8 @@
-"""The golden ledger (tests/golden): the default sweep and the two twin
-experiments must reproduce every committed report number. Regenerate the
-ledger with ``python tests/golden/regen.py``; ``pytest tests/test_golden.py -s``
-prints each output file's largest relative move without regenerating it."""
+"""The golden ledger (tests/golden): the default sweep, the two twin
+experiments and the three flow runs must reproduce every committed report
+number. Regenerate the ledger with ``python tests/golden/regen.py``;
+``pytest tests/test_golden.py -s`` prints each output file's largest relative
+move without regenerating it."""
 
 import json
 
@@ -22,7 +23,8 @@ def test_reports_match_the_golden_ledger(folder, tmp_path):
 
 def test_every_rounding_leaf_is_in_the_ledger():
     # a rounding floor whose leaf is gone from the reports leaves the list
-    paths = {p for fp in (LEDGER / "default").iterdir() for p in leaves(fp)}
+    paths = {p for folder in COMMANDS for fp in (LEDGER / folder).iterdir()
+             for p in leaves(fp)}
     for pattern in ROUNDING:
         stem, _, rest = pattern.partition("[]")
         assert any(p.startswith(stem) and p.endswith(rest) for p in paths), pattern

@@ -172,17 +172,17 @@ class TestQuantumSobolev:
         f = PhaseField(grid64, band_limited_field(64, rng, max_mode=10))
         op = weyl_quantize(f)
         for k in (1, 2):
-            assert quantum_sobolev_norm(op, k, 2, 0) == pytest.approx(
+            assert quantum_sobolev_norm(op, k) == pytest.approx(
                 weighted_sobolev_norm(f, k, 2, 0), rel=1e-8)
 
     def test_zero_operator(self, grid32):
         z = DensityOperator(grid32, np.zeros((32, 32)))
-        assert quantum_sobolev_norm(z, 2, 2, 0) == 0.0
+        assert quantum_sobolev_norm(z, 2) == 0.0
 
     def test_reduces_to_schatten(self, grid32, rng):
         f = PhaseField(grid32, band_limited_field(32, rng, max_mode=8))
         op = weyl_quantize(f)
-        assert quantum_sobolev_norm(op, 0, 2, 0) == pytest.approx(
+        assert quantum_sobolev_norm(op, 0) == pytest.approx(
             schatten_norm(op, 2), rel=1e-12)
         assert weighted_schatten_norms(op, (2,), 0)[0] == pytest.approx(
             schatten_norm(op, 2), rel=1e-12)
@@ -199,7 +199,7 @@ class TestQuantumSobolev:
                 gop = momentum_weight_apply(gop, n, side="right")
             terms.append(schatten_norm(gop, 2))
         oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
-        value = quantum_sobolev_norm(op, 2, 2, n)
+        value = quantum_sobolev_norm(op, 2, n=n)
         assert abs(value - oracle) <= 1e-13 * oracle
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -219,7 +219,7 @@ class TestQuantumSobolev:
                 terms = [schatten_norm(momentum_weight_apply(gop, n, side="right"), 2)
                          for gop in grads]
                 oracle = float(np.sum(np.array(terms) ** 2) ** 0.5)
-                assert quantum_sobolev_norm(op, k, 2, n) == pytest.approx(oracle, rel=1e-13)
+                assert quantum_sobolev_norm(op, k, n=n) == pytest.approx(oracle, rel=1e-13)
 
     def test_chord_route_raises_the_chain_wrap_error(self, grid32):
         # the wrap guard reads chord-column masses, in the chain's order: a
@@ -239,20 +239,22 @@ class TestQuantumSobolev:
                     gop = quantum_gradient_xi(gop)
             for n in (0, 2):
                 with pytest.raises(WrapAmbiguityError) as chord:
-                    quantum_sobolev_norm(op, k, 2, n)
+                    quantum_sobolev_norm(op, k, n=n)
                 assert str(chord.value) == str(chain.value)
         # at k = 1 only the kernel itself is guarded
         for n in (0, 2):
-            assert quantum_sobolev_norm(op, 1, 2, n) == pytest.approx(float(np.sqrt(sum(
+            assert quantum_sobolev_norm(op, 1, n=n) == pytest.approx(float(np.sqrt(sum(
                 weighted_schatten_norms(apply_quantum_gradients(op, ax, axi), (2,), n)[0] ** 2
                 for ax, axi in [(0, 0), (0, 1), (1, 0)]))), rel=1e-13)
 
-    @pytest.mark.parametrize("p", [1, 3, np.inf])
-    def test_other_p_are_rejected(self, grid32, rng, p):
-        # the chord route is the only one: p != 2 is refused, as k > 2 is
+    def test_k_above_2_and_a_positional_weight_are_rejected(self, grid32, rng):
+        # the chord route takes k <= 2, and n only by keyword, so a call that
+        # still passes p = 2 before n raises instead of reading 2 as n
         op = weyl_quantize(PhaseField(grid32, band_limited_field(32, rng, max_mode=6)))
-        with pytest.raises(ConfigurationError, match="p = 2 only"):
-            quantum_sobolev_norm(op, 1, p, 1)
+        with pytest.raises(ConfigurationError, match="k <= 2"):
+            quantum_sobolev_norm(op, 3)
+        with pytest.raises(TypeError):
+            quantum_sobolev_norm(op, 1, 2, 1)
 
     def test_antipodal_mass_trips_the_wrap_guard(self, grid32):
         from phaselab.errors import WrapAmbiguityError
@@ -260,7 +262,7 @@ class TestQuantumSobolev:
         K = np.eye(32, dtype=complex)
         K[0, 16] = K[16, 0] = 1.0          # chord |x - y| = L_x / 2
         with pytest.raises(WrapAmbiguityError):
-            quantum_sobolev_norm(DensityOperator(grid32, K, hermitian=True), 2, 2, 2)
+            quantum_sobolev_norm(DensityOperator(grid32, K, hermitian=True), 2, n=2)
 
     def test_powers_stormer(self, grid32, rng):
         # ||sqrt(A) - sqrt(B)||_L2^2 <= ||A - B||_L1 on random positive pairs
@@ -290,7 +292,7 @@ def test_quantum_sobolev_fft_count(grid64, rng, count_ffts):
     the wrap guard of the x-gradient and one axis-1 FFT per xi-order (three)."""
     op = weyl_quantize(PhaseField(grid64, band_limited_field(64, rng, max_mode=10)))
     calls = count_ffts()
-    quantum_sobolev_norm(op, 2, 2, 2)
+    quantum_sobolev_norm(op, 2, n=2)
     assert len(calls) == 5
 
 

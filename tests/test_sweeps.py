@@ -149,7 +149,7 @@ def test_regularity_free_flow_oracle():
     vt = wick_quantize(sqrt_field(f0))
     t = 0.25
     traj = evolve_hartree(vt, t, 0.0125, 0)
-    norm_t = quantum_sobolev_norm(traj.final(), 1, 2, 0)
+    norm_t = quantum_sobolev_norm(traj.final(), 1)
     w0 = wigner_transform(vt).values.astype(complex)
     dx_ = derivative(w0, grid.L_x, axis=0)
     dxi_ = derivative(w0, grid.L_xi, axis=1)
@@ -166,11 +166,17 @@ def test_regularity_sweep_small():
     assert rep.passed, rep.tolerance
 
 
-def test_regularity_fractional_schatten_indices():
-    # the quantum Sobolev norms take p = 2 alone, so q = 2.5 stops the first member
-    with pytest.raises(ConfigurationError) as err:
+def test_regularity_fractional_schatten_indices(monkeypatch):
+    # the quantum Sobolev norms take q = 2 alone, so q = 2.5 is refused before
+    # any member runs
+    from phaselab import sweeps
+
+    def no_member(args):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(sweeps, "grid_member", no_member)
+    with pytest.raises(ConfigurationError, match="q = 2 only, got 2.5"):
         sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.1, k=1, q=2.5, n=1)
-    assert f"probe regularity, N={min(SMALL)}" in str(err.value)
 
 
 def test_homogeneous_norms_constant():
@@ -186,7 +192,7 @@ def test_homogeneous_norms_constant():
     ftraj = evolve_vlasov(f0, 0.2, 0.02, +1, snapshot_stride=5)
     vt = wick_quantize(sqrt_field(f0))
     vtraj = evolve_linear_hartree(vt, ftraj.fields, 0.2, 0.02, snapshot_stride=5)
-    norms = [quantum_sobolev_norm(v, 1, 2, 0) for v in vtraj.snapshots]
+    norms = [quantum_sobolev_norm(v, 1) for v in vtraj.snapshots]
     assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8 * norms[0]
 
 
@@ -322,7 +328,7 @@ def _stored_series(args: dict) -> dict:
         rho_diff = spatial_density(op_til).real - spatial_density(op_f).real
         left_diag.append(spatial_lebesgue_norm(rho_diff, grid.dx, 2))
         terms.append(spatial_sobolev_norm(snap.rho, grid.L_x, 1, np.inf)
-                     * quantum_sobolev_norm(op_f, 2, 2, 2))
+                     * quantum_sobolev_norm(op_f, 2, n=2))
         rates.append(grad_e_sup(grid, snap.E) * hessian_xi_norm(f))
     lam, w12s = [], []
     for v, snap in zip(lin.root_snapshots, fields):
@@ -333,7 +339,7 @@ def _stored_series(args: dict) -> dict:
     Lambda = cumulative_trapezoid(np.array(lam), times)
     c_series = np.array([w12 * (b.c_init + term) for w12, term in zip(w12s, terms)])
     env0 = _envelope(c_series, Lambda, times, grid.hbar)
-    k, q, n = b.args["k"], b.args["q"], b.args["n"]
+    k, n = b.args["k"], b.args["n"]
     rho_rates = [max(spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 - 0.5),
                      spatial_sobolev_norm(snap.rho, grid.L_x, 2 * n, 3.0 + 0.5))
                  for snap in fields]
@@ -353,7 +359,7 @@ def _stored_series(args: dict) -> dict:
                 for tr in (lin, hart))},
         "regularity": {
             "times": times,
-            "norms": np.array([quantum_sobolev_norm(v, k, q, 2 * n, wrap_tol=SQRT_WRAP_TOL)
+            "norms": np.array([quantum_sobolev_norm(v, k, n=2 * n, wrap_tol=SQRT_WRAP_TOL)
                                for v in lin.root_snapshots]),
             "integral": cumulative_trapezoid(rho_rates, times)},
     }
