@@ -22,7 +22,7 @@ from .calculus import (
 from .errors import ConfigurationError
 from .grids import PhaseField
 from .operators import DensityOperator
-from .spectral import derivative, derivative_multiplier, modes
+from .spectral import derivative, derivative_multiplier
 from .transforms import _chord_indices
 
 
@@ -142,9 +142,8 @@ def h_half_norm(f: PhaseField) -> float:
     """Fourier-multiplier H^{1/2} norm of a phase-space field (comparison only)."""
     g = f.grid
     spec = np.fft.fft2(f.values) / g.N**2
-    ax = 2 * np.pi * modes(g.N) / g.L_x
-    axi = 2 * np.pi * modes(g.N) / g.L_xi
-    w = (1.0 + ax[:, None] ** 2 + axi[None, :] ** 2) ** 0.5
+    w = (1.0 - derivative_multiplier(g.N, g.L_x, 2)[:, None]
+         - derivative_multiplier(g.N, g.L_xi, 2)[None, :]) ** 0.5   # (1 + |k|^2)^(1/2)
     vol = g.L_x * g.L_xi
     return float(math.sqrt(np.sum(w * np.abs(spec) ** 2) * vol))
 

@@ -43,7 +43,7 @@ from .budgets import (
 )
 from .calculus import operator_sqrt, spatial_density
 from .coherent import husimi_convolve, husimi_marginal, husimi_mode_block, wick_square_datum
-from .config import DEFAULTS
+from .config import DEFAULTS, validate
 from .errors import ConfigurationError, PhaselabError
 from .grids import PhaseField, gaussian_phase_kernel, make_grid, sample_field
 from .hartree import hartree_steps, linear_hartree_steps
@@ -682,10 +682,13 @@ def grid_member(args: dict) -> dict:
 
 def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[ProbeReport]]:
     """Reports of the requested probes from one member pass over the grid
-    ladder; ``settings`` go to every member (see MEMBER_DEFAULTS). The probe
-    list must not be empty, the ladder needs at least 4 grid sizes and q,
-    the regularity index, must be 2. A PhaselabError from building a probe's
-    reports is re-raised as the same class with the probe in front."""
+    ladder; ``settings`` go to every member (see MEMBER_DEFAULTS). Every
+    setting is checked before any member runs: the probe list must not be
+    empty or repeat a probe, the ladder needs at least 4 distinct grid sizes,
+    q, the regularity index, must be 2, pairs a positive integer, k 0, 1 or
+    2, n a non-negative integer, and the settings a config also holds pass
+    config.validate. A PhaselabError from building a probe's reports is
+    re-raised as the same class with the probe in front."""
     probes = tuple(probes)
     if not probes:
         raise ConfigurationError("sweep needs a nonempty probe list")
@@ -696,9 +699,18 @@ def sweep_reports(probes, N_list, jobs: int = 1, **settings) -> dict[str, list[P
         raise ConfigurationError(f"unknown sweep settings {unknown}")
     if settings.get("q", 2) != 2:
         raise ConfigurationError(f"quantum Sobolev norms support q = 2 only, got {settings['q']}")
+    for key, legal, low, high in (("pairs", "a positive integer", 1, np.inf),
+                                  ("k", "0, 1 or 2", 0, 2),
+                                  ("n", "a non-negative integer", 0, np.inf)):
+        value = settings.get(key, MEMBER_DEFAULTS[key])
+        if type(value) is not int or not low <= value <= high:
+            raise ConfigurationError(f"sweep setting {key} must be {legal}, got {value!r}")
     unknown = [p for p in probes if p not in PROBE_TABLE]
     if unknown:
         raise ConfigurationError(f"unknown probes {unknown}; known: {tuple(PROBE_TABLE)}")
+    validate({**{key: settings[key] for key in ("sign", "T", "dt", "seed", "L_x", "L_xi")
+                 if key in settings},
+              "probes": list(probes), "sweep_N": sorted(N_list)})
     members = run_members(grid_member, [dict(settings, N=N, probes=probes)
                                         for N in sorted(N_list)], jobs)
     reports = {}

@@ -1,12 +1,14 @@
 """The golden ledger: every report that the default sweep, the two twin
-experiments and the three flow runs write, as recorded from the code that
-last regenerated it.
+experiments, the three flow runs and the norms probe write, as recorded from
+the code that last regenerated it.
 
     python tests/golden/regen.py
 
 reruns the COMMANDS from the current code, prints for each output file the
 largest relative move of a numeric leaf against the committed ledger and its
-leaf path, and then rewrites the ledger. tests/test_golden.py reruns the same
+leaf path, and then updates the ledger: it writes the files that are new or
+have a leaf out of tolerance, deletes the files no longer produced and leaves
+every other file byte for byte. tests/test_golden.py reruns the same
 commands and requires every numeric leaf to match within RTOL, except the
 ROUNDING leaves, which it holds to an absolute floor.
 """
@@ -30,9 +32,10 @@ ROOT = LEDGER.parents[1]
 # ledger folder -> the phaselab command lines whose outputs it holds
 COMMANDS = {
     "default": [["sweep", "--config", "configs/default.json", "--seed", "1", "--jobs", "1"]],
-    "quick": [["run", "--config", "configs/quick.json", "--set", f"experiment={experiment}"]
-              for experiment in ("twin-classical", "twin-quantum",
-                                 "vlasov", "hartree", "linear-hartree")],
+    "quick": [*(["run", "--config", "configs/quick.json", "--set", f"experiment={experiment}"]
+                for experiment in ("twin-classical", "twin-quantum",
+                                   "vlasov", "hartree", "linear-hartree")),
+              ["probe", "--config", "configs/quick.json", "--name", "norms"]],
 }
 
 # The pinned single OpenBLAS thread makes bits reproducible on one machine,
@@ -120,58 +123,86 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def compare_file(was: Path, now: Path) -> tuple[tuple[float, str] | None, list[str]]:
+    """Compare one fresh output file with its ledger copy. Return (the
+    largest relative move of a numeric leaf, its leaf path), None when the
+    leaf paths differ, and one line per leaf that breaks its tolerance:
+    RTOL, or its ROUNDING floor, or equality for a non-numeric leaf."""
+    old, new = leaves(was), leaves(now)
+    if set(old) != set(new):
+        return None, [f"{was.name}: leaf paths differ: {sorted(set(old) ^ set(new))[:5]}"]
+    worst, broken = (0.0, ""), []
+    for path, value in old.items():
+        fresh = new[path]
+        if not (_is_number(value) and _is_number(fresh)):
+            if value != fresh:
+                broken.append(f"{path}: {value!r} -> {fresh!r}")
+            continue
+        move = abs(fresh - value)
+        rel = move / abs(value) if value else (0.0 if move == 0 else math.inf)
+        if rel > worst[0]:
+            worst = (rel, path)
+        floor = ROUNDING.get(re.sub(r"\[\d+\]", "[]", path), (None,))[0]
+        if (move > floor) if floor is not None else (rel > RTOL):
+            broken.append(f"{path}: {value!r} -> {fresh!r} (relative move {rel:.3e})")
+    return worst, broken
+
+
 def compare(ledger: Path, fresh: Path) -> tuple[dict, list[str]]:
     """Compare the fresh outputs with a ledger folder. Return, per output
     file, (the largest relative move of a numeric leaf, its leaf path), and
-    one line per leaf that breaks its tolerance: RTOL, or its ROUNDING floor,
-    or equality for a non-numeric leaf or a missing one."""
+    one line per leaf that breaks its tolerance (see compare_file) or per
+    file found on one side only."""
     names = sorted({p.name for p in ledger.iterdir()} | {p.name for p in fresh.iterdir()})
     moves, broken = {}, []
     for name in names:
         if not (ledger / name).exists() or not (fresh / name).exists():
             broken.append(f"{name}: only in {'fresh' if (fresh / name).exists() else 'ledger'}")
             continue
-        old, new = leaves(ledger / name), leaves(fresh / name)
-        if set(old) != set(new):
-            broken.append(f"{name}: leaf paths differ: {sorted(set(old) ^ set(new))[:5]}")
-            continue
-        worst = (0.0, "")
-        for path, was in old.items():
-            now = new[path]
-            if not (_is_number(was) and _is_number(now)):
-                if was != now:
-                    broken.append(f"{path}: {was!r} -> {now!r}")
-                continue
-            move = abs(now - was)
-            rel = move / abs(was) if was else (0.0 if move == 0 else math.inf)
-            if rel > worst[0]:
-                worst = (rel, path)
-            floor = ROUNDING.get(re.sub(r"\[\d+\]", "[]", path), (None,))[0]
-            if (move > floor) if floor is not None else (rel > RTOL):
-                broken.append(f"{path}: {was!r} -> {now!r} (relative move {rel:.3e})")
-        moves[name] = worst
+        worst, lines = compare_file(ledger / name, fresh / name)
+        if worst is not None:
+            moves[name] = worst
+        broken += lines
     return moves, broken
 
 
+def update(target: Path, fresh: Path) -> list[str]:
+    """Bring one ledger folder in line with the fresh outputs: copy the files
+    that are new or have a leaf out of tolerance, delete the files no longer
+    produced, and leave every other file byte for byte. Return one line per
+    file, saying what happened to it."""
+    target.mkdir(exist_ok=True)
+    report = []
+    for fp in sorted(target.iterdir()):
+        if not (fresh / fp.name).exists():
+            fp.unlink()
+            report.append(f"{fp.name}: no longer produced, deleted")
+    for fp in sorted(fresh.iterdir()):
+        if not (target / fp.name).exists():
+            shutil.copyfile(fp, target / fp.name)
+            report.append(f"{fp.name}: new")
+            continue
+        worst, broken = compare_file(target / fp.name, fp)
+        if worst is not None:
+            report.append(f"{fp.name}: largest relative move {worst[0]:.3e} {worst[1]}")
+        report += [f"{fp.name}: out of tolerance: {line}" for line in broken]
+        if broken:
+            shutil.copyfile(fp, target / fp.name)
+            report.append(f"{fp.name}: rewritten")
+    return report
+
+
 def regen():
-    """Rewrite every ledger folder from the current code, printing the moves."""
+    """Update every ledger folder from the current code (see update),
+    printing the moves."""
     for folder in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             fresh = Path(tmp)
             codes = produce(folder, fresh)
             if any(codes):
                 sys.exit(f"{folder}: a command exited with {codes}; ledger left as it is")
-            target = LEDGER / folder
-            if target.is_dir():
-                moves, broken = compare(target, fresh)
-                for name, (rel, path) in moves.items():
-                    print(f"{folder}/{name}: largest relative move {rel:.3e} {path}")
-                for line in broken:
-                    print(f"  out of tolerance: {line}")
-                shutil.rmtree(target)
-            else:
-                print(f"{folder}: new ledger folder")
-            shutil.copytree(fresh, target)
+            for line in update(LEDGER / folder, fresh):
+                print(f"{folder}/{line}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from phaselab.hartree import evolve_hartree, evolve_linear_hartree, hartree_step
 from phaselab.norms import schatten_norm
 from phaselab.operators import DensityOperator
 from phaselab.poisson import solve_poisson
-from phaselab.spectral import modes, shift
+from phaselab.spectral import derivative, modes, shift
 from phaselab.sweeps import grid_member
 from phaselab.trajectory import DEFAULT_DT, FieldSnapshot, Trajectory
 from phaselab.vlasov import BOUNDARY_TOL, evolve_vlasov, vlasov_steps
@@ -86,6 +86,23 @@ class TestPoisson:
     def test_bad_sign(self, grid64):
         with pytest.raises(ConfigurationError):
             solve_poisson(grid64, np.ones(64), 2)
+
+    @pytest.mark.parametrize("N", [64, 96])
+    @pytest.mark.parametrize("L_x", [2 * np.pi, 4 * np.pi], ids=["2pi", "4pi"])
+    def test_shares_the_derivative_nyquist_convention(self, N, L_x, rng):
+        # a random density carries Nyquist content: E drops that mode as the
+        # first derivative does, and the Laplacian keeps it
+        grid = make_grid(N, L_x, 2 * np.pi)
+        rho = rng.standard_normal(N)
+        for sign in (-1, 1):
+            snap = solve_poisson(grid, rho, sign)
+            minus_dV = -derivative(snap.V, L_x, axis=0)
+            assert np.max(np.abs(snap.E - minus_dV)) <= 1e-13 * np.max(np.abs(snap.E))
+            source = sign * (rho - rho.mean())
+            minus_lap = -derivative(snap.V, L_x, axis=0, order=2)
+            assert np.max(np.abs(minus_lap - source)) <= 1e-13 * np.max(np.abs(source))
+        off = solve_poisson(grid, rho, 0)
+        assert not off.V.any() and not off.E.any()
 
 
 class TestVlasov:

@@ -1,6 +1,6 @@
 """The golden ledger (tests/golden): the default sweep, the two twin
-experiments and the three flow runs must reproduce every committed report
-number. Regenerate the ledger with ``python tests/golden/regen.py``;
+experiments, the three flow runs and the norms probe must reproduce every
+committed report number. Regenerate the ledger with ``python tests/golden/regen.py``;
 ``pytest tests/test_golden.py -s`` prints each output file's largest relative
 move without regenerating it."""
 
@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from golden.regen import COMMANDS, LEDGER, ROUNDING, compare, leaves, produce
+from golden.regen import COMMANDS, LEDGER, ROUNDING, compare, leaves, produce, update
 
 
 @pytest.mark.parametrize("folder", sorted(COMMANDS))
@@ -51,3 +51,22 @@ def test_compare_flags_a_moved_leaf(tmp_path):
     _, broken = compare(ledger, fresh)
     assert [line.split(":")[0] for line in broken] == ["wick_structure.json/lhs[0]",
                                                        "wick_structure.json/passed"]
+
+
+def test_update_rewrites_only_what_moved(tmp_path):
+    ledger, fresh = tmp_path / "ledger", tmp_path / "fresh"
+    for d in (ledger, fresh):
+        d.mkdir()
+    # committed text that a fresh write would not reproduce byte for byte
+    (ledger / "still.json").write_text('{"lhs": [1.0, 2.0]}')
+    (fresh / "still.json").write_text(json.dumps({"lhs": [1.0, 2.0 * (1 + 1e-13)]}))
+    (ledger / "moved.json").write_text('{"lhs": [1.0]}')
+    (fresh / "moved.json").write_text(json.dumps({"lhs": [1.0 + 1e-11]}))
+    (fresh / "new.csv").write_text("N,value\n64,1.0\n")
+    (ledger / "gone.csv").write_text("N,value\n64,1.0\n")
+    update(ledger, fresh)
+    assert sorted(p.name for p in ledger.iterdir()) == ["moved.json", "new.csv", "still.json"]
+    assert (ledger / "still.json").read_text() == '{"lhs": [1.0, 2.0]}'
+    for name in ("moved.json", "new.csv"):
+        assert (ledger / name).read_bytes() == (fresh / name).read_bytes()
+    assert compare(ledger, fresh)[1] == []

@@ -179,6 +179,28 @@ def test_regularity_fractional_schatten_indices(monkeypatch):
         sweep_reports(["regularity"], SMALL, profile=PROFILE, T=0.1, k=1, q=2.5, n=1)
 
 
+@pytest.mark.parametrize("probes, ladder, settings, match", [
+    (["commutator"], SMALL, {"pairs": 0}, "pairs must be a positive integer, got 0"),
+    (["regularity"], SMALL, {"n": 0.5}, "n must be a non-negative integer, got 0.5"),
+    (["convergence"], SMALL, {"seed": -1}, "seed must be nonnegative"),
+    (["wick_structure", "regularity"], SMALL, {"k": 3}, "k must be 0, 1 or 2, got 3"),
+    (["wick_structure", "convergence"], SMALL, {"sign": 2}, "sign must be -1, 0, or \\+1"),
+    (["wick_structure", "convergence"], SMALL, {"T": -1.0}, "T must be nonnegative"),
+    (["wick_square", "wick_square"], SMALL, {}, "must not list a probe twice"),
+    (["wick_square"], (48, 64, 64, 96), {}, "sweep_N must be strictly increasing"),
+], ids=["pairs=0", "n=0.5", "seed=-1", "k=3", "sign=2", "T=-1", "repeated_probe",
+        "repeated_N"])
+def test_bad_settings_fail_before_any_member(probes, ladder, settings, match, monkeypatch):
+    from phaselab import sweeps
+
+    def no_member(args):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(sweeps, "grid_member", no_member)
+    with pytest.raises(ConfigurationError, match=match):
+        sweep_reports(probes, ladder, profile=PROFILE, **settings)
+
+
 def test_homogeneous_norms_constant():
     from phaselab import make_grid, sample_field
     from phaselab.budgets import sqrt_field
